@@ -22,8 +22,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import sympy
-from scipy.interpolate import make_interp_spline
 
 from . import quadrature
 from .errors import (
@@ -32,7 +30,7 @@ from .errors import (
     DomainError,
     NonConvergence,
 )
-from .families import Family, ObservationSequence, transform_family  # noqa: F401  (transform_family re-exported)
+from .families import Family, ObservationSequence
 from .strategies import cnml_joint, strategy_joint
 
 
@@ -459,6 +457,8 @@ class VarianceFunctionSpec:
 
     @classmethod
     def closed(cls, expression, domain, label: str | None = None) -> "VarianceFunctionSpec":
+        import sympy  # imported on first use: it is most of the package's import time and memory
+
         mu_sym = sympy.Symbol("mu", real=True)
         expr = sympy.sympify(expression, locals={"mu": mu_sym})
         if expr.free_symbols - {mu_sym}:
@@ -491,6 +491,8 @@ class VarianceFunctionSpec:
 
     @classmethod
     def from_table(cls, mu_values, v_values, label: str | None = None) -> "VarianceFunctionSpec":
+        from scipy.interpolate import make_interp_spline
+
         mu_arr = np.asarray(mu_values, dtype=float)
         v_arr = np.asarray(v_values, dtype=float)
         if mu_arr.ndim != 1 or mu_arr.shape != v_arr.shape:

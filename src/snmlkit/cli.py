@@ -23,7 +23,15 @@ from .analysis import Verdict
 from .errors import SnmlkitError
 from .families import ObservationSequence
 
-_FAMILY_NAMES = ("gaussian", "gamma", "tweedie32", "bernoulli", "poisson")
+# --family names and the serialization kind each one builds
+_FAMILY_KINDS = {
+    "gaussian": "gaussian_location",
+    "gamma": "gamma_shape",
+    "tweedie32": "tweedie32",
+    "bernoulli": "bernoulli",
+    "poisson": "poisson",
+}
+_FAMILY_NAMES = tuple(_FAMILY_KINDS)
 
 
 def _fmt(x: float) -> str:
@@ -56,21 +64,10 @@ def _family_from_args(args) -> families.Family:
             spec = Path(spec[1:]).read_text()
         return families.from_json(spec)
     name = (getattr(args, "family", None) or "").lower()
-    domain = None
-    if getattr(args, "mean_domain", None):
-        lo, hi = _parse_floats(args.mean_domain, "--mean-domain")
-        domain = (lo, hi)
-    if name in ("gaussian", "gaussian_location"):
-        return families.GaussianLocation(sigma2=args.sigma2, mean_domain=domain)
-    if name in ("gamma", "gamma_shape"):
-        return families.GammaShape(shape=args.shape, mean_domain=domain)
-    if name == "tweedie32":
-        return families.Tweedie32(mean_domain=domain)
-    if name == "bernoulli":
-        return families.Bernoulli(mean_domain=domain)
-    if name == "poisson":
-        return families.Poisson(mean_domain=domain)
-    raise SnmlkitError(f"--family must be one of {_FAMILY_NAMES} (or pass --family-json), got {name!r}")
+    if name not in _FAMILY_KINDS:
+        raise SnmlkitError(f"--family must be one of {_FAMILY_NAMES} (or pass --family-json), got {name!r}")
+    domain = _parse_floats(args.mean_domain, "--mean-domain") if getattr(args, "mean_domain", None) else None
+    return families.from_json({"kind": _FAMILY_KINDS[name], "sigma2": args.sigma2, "shape": args.shape, "mean_domain": domain})
 
 
 def _variance_from_args(args) -> analysis.VarianceFunctionSpec:

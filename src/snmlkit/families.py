@@ -9,6 +9,15 @@ coordinate charts:
 * geodesic -- beta with d(beta)/d(mu) = 1/sigma(mu), the chart in which the
   Fisher information is identically 1.
 
+Densities share one kernel in deviance form,
+
+    log p_mu(x) = l*(x) - D(x || mu),
+
+where l*(x) = log p_x(x) is the saturated log-likelihood and D the KL
+divergence.  The log-likelihood of x_1..x_n therefore depends on mu only
+through n and the sample mean xbar:
+sum_i log p_mu(x_i) = sum_i log p_xbar(x_i) - n * D(xbar || mu).
+
 The support of the base measure is reported as a closed-or-open interval (the
 convex hull of the support, with endpoint flags recording whether an atom sits
 there).  Boundary means that carry an atom (Bernoulli 0 and 1, Poisson 0,
@@ -32,7 +41,6 @@ from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
 
 from . import tweedie as tweedie_ops
 from .errors import DomainError, EmptyWindow, NonMonotone, UnsupportedPoint
@@ -148,7 +156,13 @@ def _window_slice(values: tuple[float, ...], window) -> tuple[float, ...]:
 
 
 class Family(ABC):
-    """Base class: a one-dimensional natural exponential family in its mean chart."""
+    """Base class: a one-dimensional natural exponential family in its mean chart.
+
+    A family supplies its charts, its cumulant A(theta), its saturated
+    log-likelihood l*(x) = log p_x(x) and its KL divergence D, unchecked, on
+    the closure of its full mean domain.  Every density is then
+    log p_mu(x) = l*(x) - D(x || mu).
+    """
 
     kind: str = "abstract"
     is_discrete: bool = False
@@ -161,6 +175,10 @@ class Family(ABC):
     # full support enumerable for discrete families, else None
     finite_support: tuple[float, ...] | None = None
     _preferred_reference: float = 1.0
+    # Convex hull of the support, endpoints flagged where an atom sits.  For
+    # these steep families it is also the full mean domain: a boundary mean
+    # exists exactly where the support has an atom (the degenerate point mass).
+    _support: Interval
 
     def __init__(self, mean_domain: tuple[float, float] | Interval | None = None):
         full = self._full_mean_domain()
@@ -183,12 +201,12 @@ class Family(ABC):
 
     # ---- per-family surface -------------------------------------------------
 
-    @abstractmethod
-    def _full_mean_domain(self) -> Interval: ...
+    def _full_mean_domain(self) -> Interval:
+        return self._support
 
-    @abstractmethod
     def convex_core(self) -> Interval:
         """Convex hull of the base-measure support, endpoints flagged if atomic."""
+        return self._support
 
     @abstractmethod
     def variance(self, mu: float) -> float:
@@ -205,17 +223,18 @@ class Family(ABC):
         """A(theta), the log normalizer against the family's base measure."""
 
     @abstractmethod
-    def kl_divergence(self, mu0: float, mu1: float) -> float: ...
+    def _saturated_log_likelihood(self, x: float) -> float:
+        """l*(x) = log p_x(x), the log density at x of the member with mean x."""
+
+    @abstractmethod
+    def _divergence(self, mu0: float, mu1: float) -> float:
+        """D(mu0 || mu1) on the closure of the full mean domain, unchecked."""
 
     @abstractmethod
     def geodesic_from_mean(self, mu: float, reference: float) -> float: ...
 
     @abstractmethod
     def mean_from_geodesic(self, beta: float, reference: float) -> float: ...
-
-    @abstractmethod
-    def _log_density_regular(self, mu: float, x: float) -> float:
-        """log density at a validated observation for a non-degenerate mean."""
 
     @abstractmethod
     def sample(self, mu: float, size: int, rng: np.random.Generator) -> np.ndarray: ...
@@ -225,9 +244,25 @@ class Family(ABC):
 
     # ---- shared machinery ---------------------------------------------------
 
-    def _degenerate_atom(self, mu: float) -> float | None:
-        """Location of the point mass when mu is a degenerate boundary mean."""
-        return None
+    def _log_density(self, mu: float, x: float) -> float:
+        """log p_mu(x) = l*(x) - D(x || mu) for a validated observation and mean.
+
+        D is 0 or inf at a degenerate boundary mean, which makes it the point
+        mass at that boundary."""
+        return self._saturated_log_likelihood(x) - self._divergence(x, mu)
+
+    def _statistic(self, x: float) -> float:
+        """The sufficient statistic of an observation, on the mean scale."""
+        return x
+
+    def _sample_mean(self, values: tuple[float, ...]) -> float:
+        """Mean of the sufficient statistic over validated observations.
+
+        Summed about the first value, so that close values far from 0 lose
+        nothing to the sum and the mean is rounded once at its own magnitude.
+        """
+        first = self._statistic(values[0])
+        return first + math.fsum(self._statistic(v) - first for v in values) / len(values)
 
     def observation_atoms(self) -> tuple[float, ...]:
         return self._observation_atoms
@@ -248,17 +283,22 @@ class Family(ABC):
             return lo + 1.0
         return hi - 1.0
 
+    def _mle_or_reference(self, history: Sequence[float]) -> float:
+        """The clipped maximum-likelihood mean of history, or the default
+        reference when history is empty or has no valid estimate."""
+        try:
+            return self.mle_mean(history).value
+        except (EmptyWindow, DomainError):
+            return self.default_reference()
+
     def observation_hint(self, history: tuple[float, ...]) -> float | None:
         """A point near the bulk of sup-likelihood weight, usable as a
         quadrature breakpoint; None when no interior point is available."""
-        try:
-            est = self.mle_mean(history).value if history else self.default_reference()
-        except (EmptyWindow, DomainError):
-            est = self.default_reference()
-        core = self.convex_core()
-        if core.lower < est < core.upper and math.isfinite(est):
-            return est
-        return None
+        return self._point_near(self._mle_or_reference(history))
+
+    def _point_near(self, mean: float) -> float | None:
+        """The observation equal to this mean if it lies inside the support."""
+        return mean if self.convex_core().strictly_contains(mean) else None
 
     def _check_mean(self, mu: float, interior: bool = False) -> float:
         """Validate a mean; interior=True additionally rejects degenerate
@@ -269,27 +309,29 @@ class Family(ABC):
             raise DomainError("mean is NaN")
         if not self.mean_domain.closure_contains(mu):
             raise DomainError(f"mean {mu!r} outside {self.mean_domain.bounds()}")
-        if interior and not self._full_mean_domain().strictly_contains(mu):
+        full = self._full_mean_domain()
+        if math.isfinite(mu) and not full.contains(mu):
+            raise DomainError(f"kind {self.kind} has no member with mean {mu!r}")
+        if interior and not full.strictly_contains(mu):
             raise DomainError(f"mean {mu!r} is a degenerate boundary point of kind {self.kind}")
         return mu
 
     def _check_observation(self, x: float) -> float:
         x = float(x)
         core = self.convex_core()
-        if math.isnan(x) or not core.closure_contains(x):
-            raise UnsupportedPoint(f"observation {x!r} outside support closure {core.bounds()}")
+        if not math.isfinite(x) or not core.closure_contains(x):
+            raise UnsupportedPoint(f"observation {x!r} is not a finite point of the support closure {core.bounds()}")
         if self.is_discrete and x != math.floor(x):
             raise UnsupportedPoint(f"observation {x!r} is not a lattice point")
         return x
 
+    def kl_divergence(self, mu0: float, mu1: float) -> float:
+        return self._divergence(self._check_mean(mu0), self._check_mean(mu1))
+
     def log_density_mean(self, mu: float, x: float) -> float:
         """Log density (w.r.t. the family's base measure) at x under mean mu."""
         x = self._check_observation(x)
-        mu = self._check_mean(mu)
-        atom = self._degenerate_atom(mu)
-        if atom is not None:
-            return 0.0 if x == atom else -math.inf
-        return self._log_density_regular(mu, x)
+        return self._log_density(self._check_mean(mu), x)
 
     def log_density(self, param: ParamValue | float, x: float) -> float:
         return self.log_density_mean(self.mean_value(param), x)
@@ -342,8 +384,7 @@ class Family(ABC):
             raise EmptyWindow("estimation window selects no observations")
         for v in selected:
             self._check_observation(v)
-        raw = math.fsum(selected) / len(selected)
-        clipped = self.mean_domain.clip(raw)
+        clipped = self.mean_domain.clip(self._sample_mean(selected))
         lo, hi = self.mean_domain.bounds()
         boundary = (math.isfinite(lo) and clipped == lo) or (math.isfinite(hi) and clipped == hi)
         return MleEstimate(clipped, boundary)
@@ -378,12 +419,6 @@ def _encode_bound(x: float):
     return x
 
 
-def _decode_bound(x) -> float:
-    if isinstance(x, str):
-        return float(x)
-    return float(x)
-
-
 class GaussianLocation(Family):
     """Gaussian with known variance sigma2, indexed by its mean.
 
@@ -395,18 +430,13 @@ class GaussianLocation(Family):
     min_conditioning = 1
     shtarkov_divergent_tails = "both"
     _preferred_reference = 0.0
+    _support = Interval(-math.inf, math.inf)
 
     def __init__(self, sigma2: float = 1.0, mean_domain=None):
         if not sigma2 > 0 or math.isinf(sigma2):
             raise DomainError(f"sigma2 must be positive and finite, got {sigma2!r}")
         self.sigma2 = float(sigma2)
         super().__init__(mean_domain)
-
-    def _full_mean_domain(self) -> Interval:
-        return Interval(-math.inf, math.inf)
-
-    def convex_core(self) -> Interval:
-        return Interval(-math.inf, math.inf)
 
     def variance(self, mu: float) -> float:
         self._check_mean(mu)
@@ -421,9 +451,10 @@ class GaussianLocation(Family):
     def cumulant(self, theta: float) -> float:
         return 0.5 * self.sigma2 * theta * theta
 
-    def kl_divergence(self, mu0: float, mu1: float) -> float:
-        mu0 = self._check_mean(mu0)
-        mu1 = self._check_mean(mu1)
+    def _saturated_log_likelihood(self, x: float) -> float:
+        return -0.5 * math.log(2.0 * math.pi * self.sigma2)
+
+    def _divergence(self, mu0: float, mu1: float) -> float:
         d = mu0 - mu1
         return d * d / (2.0 * self.sigma2)
 
@@ -432,10 +463,6 @@ class GaussianLocation(Family):
 
     def mean_from_geodesic(self, beta: float, reference: float) -> float:
         return reference + beta * math.sqrt(self.sigma2)
-
-    def _log_density_regular(self, mu: float, x: float) -> float:
-        d = x - mu
-        return -0.5 * math.log(2.0 * math.pi * self.sigma2) - d * d / (2.0 * self.sigma2)
 
     def sample(self, mu: float, size: int, rng: np.random.Generator) -> np.ndarray:
         mu = self._check_mean(mu)
@@ -456,18 +483,13 @@ class GammaShape(Family):
     min_conditioning = 1
     shtarkov_divergent_tails = "both"
     _preferred_reference = 1.0
+    _support = Interval(0.0, math.inf)
 
     def __init__(self, shape: float = 1.0, mean_domain=None):
         if not shape > 0 or math.isinf(shape):
             raise DomainError(f"shape must be positive and finite, got {shape!r}")
         self.shape = float(shape)
         super().__init__(mean_domain)
-
-    def _full_mean_domain(self) -> Interval:
-        return Interval(0.0, math.inf)
-
-    def convex_core(self) -> Interval:
-        return Interval(0.0, math.inf)
 
     def variance(self, mu: float) -> float:
         mu = self._check_mean(mu, interior=True)
@@ -486,32 +508,29 @@ class GammaShape(Family):
             raise DomainError(f"natural parameter must be negative, got {theta!r}")
         return -self.shape * math.log(-theta)
 
-    def kl_divergence(self, mu0: float, mu1: float) -> float:
-        mu0 = self._check_mean(mu0)
-        mu1 = self._check_mean(mu1)
-        if mu0 <= 0.0 or mu1 <= 0.0:
-            raise DomainError("the gamma family has no member with mean 0")
+    def _saturated_log_likelihood(self, x: float) -> float:
+        k = self.shape
+        return k * math.log(k) - k - math.lgamma(k) - math.log(x)
+
+    def _divergence(self, mu0: float, mu1: float) -> float:
         if math.isinf(mu0) or math.isinf(mu1):
             return math.inf
         return self.shape * (mu0 / mu1 - 1.0 + math.log(mu1 / mu0))
+
+    def _log_density(self, mu: float, x: float) -> float:
+        if x == 0.0:
+            # l*(0) and D(0 || mu) are both infinite; the factor x^(k-1) decides
+            k = self.shape
+            if k < 1.0:
+                return math.inf
+            return -math.log(mu) if k == 1.0 else -math.inf
+        return super()._log_density(mu, x)
 
     def geodesic_from_mean(self, mu: float, reference: float) -> float:
         return math.sqrt(self.shape) * math.log(mu / reference)
 
     def mean_from_geodesic(self, beta: float, reference: float) -> float:
         return reference * math.exp(beta / math.sqrt(self.shape))
-
-    def _log_density_regular(self, mu: float, x: float) -> float:
-        if mu <= 0.0:
-            raise DomainError("the gamma family has no member with mean 0")
-        k = self.shape
-        if x == 0.0:
-            if k < 1.0:
-                return math.inf
-            if k == 1.0:
-                return -math.log(mu)
-            return -math.inf
-        return (k - 1.0) * math.log(x) - k * x / mu + k * math.log(k / mu) - special.gammaln(k)
 
     def sample(self, mu: float, size: int, rng: np.random.Generator) -> np.ndarray:
         mu = self._check_mean(mu, interior=True)
@@ -534,15 +553,7 @@ class Tweedie32(Family):
     shtarkov_divergent_tails = "right"
     _observation_atoms = (0.0,)
     _preferred_reference = 1.0
-
-    def __init__(self, mean_domain=None):
-        super().__init__(mean_domain)
-
-    def _full_mean_domain(self) -> Interval:
-        return Interval(0.0, math.inf, lower_included=True)
-
-    def convex_core(self) -> Interval:
-        return Interval(0.0, math.inf, lower_included=True)
+    _support = Interval(0.0, math.inf, lower_included=True)
 
     def variance(self, mu: float) -> float:
         mu = self._check_mean(mu, interior=True)
@@ -561,15 +572,11 @@ class Tweedie32(Family):
             raise DomainError(f"natural parameter must be negative, got {theta!r}")
         return -1.0 / theta
 
-    def kl_divergence(self, mu0: float, mu1: float) -> float:
-        mu0 = self._check_mean(mu0)
-        mu1 = self._check_mean(mu1)
-        if mu1 == 0.0:
-            return 0.0 if mu0 == 0.0 else math.inf
-        if math.isinf(mu1):
-            return math.inf
-        d = math.sqrt(mu1) - math.sqrt(mu0)
-        return d * d / math.sqrt(mu1)
+    def _saturated_log_likelihood(self, x: float) -> float:
+        return tweedie_ops.saturated_log_likelihood(x)
+
+    def _divergence(self, mu0: float, mu1: float) -> float:
+        return tweedie_ops.divergence(mu0, mu1)
 
     def geodesic_from_mean(self, mu: float, reference: float) -> float:
         return 2.0 * math.sqrt(2.0) * (mu ** 0.25 - reference ** 0.25)
@@ -580,26 +587,8 @@ class Tweedie32(Family):
             raise DomainError(f"geodesic value {beta!r} leaves the mean domain")
         return root ** 4
 
-    def _degenerate_atom(self, mu: float) -> float | None:
-        return 0.0 if mu == 0.0 else None
-
-    def _log_density_regular(self, mu: float, x: float) -> float:
-        if x == 0.0:
-            return -math.sqrt(mu)
-        return tweedie_ops.log_density(mu, x).continuous_log_density
-
     def sample(self, mu: float, size: int, rng: np.random.Generator) -> np.ndarray:
-        mu = self._check_mean(mu, interior=True)
-        root = math.sqrt(mu)
-        arrivals = rng.poisson(root, size=size)
-        out = np.zeros(size, dtype=float)
-        positive = arrivals > 0
-        if positive.any():
-            out[positive] = rng.gamma(shape=arrivals[positive], scale=root)
-        return out
-
-    def _hyper_json(self) -> dict:
-        return {}
+        return tweedie_ops.draw(self._check_mean(mu, interior=True), size, rng)
 
 
 class Bernoulli(Family):
@@ -611,15 +600,7 @@ class Bernoulli(Family):
     shtarkov_divergent_tails = None
     finite_support = (0.0, 1.0)
     _preferred_reference = 0.5
-
-    def __init__(self, mean_domain=None):
-        super().__init__(mean_domain)
-
-    def _full_mean_domain(self) -> Interval:
-        return Interval(0.0, 1.0, lower_included=True, upper_included=True)
-
-    def convex_core(self) -> Interval:
-        return Interval(0.0, 1.0, lower_included=True, upper_included=True)
+    _support = Interval(0.0, 1.0, lower_included=True, upper_included=True)
 
     def variance(self, mu: float) -> float:
         mu = self._check_mean(mu, interior=True)
@@ -634,9 +615,10 @@ class Bernoulli(Family):
     def cumulant(self, theta: float) -> float:
         return float(np.logaddexp(0.0, theta))
 
-    def kl_divergence(self, mu0: float, mu1: float) -> float:
-        mu0 = self._check_mean(mu0)
-        mu1 = self._check_mean(mu1)
+    def _saturated_log_likelihood(self, x: float) -> float:
+        return 0.0
+
+    def _divergence(self, mu0: float, mu1: float) -> float:
         if mu0 == mu1:
             return 0.0
         terms = 0.0
@@ -657,22 +639,9 @@ class Bernoulli(Family):
             raise DomainError(f"geodesic value {beta!r} leaves the mean domain")
         return math.sin(angle) ** 2
 
-    def _degenerate_atom(self, mu: float) -> float | None:
-        if mu == 0.0:
-            return 0.0
-        if mu == 1.0:
-            return 1.0
-        return None
-
-    def _log_density_regular(self, mu: float, x: float) -> float:
-        return math.log(mu) if x == 1.0 else math.log(1.0 - mu)
-
     def sample(self, mu: float, size: int, rng: np.random.Generator) -> np.ndarray:
         mu = self._check_mean(mu)
         return (rng.random(size) < mu).astype(float)
-
-    def _hyper_json(self) -> dict:
-        return {}
 
 
 class Poisson(Family):
@@ -684,15 +653,7 @@ class Poisson(Family):
     shtarkov_divergent_tails = "right"
     finite_support = None
     _preferred_reference = 1.0
-
-    def __init__(self, mean_domain=None):
-        super().__init__(mean_domain)
-
-    def _full_mean_domain(self) -> Interval:
-        return Interval(0.0, math.inf, lower_included=True)
-
-    def convex_core(self) -> Interval:
-        return Interval(0.0, math.inf, lower_included=True)
+    _support = Interval(0.0, math.inf, lower_included=True)
 
     def variance(self, mu: float) -> float:
         mu = self._check_mean(mu, interior=True)
@@ -707,9 +668,10 @@ class Poisson(Family):
     def cumulant(self, theta: float) -> float:
         return math.exp(theta)
 
-    def kl_divergence(self, mu0: float, mu1: float) -> float:
-        mu0 = self._check_mean(mu0)
-        mu1 = self._check_mean(mu1)
+    def _saturated_log_likelihood(self, x: float) -> float:
+        return (x * math.log(x) if x else 0.0) - x - math.lgamma(x + 1.0)
+
+    def _divergence(self, mu0: float, mu1: float) -> float:
         if mu1 == 0.0:
             return 0.0 if mu0 == 0.0 else math.inf
         if math.isinf(mu1):
@@ -727,20 +689,9 @@ class Poisson(Family):
             raise DomainError(f"geodesic value {beta!r} leaves the mean domain")
         return root * root
 
-    def _degenerate_atom(self, mu: float) -> float | None:
-        return 0.0 if mu == 0.0 else None
-
-    def _log_density_regular(self, mu: float, x: float) -> float:
-        if mu <= 0.0:
-            return 0.0 if x == 0.0 else -math.inf
-        return -mu + x * math.log(mu) - special.gammaln(x + 1.0)
-
     def sample(self, mu: float, size: int, rng: np.random.Generator) -> np.ndarray:
         mu = self._check_mean(mu)
         return rng.poisson(mu, size=size).astype(float)
-
-    def _hyper_json(self) -> dict:
-        return {}
 
 
 def _probe_grid(core: Interval) -> np.ndarray:
@@ -842,7 +793,6 @@ class TransformedFamily(Family):
             if a == hi:
                 hi_inc = True
         self._core = Interval(lo, hi, lo_inc, hi_inc)
-        self._atoms_y = atoms
         self._atom_pullback = {float(forward(a)): a for a in base.observation_atoms()}
 
         self.is_discrete = base.is_discrete
@@ -870,20 +820,14 @@ class TransformedFamily(Family):
     def cumulant(self, theta: float) -> float:
         return self.base.cumulant(theta)
 
-    def kl_divergence(self, mu0: float, mu1: float) -> float:
-        return self.base.kl_divergence(mu0, mu1)
+    def _divergence(self, mu0: float, mu1: float) -> float:
+        return self.base._divergence(mu0, mu1)
 
     def geodesic_from_mean(self, mu: float, reference: float) -> float:
         return self.base.geodesic_from_mean(mu, reference)
 
     def mean_from_geodesic(self, beta: float, reference: float) -> float:
         return self.base.mean_from_geodesic(beta, reference)
-
-    def _degenerate_atom(self, mu: float) -> float | None:
-        atom = self.base._degenerate_atom(mu)
-        if atom is None:
-            return None
-        return float(self._forward(atom))
 
     def convex_core(self) -> Interval:
         return self._core
@@ -899,50 +843,30 @@ class TransformedFamily(Family):
             return self._atom_pullback[y]
         return float(self._inverse(float(y)))
 
-    def _log_density_regular(self, mu: float, x: float) -> float:
-        if x in self._atom_pullback:
-            return self.base._log_density_regular(mu, self._atom_pullback[x])
-        base_x = float(self._inverse(x))
-        if self.is_discrete:
-            return self.base._log_density_regular(mu, base_x)
-        return self.base._log_density_regular(mu, base_x) + math.log(abs(self._inverse_derivative(x)))
+    # the sufficient statistic is the base family's, read off the pulled-back observation
+    _statistic = pullback
 
-    def mle_mean(self, values: Sequence[float], window=None) -> MleEstimate:
-        values = tuple(float(v) for v in values)
-        selected = _window_slice(values, window)
-        if len(selected) == 0:
-            raise EmptyWindow("estimation window selects no observations")
-        for v in selected:
-            self._check_observation(v)
-        return self.base.mle_mean(tuple(self.pullback(v) for v in selected))
+    def _log_density(self, mu: float, y: float) -> float:
+        # through the base kernel, which keeps its own boundary cases (Gamma at 0)
+        log_p = self.base._log_density(mu, self.pullback(y))
+        return log_p if self.is_discrete else log_p + self.log_jacobian(y)
 
-    def sup_log_likelihood(self, values: Sequence[float]) -> float:
-        values = tuple(float(v) for v in values)
-        if not values:
-            return 0.0
-        for v in values:
-            self._check_observation(v)
-        base_values = tuple(self.pullback(v) for v in values)
-        jac = 0.0
-        if not self.is_discrete:
-            jac = math.fsum(self.log_jacobian(v) for v in values)
-        return self.base.sup_log_likelihood(base_values) + jac
+    def _saturated_log_likelihood(self, y: float) -> float:
+        return self._log_density(self.pullback(y), y)
 
     def _check_observation(self, x: float) -> float:
         x = float(x)
         core = self._core
-        if math.isnan(x) or not core.closure_contains(x):
-            raise UnsupportedPoint(f"observation {x!r} outside support closure {core.bounds()}")
+        if not math.isfinite(x) or not core.closure_contains(x):
+            raise UnsupportedPoint(f"observation {x!r} is not a finite point of the support closure {core.bounds()}")
         return x
 
-    def observation_hint(self, history: tuple[float, ...]) -> float | None:
-        base_hint = self.base.observation_hint(tuple(self.pullback(v) for v in history))
-        if base_hint is None:
+    def _point_near(self, mean: float) -> float | None:
+        base_point = self.base._point_near(mean)
+        if base_point is None:
             return None
-        y = float(self._forward(base_hint))
-        if self._core.lower < y < self._core.upper and math.isfinite(y):
-            return y
-        return None
+        y = float(self._forward(base_point))
+        return y if self._core.strictly_contains(y) else None
 
     def sample(self, mu: float, size: int, rng: np.random.Generator) -> np.ndarray:
         base_draws = self.base.sample(mu, size, rng)
@@ -993,5 +917,5 @@ def from_json(payload: str | dict) -> Family:
     domain = None
     if "mean_domain" in data and data["mean_domain"] is not None:
         lo, hi = data["mean_domain"]
-        domain = (_decode_bound(lo), _decode_bound(hi))
+        domain = (float(lo), float(hi))
     return _KIND_BUILDERS[kind](data, domain)

@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Sequence
 from . import quadrature
 from .errors import (
     DivergentNormalizer,
+    DomainError,
     HorizonTooLarge,
     ImproperPosterior,
     NonConvergence,
@@ -57,7 +58,8 @@ class PredictiveDistribution:
     Lebesgue density for continuous families, a probability mass for counting
     families, and at the locations listed in ``atoms`` the point mass itself.
     ``normalizer`` is the denominator actually computed (Shtarkov integral or
-    posterior-predictive normalizer).
+    posterior-predictive normalizer), relative to the history's own
+    sup-likelihood sup_mu p_mu(history).
     """
 
     def __init__(self, family: Family, log_weight: Callable[[float], float], log_normalizer: float, horizon: str):
@@ -125,33 +127,75 @@ def _sum_discrete(family: Family, term: Callable[[float], float]) -> float:
     return quadrature.sum_counting(lambda k: term(float(k)))
 
 
+def _history_mean(family: Family, hist: tuple[float, ...]) -> float:
+    """x-bar, the mean of the history's sufficient statistic (0 for no history).
+
+    By the deviance identity
+    sum_i log p_mu(x_i) = sum_i log p_xbar(x_i) - n * D(xbar || mu),
+    the strategy integrands see the history only through n and x-bar.  That
+    needs a member with mean x-bar, so a degenerate maximum-likelihood mean
+    (an all-zero history under Gamma, on any mean domain) raises DomainError
+    here, before any quadrature.
+    """
+    if not hist:
+        return 0.0
+    mean = family._sample_mean(hist)
+    if not family._full_mean_domain().contains(mean):
+        raise DomainError(f"history {hist!r} has sample mean {mean!r}, and kind {family.kind} has no member with it")
+    return mean
+
+
+def _relative_log_likelihood(family: Family, n: int, mean: float) -> Callable[[float], float]:
+    """mu -> sum_i log p_mu(x_i) - sup_nu sum_i log p_nu(x_i) for a history of
+    length n with mean x-bar: n D(x-bar || clip(x-bar)) - n D(x-bar || mu)."""
+    if n == 0:
+        return lambda mu: 0.0
+    offset = n * family._divergence(mean, family.mean_domain.clip(mean))
+    return lambda mu: offset - n * family._divergence(mean, mu)
+
+
+def _snml_log_gain(family: Family, n: int, mean: float) -> Callable[[float], float]:
+    """y -> sup log-likelihood of a history extended by y minus that of the history.
+
+    The history enters through its length n and its mean x-bar alone: the
+    extended history has mean x-bar' = (n x-bar + t(y)) / (n + 1), t the
+    sufficient statistic, and its maximum-likelihood mean is mu' = clip(x-bar').
+    On an unrestricted domain the gain is l*(y) - D(y || x-bar') - n D(x-bar || x-bar').
+    """
+    relative = _relative_log_likelihood(family, n, mean)
+
+    def log_gain(y: float) -> float:
+        mu = family.mean_domain.clip(mean + (family._statistic(y) - mean) / (n + 1))
+        return family._log_density(mu, y) + relative(mu)
+
+    return log_gain
+
+
 @lru_cache(maxsize=8192)
 def _snml_log_normalizer(family: Family, history: tuple[float, ...]) -> float:
-    """log integral (or sum) over y of sup_mu p_mu(history, y)."""
-    base = family.sup_log_likelihood(history)
+    """log integral (or sum) over y of sup_mu p_mu(history, y) / sup_mu p_mu(history)."""
+    gain = _snml_log_gain(family, len(history), _history_mean(family, history))
 
     def rel(y: float) -> float:
-        return math.exp(family.sup_log_likelihood(history + (y,)) - base)
+        return math.exp(gain(y))
 
     if family.is_discrete:
         total = _sum_discrete(family, rel)
     else:
-        core = family.convex_core()
-        hint = family.observation_hint(history)
         try:
             res = quadrature.integrate(
                 quadrature.guarded(rel),
-                core.bounds(),
+                family.convex_core().bounds(),
                 tol_abs=_NORMALIZER_TOL_ABS,
                 tol_rel=_NORMALIZER_TOL_REL,
-                peak_hint=hint,
+                peak_hint=family.observation_hint(history),
             )
         except NonConvergence as exc:
             raise DivergentNormalizer(f"snml normalizer for history {history!r}: {exc}") from exc
         total = res.value + math.fsum(rel(a) for a in family.observation_atoms())
     if not total > 0 or math.isinf(total):
         raise DivergentNormalizer(f"snml normalizer for history {history!r} evaluated to {total!r}")
-    return math.log(total) + base
+    return math.log(total)
 
 
 def snml_predictive(family: Family, history: Iterable[float] = ()) -> PredictiveDistribution:
@@ -163,19 +207,17 @@ def snml_predictive(family: Family, history: Iterable[float] = ()) -> Predictive
             f"observations; got {len(hist)} (the maximum-likelihood envelope is not normalizable)"
         )
     log_norm = _snml_log_normalizer(family, hist)
+    gain = _snml_log_gain(family, len(hist), _history_mean(family, hist))
 
     def log_weight(y: float) -> float:
-        return family.sup_log_likelihood(hist + (float(y),))
+        return gain(family._check_observation(y))
 
     return PredictiveDistribution(family, log_weight, log_norm, horizon="one-step")
 
 
 def _posterior_anchor(family: Family, hist: tuple[float, ...]) -> float:
     lo, hi = family.mean_interior()
-    try:
-        est = family.mle_mean(hist).value if hist else family.default_reference()
-    except Exception:
-        est = family.default_reference()
+    est = family._mle_or_reference(hist)
     if math.isfinite(lo) and math.isfinite(hi):
         pad = 1e-6 * (hi - lo)
         return min(max(est, lo + pad), hi - pad)
@@ -205,23 +247,18 @@ def _geodesic_window(family: Family, reference: float) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=4096)
-def _jeffreys_posterior(family: Family, hist: tuple[float, ...]) -> tuple[float, float, float]:
-    """Return (anchor mean, log scale, log posterior normalizer).
+def _jeffreys_posterior(family: Family, hist: tuple[float, ...]) -> tuple[float, float]:
+    """Return (anchor mean, log posterior normalizer relative to the sup-likelihood).
 
     The Jeffreys weight 1/sigma(mu) d mu is arc length in the unit-Fisher
     chart, so the normalizer is integrated there: no weight factor, no
     endpoint singularity from sigma -> 0.
     """
+    relative = _relative_log_likelihood(family, len(hist), _history_mean(family, hist))
     anchor = _posterior_anchor(family, hist)
 
-    def log_post_mean(mu: float) -> float:
-        return math.fsum(family.log_density_mean(mu, x) for x in hist)
-
-    scale = log_post_mean(anchor)
-
     def integrand(beta: float) -> float:
-        mu = family.mean_from_geodesic(beta, anchor)
-        return math.exp(log_post_mean(mu) - scale)
+        return math.exp(relative(family.mean_from_geodesic(beta, anchor)))
 
     window = _geodesic_window(family, anchor)
     try:
@@ -236,7 +273,7 @@ def _jeffreys_posterior(family: Family, hist: tuple[float, ...]) -> tuple[float,
         raise ImproperPosterior(f"Jeffreys posterior does not normalize for history {hist!r}: {exc}") from exc
     if not res.value > 0 or math.isinf(res.value):
         raise ImproperPosterior(f"Jeffreys posterior normalizer evaluated to {res.value!r}")
-    return anchor, scale, math.log(res.value) + scale
+    return anchor, math.log(res.value)
 
 
 def bayes_jeffreys_predictive(family: Family, history: Iterable[float] = ()) -> PredictiveDistribution:
@@ -247,19 +284,16 @@ def bayes_jeffreys_predictive(family: Family, history: Iterable[float] = ()) -> 
             f"kind {family.kind} needs at least m={family.min_conditioning} conditioning "
             f"observations for a proper Jeffreys posterior; got {len(hist)}"
         )
-    anchor, scale, log_norm = _jeffreys_posterior(family, hist)
-
+    anchor, log_norm = _jeffreys_posterior(family, hist)
+    relative = _relative_log_likelihood(family, len(hist), _history_mean(family, hist))
     window = _geodesic_window(family, anchor)
 
     def log_weight(y: float) -> float:
-        y = float(y)
-        family._check_observation(y)
+        y = family._check_observation(y)
 
         def integrand(beta: float) -> float:
             mu = family.mean_from_geodesic(beta, anchor)
-            ll = math.fsum(family.log_density_mean(mu, x) for x in hist)
-            ll += family.log_density_mean(mu, y)
-            return math.exp(ll - scale)
+            return math.exp(relative(mu) + family._log_density(mu, y))
 
         res = quadrature.integrate(
             quadrature.guarded(integrand),
@@ -270,7 +304,7 @@ def bayes_jeffreys_predictive(family: Family, history: Iterable[float] = ()) -> 
         )
         if res.value <= 0.0:
             return -math.inf
-        return math.log(res.value) + scale
+        return math.log(res.value)
 
     return PredictiveDistribution(family, log_weight, log_norm, horizon="posterior-predictive")
 
@@ -306,26 +340,34 @@ def cnml_joint(family: Family, seq: ObservationSequence, horizon: int | None = N
     if base == -math.inf:
         return 0.0
 
-    def shtarkov_rel(prefix: tuple[float, ...], depth: int) -> float:
+    def shtarkov_rel(n: int, mean: float, log_rel: float, depth: int) -> float:
+        """Sum or integral over the last depth observations of the sup-likelihood
+        relative to base; the prefix enters through n, its mean and log_rel."""
         if depth == 0:
-            return math.exp(family.sup_log_likelihood(prefix) - base)
-        term = lambda y: shtarkov_rel(prefix + (float(y),), depth - 1)
+            return math.exp(log_rel)
+        gain = _snml_log_gain(family, n, mean)
+
+        def term(y: float) -> float:
+            y = float(y)
+            t = family._statistic(y)
+            return shtarkov_rel(n + 1, mean + (t - mean) / (n + 1), log_rel + gain(y), depth - 1)
+
         if family.is_discrete:
             return _sum_discrete(family, term)
-        core = family.convex_core()
-        hint = family.observation_hint(prefix)
+        hint = family._point_near(family.mean_domain.clip(mean) if n else family.default_reference())
         # outer layers may be looser; the innermost pass carries the precision
         tol_rel = _NORMALIZER_TOL_REL * 30.0 ** (depth - 1)
         res = quadrature.integrate(
             quadrature.guarded(term),
-            core.bounds(),
+            family.convex_core().bounds(),
             tol_abs=_NORMALIZER_TOL_ABS,
             tol_rel=tol_rel,
             peak_hint=hint,
         )
         return res.value + math.fsum(term(a) for a in family.observation_atoms())
 
-    denominator = shtarkov_rel(seq.history, free)
+    head = family.sup_log_likelihood(seq.history) - base
+    denominator = shtarkov_rel(seq.m, _history_mean(family, seq.history), head, free)
     if not denominator > 0 or math.isinf(denominator):
         raise DivergentNormalizer(f"conditional Shtarkov normalizer evaluated to {denominator!r}")
     return 1.0 / denominator

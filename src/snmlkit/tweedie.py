@@ -2,12 +2,19 @@
 
 A draw is Z = X_1 + ... + X_N with N ~ Poisson(lam) and X_i i.i.d. exponential
 with mean nu, where lam = nu = sqrt(mu).  This gives E[Z] = mu,
-Var[Z] = 2*mu^(3/2), a point mass exp(-sqrt(mu)) at zero, and on z > 0 the
-density
+Var[Z] = 2*mu^(3/2) and a point mass exp(-sqrt(mu)) at zero.  On z > 0 the
+Poisson mixture of gamma densities sums to a modified Bessel function:
 
-    sum_{j>=1} e^{-lam} lam^j / j! * z^(j-1) e^{-z/nu} / (nu^j (j-1)!),
+    p_mu(z) = exp(-sqrt(mu) - z/sqrt(mu)) * I_1(2 sqrt(z)) / sqrt(z).
 
-evaluated here in log space around the modal index j ~ sqrt(lam*z/nu).
+Densities are evaluated in deviance form, log p_mu(z) = l*(z) - D(z || mu),
+with the saturated log-likelihood
+
+    l*(z) = log p_z(z) = log(I_1(2 sqrt(z)) exp(-2 sqrt(z))) - log(z) / 2,
+
+l*(0) = 0 (the member with mean 0 is the unit point mass at 0), and the KL
+divergence D(z || mu) = (sqrt(mu) - sqrt(z))^2 / sqrt(mu).  The exponentially
+scaled Bessel function ``ive`` keeps l* finite for any z.
 
 Reference: Jorgensen (1997), The Theory of Dispersion Models, ch. 4.
 """
@@ -20,83 +27,68 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, NonConvergence
-
-TAIL_RELATIVE_BOUND = 1e-15
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class TweedieDensityValue:
     atom_mass_at_zero: float
     continuous_log_density: float
-    series_terms_used: int
-    truncation_bound: float
 
 
-def _log_terms(mu: float, z: float, js: np.ndarray) -> np.ndarray:
-    lam = math.sqrt(mu)
-    nu = lam
-    return (
-        -lam
-        + js * math.log(lam)
-        - special.gammaln(js + 1.0)
-        + (js - 1.0) * math.log(z)
-        - z / nu
-        - js * math.log(nu)
-        - special.gammaln(js)
-    )
+def _check_mean(mu: float) -> None:
+    if not (mu > 0.0) or math.isinf(mu):
+        raise DomainError(f"mean must be positive and finite, got {mu!r}")
+
+
+def saturated_log_likelihood(z: float) -> float:
+    """l*(z) = log p_z(z) for an observation z >= 0."""
+    if z == 0.0:
+        return 0.0
+    return math.log(special.ive(1, 2.0 * math.sqrt(z))) - 0.5 * math.log(z)
+
+
+def divergence(mu0: float, mu1: float) -> float:
+    """KL divergence D(mu0 || mu1) for means in [0, inf], unchecked."""
+    if mu1 == 0.0:
+        return 0.0 if mu0 == 0.0 else math.inf
+    if math.isinf(mu1):
+        return math.inf
+    d = math.sqrt(mu1) - math.sqrt(mu0)
+    return d * d / math.sqrt(mu1)
 
 
 def log_density(mu: float, z: float) -> TweedieDensityValue:
     """Evaluate the mixed density at z for the member with mean mu > 0."""
-    if not (mu > 0.0) or math.isinf(mu):
-        raise DomainError(f"mean must be positive and finite, got {mu!r}")
+    _check_mean(mu)
     if math.isnan(z) or z < 0.0:
         raise DomainError(f"observation must be >= 0, got {z!r}")
     atom = math.exp(-math.sqrt(mu))
     if z == 0.0:
-        return TweedieDensityValue(atom, -math.inf, 0, 0.0)
-
-    j_star = max(1, int(round(math.sqrt(z))))
-    last = 2 * j_star + 64
-    while True:
-        # terms decay faster than geometrically once z / (j*(j+1)) < 1
-        ratio = z / ((last + 1.0) * (last + 2.0))
-        if ratio < 0.5:
-            js = np.arange(1, last + 1, dtype=float)
-            terms = _log_terms(mu, z, js)
-            top = float(terms.max())
-            log_sum = top + math.log(float(np.exp(terms - top).sum()))
-            tail_rel = math.exp(terms[-1] - log_sum) * ratio / (1.0 - ratio)
-            if tail_rel < TAIL_RELATIVE_BOUND:
-                bound = tail_rel * math.exp(log_sum) if log_sum > -700 else 0.0
-                return TweedieDensityValue(atom, log_sum, int(last), bound)
-        last = 2 * last + 64
-        if last > 10_000_000:
-            raise NonConvergence(f"density series did not settle for mu={mu}, z={z}")
+        return TweedieDensityValue(atom, -math.inf)
+    return TweedieDensityValue(atom, saturated_log_likelihood(z) - divergence(z, mu))
 
 
-def sample(mu: float, count: int, seed: int) -> np.ndarray:
-    """Draw count values: N ~ Poisson(sqrt(mu)), then a Gamma(N, sqrt(mu)) total.
-
-    Deterministic for a fixed seed.
-    """
-    if not (mu > 0.0) or math.isinf(mu):
-        raise DomainError(f"mean must be positive and finite, got {mu!r}")
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    rng = np.random.default_rng(seed)
+def draw(mu: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw size values: N ~ Poisson(sqrt(mu)), then a Gamma(N, sqrt(mu)) total."""
     root = math.sqrt(mu)
-    arrivals = rng.poisson(root, size=count)
-    out = np.zeros(count, dtype=float)
+    arrivals = rng.poisson(root, size=size)
+    out = np.zeros(size, dtype=float)
     positive = arrivals > 0
     if positive.any():
         out[positive] = rng.gamma(shape=arrivals[positive], scale=root)
     return out
 
 
+def sample(mu: float, count: int, seed: int) -> np.ndarray:
+    """Draw count values with ``draw``; deterministic for a fixed seed."""
+    _check_mean(mu)
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    return draw(mu, count, np.random.default_rng(seed))
+
+
 def moments(mu: float) -> tuple[float, float]:
     """Return (mean, variance) = (mu, 2*mu^(3/2))."""
-    if not (mu > 0.0) or math.isinf(mu):
-        raise DomainError(f"mean must be positive and finite, got {mu!r}")
+    _check_mean(mu)
     return mu, 2.0 * mu ** 1.5

@@ -64,7 +64,7 @@ class TestSnmlClosedForms:
             assert pred.density(y) == pytest.approx(1.0 / (1.0 + y) ** 2, rel=1e-9)
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("history", [(1.0,), (0.5, 2.0), (1.0, 3.0, 0.4)])
+    @pytest.mark.parametrize("history", [(1.0,), (0.5, 2.0), (1.0, 3.0, 0.4), (0.0, 1.5)])
     def test_gamma_general(self, k, history):
         pred = sk.snml_predictive(sk.GammaShape(k), history)
         for y in (0.3, 1.0, 2.5):
@@ -109,9 +109,9 @@ class TestBayesClosedForms:
 
 EQUIVALENCE_CASES = [
     ("gaussian", sk.GaussianLocation(1.0), [(0.5,), (0.5, -1.0), (2.0, 0.3, -0.7), (0.1, 1.2, -0.4, 0.9)], (-1.5, 0.0, 1.0, 2.5)),
-    ("gamma_half", sk.GammaShape(0.5), [(1.0,), (0.5, 2.0), (1.0, 3.0, 0.4)], (0.3, 1.0, 2.5)),
+    ("gamma_half", sk.GammaShape(0.5), [(1.0,), (0.5, 2.0), (1.0, 3.0, 0.4), (0.0, 1.5)], (0.3, 1.0, 2.5)),
     ("gamma_one", sk.GammaShape(1.0), [(1.0,), (0.5, 2.0), (1.0, 3.0, 0.4)], (0.3, 1.0, 2.5)),
-    ("gamma_two", sk.GammaShape(2.0), [(1.0,), (0.5, 2.0), (1.0, 3.0, 0.4)], (0.3, 1.0, 2.5)),
+    ("gamma_two", sk.GammaShape(2.0), [(1.0,), (0.5, 2.0), (1.0, 3.0, 0.4), (0.0, 1.5)], (0.3, 1.0, 2.5)),
     ("tweedie", sk.Tweedie32(), [(1.0,), (0.5, 2.0), (1.0, 3.0, 0.4), (0.7, 0.0, 1.1, 2.0)], (0.0, 0.3, 1.0, 2.5)),
 ]
 
@@ -324,3 +324,43 @@ def test_empty_history_diverges_for_most_families(family):
         sk.snml_predictive(family, ())
     with pytest.raises((ImproperPosterior, DivergentNormalizer)):
         sk.bayes_jeffreys_predictive(family, ())
+
+
+# ---- early, typed failures -----------------------------------------------------
+
+BUILT_IN = [
+    sk.GaussianLocation(1.0),
+    sk.GammaShape(0.5),
+    sk.GammaShape(2.0),
+    sk.Tweedie32(),
+    sk.Bernoulli(),
+    sk.Poisson(),
+    sk.transform_family(sk.GammaShape(0.5), lambda x: 1.0 / x, lambda y: 1.0 / y, lambda y: -1.0 / (y * y)),
+]
+
+
+@pytest.mark.parametrize("family", BUILT_IN, ids=repr)
+@pytest.mark.parametrize("entry", ["snml_predictive", "bayes_jeffreys_predictive", "log_density"])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_non_finite_observations_are_unsupported(family, entry, x):
+    with pytest.raises(sk.UnsupportedPoint):
+        if entry == "log_density":
+            family.log_density(family.default_reference(), x)
+        else:
+            getattr(sk, entry)(family, (x,))
+
+
+@pytest.mark.parametrize("shape", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("history", [(0.0,), (0.0, 0.0)])
+def test_degenerate_mle_raises_one_domain_error_before_quadrature(shape, history, monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran for a degenerate history")
+
+    monkeypatch.setattr(quadrature, "integrate", no_quadrature)
+    family = sk.GammaShape(shape)
+    messages = set()
+    for predictive in (sk.snml_predictive, sk.bayes_jeffreys_predictive):
+        with pytest.raises(sk.DomainError) as info:
+            predictive(family, history)
+        messages.add(str(info.value))
+    assert len(messages) == 1

@@ -3,6 +3,7 @@
 import math
 from math import exp, lgamma, log
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import iv
@@ -53,10 +54,17 @@ class TestDensity:
         total = math.exp(-math.sqrt(mu)) + res.value
         assert total == pytest.approx(1.0, abs=1e-10)
 
-    def test_reported_truncation_bound(self):
-        value = tweedie.log_density(1.0, 2.0)
-        assert value.series_terms_used >= 1
-        assert value.truncation_bound < 1e-15 * math.exp(value.continuous_log_density)
+    def test_matches_mpmath_bessel_form(self):
+        # log p = -sqrt(mu) - z/sqrt(mu) + log I_1(2 sqrt z) - log(z)/2, at 50 digits
+        fam = sk.Tweedie32()
+        with mp.workdps(50):
+            for mu in np.geomspace(0.01, 100.0, 9):
+                for z in np.geomspace(1e-8, 1e5, 27):
+                    m, x = mp.mpf(float(mu)), mp.mpf(float(z))
+                    want = -mp.sqrt(m) - x / mp.sqrt(m) + mp.log(mp.besseli(1, 2 * mp.sqrt(x))) - mp.log(x) / 2
+                    bound = 1e-13 * max(1.0, abs(float(want)))
+                    for got in (tweedie.log_density(mu, z).continuous_log_density, fam.log_density(mu, z)):
+                        assert abs(float(mp.mpf(got) - want)) <= bound, (mu, z, got, want)
 
     @pytest.mark.parametrize("mu,z", [(0.0, 1.0), (-1.0, 1.0), (1.0, -0.5)])
     def test_domain_errors(self, mu, z):
