@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import (
     NonConvergence,
 )
 from .families import Family, ObservationSequence
-from .strategies import cnml_joint, strategy_joint
+from .strategies import _concentration_integral, cnml_joint, strategy_joint
 
 
 class Verdict(str, Enum):
@@ -176,24 +176,21 @@ def condition_integral(
     tol_abs: float = 1e-12,
     tol_rel: float = 1e-10,
 ) -> float:
-    """Integral of exp(-n KL(mu0 || mu)) / sigma(mu) over the mean domain."""
+    """Integral of exp(-n KL(mu0 || mu)) / sigma(mu) over the mean domain.
+
+    It is taken in the unit-Fisher chart based at mu0, where 1/sigma(mu) d mu
+    is d beta: the integral of exp(-n KL(mu0 || mu(beta))) over the image of
+    the mean domain.  This is the Jeffreys posterior normalizer of n
+    observations with mean mu0, computed by the same code.
+    """
     if n < 1 or int(n) != n:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     n = int(n)
     mu0 = family._check_mean(mu0, interior=True)
-    lo, hi = family.mean_interior()
-
-    def integrand(mu: float) -> float:
-        return math.exp(-n * family.kl_divergence(mu0, mu)) / family.sigma(mu)
-
-    hint = mu0 if lo < mu0 < hi else None
     try:
-        res = quadrature.integrate(
-            quadrature.guarded(integrand), (lo, hi), tol_abs=tol_abs, tol_rel=tol_rel, peak_hint=hint
-        )
+        return _concentration_integral(family, n, mu0, mu0, tol_abs, tol_rel)
     except NonConvergence as exc:
         raise DivergentIntegral(f"concentration integral for kind {family.kind}, mu0={mu0}, n={n}: {exc}") from exc
-    return res.value
 
 
 def check_constancy(
@@ -434,10 +431,15 @@ class VarianceFunctionSpec:
     ``closed`` takes a symbolic expression in ``mu`` and differentiates
     sigma = sqrt(V) analytically; ``from_table`` interpolates (mu, V) samples
     with a quintic spline and differentiates it by fourth-order central
-    differences with one Richardson step, step h = 1e-3 * width.
+    differences with one Richardson step, step h = 1e-3 * width.  A table's
+    profiles for a whole grid take one spline evaluation, on every stencil
+    node of every grid point.
+
+    ``sigma_fn`` maps a mean to sigma; ``profiles_fn`` maps a list of means
+    to their profiles; ``reach`` is how far the profiles look beyond a mean.
     """
 
-    def __init__(self, label, domain, profile_fn, kind, default_tolerance, margin=0.0):
+    def __init__(self, label, domain, sigma_fn, profiles_fn, kind, default_tolerance, reach=0.0):
         lo, hi = float(domain[0]), float(domain[1])
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise DomainError(f"variance domain must be a bounded interval, got {domain!r}")
@@ -445,13 +447,16 @@ class VarianceFunctionSpec:
         self.domain = (lo, hi)
         self.kind = kind
         self.default_tolerance = default_tolerance
-        self._profile_fn = profile_fn
-        self._margin = margin
-        for mu in self.default_grid(7):
-            try:
-                v = self.variance_at(mu)
-            except DifferentiationError as exc:
-                raise DomainError(f"variance spec invalid on its domain: {exc}") from exc
+        self._sigma_fn = sigma_fn
+        self._profiles_fn = profiles_fn
+        self._reach = reach
+        grid = self.default_grid(7)
+        try:
+            profiles = self.sigma_profiles(grid)
+        except DifferentiationError as exc:
+            raise DomainError(f"variance spec invalid on its domain: {exc}") from exc
+        for mu, profile in zip(grid, profiles):
+            v = profile[0] * profile[0]
             if not v > 0:
                 raise DomainError(f"variance must be positive on the domain; V({mu}) = {v}")
 
@@ -473,13 +478,21 @@ class VarianceFunctionSpec:
             funcs.append(sympy.lambdify(mu_sym, d, modules="math"))
             d = sympy.diff(d, mu_sym)
 
-        def profile(mu: float) -> tuple[float, float, float, float, float]:
+        def derivatives(mu: float, count: int) -> list[float]:
+            """V and its first count - 1 derivatives at mu, V positive."""
             try:
-                v, v1, v2, v3, v4 = (float(f(mu)) for f in funcs)
+                out = [float(f(mu)) for f in funcs[:count]]
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise DifferentiationError(f"variance derivative undefined at mu={mu}: {exc}") from exc
-            if not v > 0:
-                raise DifferentiationError(f"variance must be positive, got V({mu}) = {v}")
+            if not out[0] > 0:
+                raise DifferentiationError(f"variance must be positive, got V({mu}) = {out[0]}")
+            return out
+
+        def sigma(mu: float) -> float:
+            return math.sqrt(derivatives(mu, 1)[0])
+
+        def profile(mu: float) -> tuple[float, float, float, float, float]:
+            v, v1, v2, v3, v4 = derivatives(mu, 5)
             s = math.sqrt(v)
             s1 = v1 / (2.0 * s)
             s2 = (v2 - 2.0 * s1 * s1) / (2.0 * s)
@@ -487,7 +500,10 @@ class VarianceFunctionSpec:
             s4 = (v4 - 6.0 * s2 * s2 - 8.0 * s1 * s3) / (2.0 * s)
             return (s, s1, s2, s3, s4)
 
-        return cls(label or str(expr), domain, profile, "closed", default_tolerance=1e-6)
+        def profiles(mus: list[float]) -> list[tuple[float, float, float, float, float]]:
+            return [profile(mu) for mu in mus]
+
+        return cls(label or str(expr), domain, sigma, profiles, "closed", default_tolerance=1e-6)
 
     @classmethod
     def from_table(cls, mu_values, v_values, label: str | None = None) -> "VarianceFunctionSpec":
@@ -505,66 +521,69 @@ class VarianceFunctionSpec:
             raise DomainError("V table must be positive")
         spline = make_interp_spline(mu_arr, np.sqrt(v_arr), k=5)
         lo, hi = float(mu_arr[0]), float(mu_arr[-1])
-        width = hi - lo
-        h = 1e-3 * width
+        h = 1e-3 * (hi - lo)
+        offsets = (-3, -2, -1, 0, 1, 2, 3)
 
-        def sigma(x: float) -> float:
-            return float(spline(x))
+        def sigma(mu: float) -> float:
+            return float(spline(mu))
 
-        def profile(mu: float) -> tuple[float, float, float, float, float]:
-            if mu - 3.0 * h < lo or mu + 3.0 * h > hi:
+        def profiles(mus: list[float]) -> list[tuple[float, float, float, float, float]]:
+            x = np.array(mus)
+            steps = (h, h / 2)
+            # one spline call: row (i, j) is the stencil node x + offsets[j] * steps[i]
+            nodes = spline(np.array([[x + j * step for j in offsets] for step in steps]))
+            coarse, fine = (_stencil_derivatives(rows, step) for rows, step in zip(nodes, steps))
+            derivs = [(16.0 * fi - ci) / 15.0 for fi, ci in zip(fine, coarse)]
+            return list(zip(*(row.tolist() for row in (nodes[0][3], *derivs))))
+
+        return cls(label or "tabulated", (lo, hi), sigma, profiles, "tabulated", default_tolerance=1e-3, reach=3 * h)
+
+    def sigma_profiles(self, grid: Sequence[float]) -> list[tuple[float, float, float, float, float]]:
+        """(sigma, sigma', sigma'', sigma''', sigma'''') at every point of a grid."""
+        mus = [float(mu) for mu in grid]
+        lo, hi = self.domain
+        for mu in mus:
+            if not lo <= mu <= hi:
+                raise DomainError(f"mu={mu} outside the variance domain {self.domain}")
+            if mu - self._reach < lo or mu + self._reach > hi:
                 raise DifferentiationError(
-                    f"mu={mu} is within 3h={3 * h:.3g} of the table edge; the difference stencil does not fit"
+                    f"mu={mu} is within 3h={self._reach:.3g} of the table edge; the difference stencil does not fit"
                 )
-            return (sigma(mu),) + _difference_derivatives(sigma, mu, h)
-
-        return cls(
-            label or "tabulated",
-            (lo, hi),
-            profile,
-            "tabulated",
-            default_tolerance=1e-3,
-            margin=4.0 * h,
-        )
+        return self._profiles_fn(mus)
 
     def sigma_profile(self, mu: float) -> tuple[float, float, float, float, float]:
+        return self.sigma_profiles((mu,))[0]
+
+    def sigma_at(self, mu: float) -> float:
         lo, hi = self.domain
         if not lo <= mu <= hi:
             raise DomainError(f"mu={mu} outside the variance domain {self.domain}")
-        return self._profile_fn(float(mu))
+        return self._sigma_fn(float(mu))
 
     def variance_at(self, mu: float) -> float:
-        s = self.sigma_profile(mu)[0]
+        s = self.sigma_at(mu)
         return s * s
-
-    def sigma_at(self, mu: float) -> float:
-        return self.sigma_profile(mu)[0]
 
     def default_grid(self, count: int) -> tuple[float, ...]:
         lo, hi = self.domain
-        pad = max(0.05 * (hi - lo), self._margin)
+        pad = 0.05 * (hi - lo)
         return tuple(np.linspace(lo + pad, hi - pad, count))
 
     def __repr__(self) -> str:
         return f"VarianceFunctionSpec({self.label!r}, domain={self.domain}, kind={self.kind})"
 
 
-def _difference_derivatives(f: Callable[[float], float], x: float, h: float) -> tuple[float, float, float, float]:
-    """First four derivatives by fourth-order stencils plus one Richardson step."""
+def _stencil_derivatives(values: np.ndarray, step: float) -> tuple[np.ndarray, ...]:
+    """First four derivatives by fourth-order central stencils.
 
-    def stencils(step: float) -> tuple[float, float, float, float]:
-        fm3, fm2, fm1 = f(x - 3 * step), f(x - 2 * step), f(x - step)
-        f0 = f(x)
-        fp1, fp2, fp3 = f(x + step), f(x + 2 * step), f(x + 3 * step)
-        d1 = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * step)
-        d2 = (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12 * step**2)
-        d3 = (-fp3 + 8 * fp2 - 13 * fp1 + 13 * fm1 - 8 * fm2 + fm3) / (8 * step**3)
-        d4 = (-fp3 + 12 * fp2 - 39 * fp1 + 56 * f0 - 39 * fm1 + 12 * fm2 - fm3) / (6 * step**4)
-        return d1, d2, d3, d4
-
-    coarse = stencils(h)
-    fine = stencils(h / 2)
-    return tuple((16.0 * fi - ci) / 15.0 for fi, ci in zip(fine, coarse))
+    Row j of values holds f at x + (j - 3) * step over a grid of x.
+    """
+    fm3, fm2, fm1, f0, fp1, fp2, fp3 = values
+    d1 = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * step)
+    d2 = (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12 * step**2)
+    d3 = (-fp3 + 8 * fp2 - 13 * fp1 + 13 * fm1 - 8 * fm2 + fm3) / (8 * step**3)
+    d4 = (-fp3 + 12 * fp2 - 39 * fp1 + 56 * f0 - 39 * fm1 + 12 * fm2 - fm3) / (6 * step**4)
+    return d1, d2, d3, d4
 
 
 def sigma_ode_check(
@@ -580,7 +599,7 @@ def sigma_ode_check(
     """
     grid = tuple(float(m) for m in (mu_grid if mu_grid is not None else vf.default_grid(9)))
     tol = tolerance if tolerance is not None else vf.default_tolerance
-    profiles = [vf.sigma_profile(mu) for mu in grid]
+    profiles = vf.sigma_profiles(grid)
     g_values = [p[1] * p[1] + 3.0 * p[0] * p[2] for p in profiles]
     report = AnalysisReport.from_values(grid, g_values, tol, fail_threshold)
     c = report.reference_value if report.verdict is Verdict.CONSTANT else None
@@ -735,7 +754,8 @@ def classify_family(vf: VarianceFunctionSpec, grid_size: int = 33) -> Classifica
     combination.
     """
     mu = np.asarray(vf.default_grid(grid_size), dtype=float)
-    v = np.array([vf.variance_at(x) for x in mu])
+    s = np.array([profile[0] for profile in vf.sigma_profiles(mu)])
+    v = s * s
     sigma = np.sqrt(v)
     v_scale = float(np.max(np.abs(v)))
     width = vf.domain[1] - vf.domain[0]

@@ -838,6 +838,10 @@ class TransformedFamily(Family):
             return 0.0
         return math.log(abs(self._inverse_derivative(float(y))))
 
+    def _density_log_jacobian(self, y: float) -> float:
+        """The log-Jacobian a density picks up at y: none at atoms or on a counting support."""
+        return 0.0 if self.is_discrete else self.log_jacobian(y)
+
     def pullback(self, y: float) -> float:
         if y in self._atom_pullback:
             return self._atom_pullback[y]
@@ -848,8 +852,7 @@ class TransformedFamily(Family):
 
     def _log_density(self, mu: float, y: float) -> float:
         # through the base kernel, which keeps its own boundary cases (Gamma at 0)
-        log_p = self.base._log_density(mu, self.pullback(y))
-        return log_p if self.is_discrete else log_p + self.log_jacobian(y)
+        return self.base._log_density(mu, self.pullback(y)) + self._density_log_jacobian(y)
 
     def _saturated_log_likelihood(self, y: float) -> float:
         return self._log_density(self.pullback(y), y)

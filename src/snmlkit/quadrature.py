@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate as _scipy_integrate
 
 from .errors import NanIntegrand, NonConvergence
 
@@ -108,6 +107,9 @@ def integrate(
     tail beyond the window is integrated separately under the 1/x transform,
     so slowly decaying tails contribute their true mass instead of being cut.
     """
+    # imported on first use: scipy.integrate is about half of the package's import time
+    from scipy import integrate as _scipy_integrate
+
     a, b = float(domain[0]), float(domain[1])
     if not a < b:
         raise ValueError(f"empty integration domain ({a}, {b})")

@@ -34,7 +34,7 @@ from .errors import (
     ImproperPosterior,
     NonConvergence,
 )
-from .families import Bernoulli, Family, Interval, ObservationSequence
+from .families import Bernoulli, Family, Interval, ObservationSequence, TransformedFamily
 
 STRATEGIES = ("snml", "bayes", "cnml", "nml")
 
@@ -70,7 +70,7 @@ class PredictiveDistribution:
         self.horizon = horizon
 
     def log_density(self, x: float) -> float:
-        return self._log_weight(float(x)) - self.log_normalizer
+        return self._log_weight(self.family._check_observation(x)) - self.log_normalizer
 
     def density(self, x: float) -> float:
         return math.exp(self.log_density(x))
@@ -87,6 +87,29 @@ def _coerce_values(family: Family, values: Iterable[float]) -> tuple[float, ...]
     for v in out:
         family._check_observation(v)
     return out
+
+
+def _sorted_history(family: Family, history: Iterable[float]) -> tuple[float, ...]:
+    """The validated history in ascending order.
+
+    A one-step predictive depends on the history only through n and x-bar, so
+    every ordering of one multiset shares the cached normalizers.
+    """
+    return tuple(sorted(_coerce_values(family, history)))
+
+
+def _pulled_back(family: TransformedFamily, predictive, hist: tuple[float, ...]):
+    """(log weight, log normalizer) of a transformed family's predictive.
+
+    It is the base family's predictive on the pulled-back history: the same
+    normalizer, and a density that picks up log |d pullback / dy| off the atoms.
+    """
+    base_weight, log_norm = predictive(family.base, tuple(sorted(family.pullback(y) for y in hist)))
+
+    def log_weight(y: float) -> float:
+        return base_weight(family.pullback(y)) + family._density_log_jacobian(y)
+
+    return log_weight, log_norm
 
 
 def _coerce_sequence(family: Family, seq: ObservationSequence) -> ObservationSequence:
@@ -198,20 +221,23 @@ def _snml_log_normalizer(family: Family, history: tuple[float, ...]) -> float:
     return math.log(total)
 
 
+def _snml(family: Family, hist: tuple[float, ...]) -> tuple[Callable[[float], float], float]:
+    """(log weight, log normalizer) of the SNML predictive after a sorted history."""
+    if isinstance(family, TransformedFamily):
+        return _pulled_back(family, _snml, hist)
+    log_norm = _snml_log_normalizer(family, hist)
+    return _snml_log_gain(family, len(hist), _history_mean(family, hist)), log_norm
+
+
 def snml_predictive(family: Family, history: Iterable[float] = ()) -> PredictiveDistribution:
     """Last-step NML predictive given the history."""
-    hist = _coerce_values(family, history)
+    hist = _sorted_history(family, history)
     if len(hist) < family.min_conditioning:
         raise DivergentNormalizer(
             f"kind {family.kind} needs at least m={family.min_conditioning} conditioning "
             f"observations; got {len(hist)} (the maximum-likelihood envelope is not normalizable)"
         )
-    log_norm = _snml_log_normalizer(family, hist)
-    gain = _snml_log_gain(family, len(hist), _history_mean(family, hist))
-
-    def log_weight(y: float) -> float:
-        return gain(family._check_observation(y))
-
+    log_weight, log_norm = _snml(family, hist)
     return PredictiveDistribution(family, log_weight, log_norm, horizon="one-step")
 
 
@@ -246,51 +272,56 @@ def _geodesic_window(family: Family, reference: float) -> tuple[float, float]:
     return beta_lo, beta_hi
 
 
-@lru_cache(maxsize=4096)
-def _jeffreys_posterior(family: Family, hist: tuple[float, ...]) -> tuple[float, float]:
-    """Return (anchor mean, log posterior normalizer relative to the sup-likelihood).
+def _concentration_integral(
+    family: Family, n: int, mean: float, anchor: float, tol_abs: float, tol_rel: float
+) -> float:
+    """Integral of exp(n D(x-bar || clip x-bar) - n D(x-bar || mu)) / sigma(mu) d mu.
 
-    The Jeffreys weight 1/sigma(mu) d mu is arc length in the unit-Fisher
-    chart, so the normalizer is integrated there: no weight factor, no
-    endpoint singularity from sigma -> 0.
+    The weight 1/sigma(mu) d mu is arc length in the unit-Fisher chart, so the
+    integral is taken there, over the image of the mean domain under the chart
+    based at anchor: no weight factor, and no endpoint singularity from
+    sigma -> 0.  It is the Jeffreys posterior normalizer of a history of n
+    observations with mean x-bar, relative to its sup-likelihood, and for
+    x-bar = anchor = mu0 the concentration integral of the constancy and Laplace
+    checks.  Raises NonConvergence when the integral does not settle.
     """
-    relative = _relative_log_likelihood(family, len(hist), _history_mean(family, hist))
-    anchor = _posterior_anchor(family, hist)
+    relative = _relative_log_likelihood(family, n, mean)
 
     def integrand(beta: float) -> float:
         return math.exp(relative(family.mean_from_geodesic(beta, anchor)))
 
-    window = _geodesic_window(family, anchor)
+    res = quadrature.integrate(
+        quadrature.guarded(integrand),
+        _geodesic_window(family, anchor),
+        tol_abs=tol_abs,
+        tol_rel=tol_rel,
+        peak_hint=0.0,
+    )
+    return res.value
+
+
+@lru_cache(maxsize=4096)
+def _jeffreys_posterior(family: Family, hist: tuple[float, ...]) -> tuple[float, float]:
+    """Return (anchor mean, log posterior normalizer relative to the sup-likelihood)."""
+    anchor = _posterior_anchor(family, hist)
     try:
-        res = quadrature.integrate(
-            quadrature.guarded(integrand),
-            window,
-            tol_abs=1e-13,
-            tol_rel=1e-11,
-            peak_hint=0.0,
-        )
+        total = _concentration_integral(family, len(hist), _history_mean(family, hist), anchor, 1e-13, 1e-11)
     except NonConvergence as exc:
         raise ImproperPosterior(f"Jeffreys posterior does not normalize for history {hist!r}: {exc}") from exc
-    if not res.value > 0 or math.isinf(res.value):
-        raise ImproperPosterior(f"Jeffreys posterior normalizer evaluated to {res.value!r}")
-    return anchor, math.log(res.value)
+    if not total > 0 or math.isinf(total):
+        raise ImproperPosterior(f"Jeffreys posterior normalizer evaluated to {total!r}")
+    return anchor, math.log(total)
 
 
-def bayes_jeffreys_predictive(family: Family, history: Iterable[float] = ()) -> PredictiveDistribution:
-    """Jeffreys-prior posterior predictive given the history."""
-    hist = _coerce_values(family, history)
-    if len(hist) < family.min_conditioning:
-        raise ImproperPosterior(
-            f"kind {family.kind} needs at least m={family.min_conditioning} conditioning "
-            f"observations for a proper Jeffreys posterior; got {len(hist)}"
-        )
+def _bayes(family: Family, hist: tuple[float, ...]) -> tuple[Callable[[float], float], float]:
+    """(log weight, log normalizer) of the Jeffreys posterior predictive after a sorted history."""
+    if isinstance(family, TransformedFamily):
+        return _pulled_back(family, _bayes, hist)
     anchor, log_norm = _jeffreys_posterior(family, hist)
     relative = _relative_log_likelihood(family, len(hist), _history_mean(family, hist))
     window = _geodesic_window(family, anchor)
 
     def log_weight(y: float) -> float:
-        y = family._check_observation(y)
-
         def integrand(beta: float) -> float:
             mu = family.mean_from_geodesic(beta, anchor)
             return math.exp(relative(mu) + family._log_density(mu, y))
@@ -306,6 +337,18 @@ def bayes_jeffreys_predictive(family: Family, history: Iterable[float] = ()) -> 
             return -math.inf
         return math.log(res.value)
 
+    return log_weight, log_norm
+
+
+def bayes_jeffreys_predictive(family: Family, history: Iterable[float] = ()) -> PredictiveDistribution:
+    """Jeffreys-prior posterior predictive given the history."""
+    hist = _sorted_history(family, history)
+    if len(hist) < family.min_conditioning:
+        raise ImproperPosterior(
+            f"kind {family.kind} needs at least m={family.min_conditioning} conditioning "
+            f"observations for a proper Jeffreys posterior; got {len(hist)}"
+        )
+    log_weight, log_norm = _bayes(family, hist)
     return PredictiveDistribution(family, log_weight, log_norm, horizon="posterior-predictive")
 
 
@@ -336,13 +379,10 @@ def cnml_joint(family: Family, seq: ObservationSequence, horizon: int | None = N
     if _is_exact_bernoulli(family):
         return _bernoulli_cnml_fraction(seq)
 
-    base = family.sup_log_likelihood(seq.values)
-    if base == -math.inf:
-        return 0.0
-
     def shtarkov_rel(n: int, mean: float, log_rel: float, depth: int) -> float:
         """Sum or integral over the last depth observations of the sup-likelihood
-        relative to base; the prefix enters through n, its mean and log_rel."""
+        relative to that of the conditioning prefix; the sequence so far enters
+        through n, its mean and its own log_rel."""
         if depth == 0:
             return math.exp(log_rel)
         gain = _snml_log_gain(family, n, mean)
@@ -366,11 +406,19 @@ def cnml_joint(family: Family, seq: ObservationSequence, horizon: int | None = N
         )
         return res.value + math.fsum(term(a) for a in family.observation_atoms())
 
-    head = family.sup_log_likelihood(seq.history) - base
-    denominator = shtarkov_rel(seq.m, _history_mean(family, seq.history), head, free)
+    # The numerator is relative to the prefix too, chained one observation at a
+    # time, so it stays finite where both sup-likelihoods are 0 (a 0 under Gamma
+    # with shape > 1): the deviance form sees the prefix only through its mean.
+    prefix_mean = _history_mean(family, seq.history)
+    n, mean = seq.m, prefix_mean
+    log_numerator = 0.0
+    for y in seq.continuation:
+        log_numerator += _snml_log_gain(family, n, mean)(y)
+        n, mean = n + 1, mean + (family._statistic(y) - mean) / (n + 1)
+    denominator = shtarkov_rel(seq.m, prefix_mean, 0.0, free)
     if not denominator > 0 or math.isinf(denominator):
         raise DivergentNormalizer(f"conditional Shtarkov normalizer evaluated to {denominator!r}")
-    return 1.0 / denominator
+    return math.exp(log_numerator) / denominator
 
 
 def nml_joint(family: Family, seq: ObservationSequence, horizon: int | None = None) -> float | Fraction:

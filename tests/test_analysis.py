@@ -27,6 +27,12 @@ def gamma_condition_value(k: float, n: int) -> float:
     return math.sqrt(k) * gamma_fn(nk) * math.exp(nk) / nk**nk
 
 
+def log_form_gamma_condition_value(k: float, n: int) -> float:
+    """gamma_condition_value through lgamma, finite for large n k."""
+    nk = n * k
+    return math.exp(0.5 * math.log(k) + nk + math.lgamma(nk) - nk * math.log(nk))
+
+
 def reciprocal_gamma_half():
     def recip(x: float) -> float:
         return 1.0 / x
@@ -146,6 +152,24 @@ class TestConditionIntegral:
     def test_rejects_boundary_mu0(self):
         with pytest.raises(DomainError):
             sk.condition_integral(sk.Tweedie32(), 0.0, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 50, 200])
+    @pytest.mark.parametrize(
+        "family,closed_form",
+        [
+            (sk.GaussianLocation(1.0), lambda n: math.sqrt(2 * math.pi / n)),
+            (sk.GaussianLocation(4.0), lambda n: math.sqrt(2 * math.pi / n)),
+            (sk.Tweedie32(), lambda n: math.sqrt(2 * math.pi / n)),
+            (sk.GammaShape(0.5), lambda n: log_form_gamma_condition_value(0.5, n)),
+            (sk.GammaShape(1.0), lambda n: log_form_gamma_condition_value(1.0, n)),
+            (sk.GammaShape(2.0), lambda n: log_form_gamma_condition_value(2.0, n)),
+        ],
+        ids=["gaussian", "gaussian-sigma2-4", "tweedie", "gamma0.5", "gamma1", "gamma2"],
+    )
+    def test_closed_forms_over_six_decades(self, family, closed_form, n):
+        want = closed_form(n)
+        for mu0 in np.geomspace(1e-3, 1e3, 13):
+            assert sk.condition_integral(family, mu0, n) == pytest.approx(want, rel=1e-10), mu0
 
 
 class TestCheckConstancy:
@@ -446,6 +470,32 @@ class TestVarianceFunctionSpec:
         with pytest.raises(DomainError):
             VarianceFunctionSpec.closed(expr, domain)
 
+    @pytest.mark.parametrize("variance", [lambda mu: mu**2 / 2, lambda mu: (1.3 * mu + 0.4) ** 1.5, np.exp])
+    def test_grid_profiles_equal_per_point_stencils(self, variance):
+        from scipy.interpolate import make_interp_spline
+
+        mu = np.linspace(0.5, 4.0, 41)
+        vf = VarianceFunctionSpec.from_table(mu, variance(mu))
+        spline = make_interp_spline(mu, np.sqrt(variance(mu)), k=5)
+
+        def sigma(x: float) -> float:
+            return float(spline(x))
+
+        h = 1e-3 * (4.0 - 0.5)
+        grid = vf.default_grid(33) + (0.5 + 4 * h, 2.0, 4.0 - 4 * h)
+        want = [(sigma(x),) + _difference_derivatives(sigma, x, h) for x in grid]
+        assert vf.sigma_profiles(grid) == want
+        assert [vf.sigma_at(x) for x in grid] == [p[0] for p in want]
+
+    def test_table_stencil_must_fit(self):
+        mu = np.linspace(0.5, 4.0, 41)
+        vf = VarianceFunctionSpec.from_table(mu, mu**2)
+        with pytest.raises(sk.DifferentiationError):
+            vf.sigma_profiles((2.0, 0.501))
+        with pytest.raises(DomainError):
+            vf.sigma_profiles((2.0, 4.5))
+        assert vf.variance_at(0.501) == pytest.approx(0.501**2, rel=1e-6)
+
     def test_invalid_tables(self):
         with pytest.raises(DomainError):
             VarianceFunctionSpec.from_table([1.0, 2.0, 3.0], [1.0, 4.0, 9.0])
@@ -507,3 +557,23 @@ class TestClassifyFamily:
         result = sk.classify_family(VarianceFunctionSpec.closed("3", (0.5, 4.0)))
         payload = json.loads(json.dumps(result.to_dict()))
         assert payload["family_class"] == "GaussianLocation"
+
+
+def _difference_derivatives(f, x: float, h: float) -> tuple[float, float, float, float]:
+    """First four derivatives by fourth-order stencils plus one Richardson step,
+    one scalar evaluation of f per stencil node: the reference for the grid
+    profiles of a tabulated spec."""
+
+    def stencils(step: float) -> tuple[float, float, float, float]:
+        fm3, fm2, fm1 = f(x - 3 * step), f(x - 2 * step), f(x - step)
+        f0 = f(x)
+        fp1, fp2, fp3 = f(x + step), f(x + 2 * step), f(x + 3 * step)
+        d1 = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * step)
+        d2 = (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12 * step**2)
+        d3 = (-fp3 + 8 * fp2 - 13 * fp1 + 13 * fm1 - 8 * fm2 + fm3) / (8 * step**3)
+        d4 = (-fp3 + 12 * fp2 - 39 * fp1 + 56 * f0 - 39 * fm1 + 12 * fm2 - fm3) / (6 * step**4)
+        return d1, d2, d3, d4
+
+    coarse = stencils(h)
+    fine = stencils(h / 2)
+    return tuple((16.0 * fi - ci) / 15.0 for fi, ci in zip(fine, coarse))

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import snmlkit
 from snmlkit import cli, parse_report_csv, tweedie
 
 
@@ -454,3 +459,14 @@ class TestUsage:
         assert cli.main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "kl" in out and "sample-tweedie" in out
+
+
+def test_import_loads_no_heavy_modules():
+    """scipy.integrate, scipy.interpolate and sympy load on first use only."""
+    code = (
+        "import sys, snmlkit; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate', 'sympy') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(snmlkit.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"

@@ -8,7 +8,7 @@ from math import lgamma
 import pytest
 
 import snmlkit as sk
-from snmlkit import quadrature
+from snmlkit import quadrature, strategies
 from snmlkit.errors import (
     DivergentNormalizer,
     HorizonTooLarge,
@@ -164,8 +164,10 @@ class TestCnml:
             ("tweedie", sk.Tweedie32(), (0.5, 2.0), 1.3),
             ("bernoulli", sk.Bernoulli(), (1.0, 0.0), 1.0),
             ("poisson", sk.Poisson(), (2.0, 1.0), 3.0),
+            # both sup-likelihoods are 0 here; the ratio is 40/729
+            ("gamma-zero-in-prefix", sk.GammaShape(2.0), (1.0, 0.0), 2.0),
         ],
-        ids=["gaussian", "gamma", "tweedie", "bernoulli", "poisson"],
+        ids=["gaussian", "gamma", "tweedie", "bernoulli", "poisson", "gamma-zero-in-prefix"],
     )
     def test_one_step_reduces_to_snml(self, name, family, history, y):
         seq = ObservationSequence(history + (y,), m=len(history))
@@ -296,6 +298,30 @@ def test_predictive_normalizes(name, family, history, maker):
         total = res.value + sum(mass for _, mass in pred.atoms)
     assert total == pytest.approx(1.0, abs=1e-6)
     assert pred.normalizer > 0.0
+
+
+@pytest.mark.parametrize("maker", [sk.snml_predictive, sk.bayes_jeffreys_predictive], ids=["snml", "bayes"])
+@pytest.mark.parametrize("history", [(0.3,), (2.0, 0.5), (1.0, 4.0, 0.2), (0.05, 0.7, 3.0, 11.0, 0.9)])
+def test_levy_matches_the_pulled_back_gamma_closed_form(maker, history):
+    """The Levy law is the reciprocal of the half-shape Gamma family, so its
+    predictive density at y is the Gamma one at 1/y times 1/y^2."""
+    levy = sk.transform_family(sk.GammaShape(0.5), lambda x: 1.0 / x, lambda y: 1.0 / y, lambda y: -1.0 / (y * y))
+    pred = maker(levy, history)
+    pulled = tuple(1.0 / x for x in history)
+    for y in (0.01, 0.3, 1.0, 7.0, 200.0):
+        want = gamma_snml_density(0.5, pulled, 1.0 / y) / (y * y)
+        assert pred.density(y) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("maker", [sk.snml_predictive, sk.bayes_jeffreys_predictive], ids=["snml", "bayes"])
+def test_permuted_histories_share_one_normalizer(maker):
+    cache = strategies._snml_log_normalizer if maker is sk.snml_predictive else strategies._jeffreys_posterior
+    family = sk.GammaShape(2.0)
+    cache.cache_clear()
+    preds = [maker(family, h) for h in ((0.7, 2.5, 1.1), (2.5, 1.1, 0.7), (1.1, 0.7, 2.5))]
+    assert cache.cache_info().misses == 1
+    assert len({p.log_normalizer for p in preds}) == 1
+    assert len({p.density(1.3) for p in preds}) == 1
 
 
 def test_tweedie_predictive_has_zero_atom():
