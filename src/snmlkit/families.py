@@ -862,6 +862,16 @@ class TransformedFamily(Family):
         core = self._core
         if not math.isfinite(x) or not core.closure_contains(x):
             raise UnsupportedPoint(f"observation {x!r} is not a finite point of the support closure {core.bounds()}")
+        # a closure point of the image can pull back to infinity (0 under the reciprocal map)
+        try:
+            back = self.pullback(x)
+        except (ArithmeticError, ValueError):
+            back = math.nan
+        base_core = self.base.convex_core()
+        if not math.isfinite(back) or not base_core.closure_contains(back):
+            raise UnsupportedPoint(
+                f"observation {x!r} does not pull back to a finite point of the base support closure {base_core.bounds()}"
+            )
         return x
 
     def _point_near(self, mean: float) -> float | None:

@@ -1,9 +1,11 @@
 """Numerical integration against Lebesgue, counting, and mixed base measures.
 
-Thin wrapper over adaptive Gauss-Kronrod quadrature.  Unbounded domains are
-truncated by scanning outward from a peak hint until the integrand has fallen
-below 1e-16 of the running peak; the finite piece is then integrated with the
-requested tolerances.
+Thin wrapper over adaptive Gauss-Kronrod quadrature.  An unbounded side is
+scanned outward from a peak hint at doubling distances until four probes in a
+row lie below 1e-16 of the running peak.  The finite window ends at the first
+probe of that run and is integrated with the probes inside it as break
+points; the rest of the tail is integrated under the map u = 1/x, so no mass
+is cut off.
 """
 
 from __future__ import annotations
@@ -37,11 +39,16 @@ class MixedMeasure:
 
 
 def _truncate_side(f, anchor: float, direction: int, peak: float) -> tuple[float, float, list[float]]:
-    """Scan outward from anchor; return (cut point, updated peak, probe points).
+    """Scan outward from anchor; return (window edge, updated peak, probe points).
 
-    The probes double their distance from the anchor each step; they are
-    reused as integrator break points so slowly decaying tails cannot hide
-    between sample points of a wide panel.
+    The probes double their distance from the anchor each step.  The scan
+    stops after a run of _DECAY_RUN probes below DECAY_FACTOR of the peak,
+    and the window edge is the first probe of that run: integrate's 1/x tail
+    pass covers everything beyond it.  The edge stays on its side of 0 so the
+    1/x map is finite; where the run starts at or across 0 the last probe is
+    the edge instead.  The probes up to the edge are reused as integrator
+    break points so slowly decaying tails cannot hide between sample points
+    of a wide panel.
     """
     step = max(1.0, abs(anchor))
     run = 0
@@ -57,6 +64,9 @@ def _truncate_side(f, anchor: float, direction: int, peak: float) -> tuple[float
         if fx < DECAY_FACTOR * max(peak, 1e-300):
             run += 1
             if run >= _DECAY_RUN:
+                edge = probes[-_DECAY_RUN]
+                if direction * edge > 0.0:
+                    return edge, peak, probes[: -_DECAY_RUN + 1]
                 return x, peak, probes
         else:
             run = 0
@@ -102,10 +112,12 @@ def integrate(
     """Integrate f over an interval, handling unbounded endpoints.
 
     peak_hint marks where the integrand is expected to be largest; it anchors
-    a scan that locates the decaying tail region.  The bulk is integrated over
-    the finite window with the scan probes as breakpoints, and each unbounded
-    tail beyond the window is integrated separately under the 1/x transform,
-    so slowly decaying tails contribute their true mass instead of being cut.
+    a scan that locates the decaying tail region.  On each unbounded side the
+    window ends at the first probe of the final run of decayed probes (see
+    _truncate_side).  The bulk is integrated over the window with the probes
+    inside it as breakpoints, and each unbounded tail beyond the window is
+    integrated separately under the 1/x transform, so slowly decaying tails
+    contribute their true mass instead of being cut.
     """
     # imported on first use: scipy.integrate is about half of the package's import time
     from scipy import integrate as _scipy_integrate
@@ -159,7 +171,7 @@ def integrate(
     subdivisions = int(info["last"])
     warning = out[3] if len(out) > 3 else None
 
-    # The scan always leaves hi > 0 and lo < 0 on unbounded sides, so each
+    # The window edges always keep hi > 0 and lo < 0 on unbounded sides, so each
     # discarded tail maps under u = 1/x to a finite window touching zero.
     # That keeps slowly decaying tails resolvable where the native infinite
     # transform would compress their mass into an invisibly thin layer.

@@ -55,16 +55,49 @@ def test_truncated_domain_is_finite():
     assert lo < 0 < hi
 
 
-def test_heavy_power_tail_mass_is_kept():
-    # envelope ~ y^(-3/2): most of the far tail lies beyond any fixed cutoff
-    res = quadrature.integrate(
-        lambda y: 1.0 / (math.sqrt(y) * (1.0 + y)) if y > 0 else 0.0,
-        (0.0, math.inf),
-        tol_abs=1e-12,
-        tol_rel=1e-10,
-        peak_hint=1.0,
-    )
-    assert res.value == pytest.approx(math.pi, rel=1e-9)
+@pytest.mark.parametrize(
+    "fn,domain,peak_hint,expected",
+    [
+        # envelope ~ y^(-3/2): most of the far tail lies beyond any fixed cutoff
+        (lambda y: 1.0 / (math.sqrt(y) * (1.0 + y)) if y > 0 else 0.0, (0.0, math.inf), 1.0, math.pi),
+        # Cauchy: both tails ~ x^(-2) hold about 5e-9 beyond the window
+        (lambda x: 1.0 / (math.pi * (1.0 + x * x)), (-math.inf, math.inf), 0.0, 1.0),
+    ],
+    ids=["one-sided", "cauchy"],
+)
+def test_heavy_power_tail_mass_is_kept(fn, domain, peak_hint, expected):
+    res = quadrature.integrate(fn, domain, tol_abs=1e-12, tol_rel=1e-10, peak_hint=peak_hint)
+    assert res.value == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "fn,domain,peak_hint,expected,old_calls",
+    [
+        (lambda x: math.exp(-x * x / 2.0) / math.sqrt(2 * math.pi), (-math.inf, math.inf), 0.0, 1.0, 398),
+        (lambda x: math.exp(-x), (0.0, math.inf), 1.0, 1.0, 351),
+        (
+            lambda x: math.exp(-((x - 1000.0) ** 2) / 2.0) / math.sqrt(2 * math.pi),
+            (-math.inf, math.inf),
+            1000.0,
+            1.0,
+            662,
+        ),
+    ],
+    ids=["normal", "exponential", "normal-at-1000"],
+)
+def test_tail_window_ends_at_first_decayed_probe(fn, domain, peak_hint, expected, old_calls):
+    """Panels past the first decayed probe of the scan are left to the 1/x tail
+    pass; old_calls is the count when the window ran to the last probe."""
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return fn(x)
+
+    res = quadrature.integrate(counted, domain, tol_abs=1e-12, tol_rel=1e-10, peak_hint=peak_hint)
+    assert res.value == pytest.approx(expected, abs=1e-12)
+    assert calls < old_calls
 
 
 def test_peak_far_from_origin():

@@ -376,6 +376,24 @@ def test_non_finite_observations_are_unsupported(family, entry, x):
             getattr(sk, entry)(family, (x,))
 
 
+LEVY_AT_ZERO = {
+    "snml density": lambda levy: sk.snml_predictive(levy, (1.0,)).density(0.0),
+    "bayes density": lambda levy: sk.bayes_jeffreys_predictive(levy, (1.0,)).density(0.0),
+    "log_density_mean": lambda levy: levy.log_density_mean(1.0, 0.0),
+    "snml history": lambda levy: sk.snml_predictive(levy, (1.0, 0.0)),
+    "bayes history": lambda levy: sk.bayes_jeffreys_predictive(levy, (0.0, 2.0)),
+    "joint": lambda levy: sk.strategy_joint(levy, "snml", sk.ObservationSequence((1.0, 0.0, 2.0), 1)),
+}
+
+
+@pytest.mark.parametrize("call", LEVY_AT_ZERO.values(), ids=LEVY_AT_ZERO.keys())
+def test_levy_closure_point_without_finite_pullback_is_unsupported(call):
+    """0 closes the Levy support, but the reciprocal map sends it to infinity."""
+    levy = BUILT_IN[-1]
+    with pytest.raises(sk.UnsupportedPoint):
+        call(levy)
+
+
 @pytest.mark.parametrize("shape", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("history", [(0.0,), (0.0, 0.0)])
 def test_degenerate_mle_raises_one_domain_error_before_quadrature(shape, history, monkeypatch):
