@@ -160,8 +160,12 @@ class Family(ABC):
 
     A family supplies its charts, its cumulant A(theta), its saturated
     log-likelihood l*(x) = log p_x(x) and its KL divergence D, unchecked, on
-    the closure of its full mean domain.  Every density is then
-    log p_mu(x) = l*(x) - D(x || mu).
+    the closure of its full mean domain, and its variance function V,
+    unchecked, on the interior.  Every density is then
+    log p_mu(x) = l*(x) - D(x || mu).  The checked surface (``variance``,
+    ``kl_divergence``) validates against the possibly restricted mean domain;
+    integrals over the observation space need the unchecked one, because
+    observations range over the whole support.
     """
 
     kind: str = "abstract"
@@ -208,9 +212,13 @@ class Family(ABC):
         """Convex hull of the base-measure support, endpoints flagged if atomic."""
         return self._support
 
-    @abstractmethod
     def variance(self, mu: float) -> float:
-        """V(mu) for an interior mean."""
+        """V(mu) for an interior mean of the mean domain."""
+        return self._variance(self._check_mean(mu, interior=True))
+
+    @abstractmethod
+    def _variance(self, mu: float) -> float:
+        """V(mu) on the interior of the full mean domain, unchecked."""
 
     @abstractmethod
     def natural_from_mean(self, mu: float) -> float: ...
@@ -270,6 +278,10 @@ class Family(ABC):
     def sigma(self, mu: float) -> float:
         return math.sqrt(self.variance(mu))
 
+    def _sigma(self, mu: float) -> float:
+        """sigma(mu) on the interior of the full mean domain, unchecked."""
+        return math.sqrt(self._variance(mu))
+
     def mean_interior(self) -> tuple[float, float]:
         return self.mean_domain.lower, self.mean_domain.upper
 
@@ -290,15 +302,6 @@ class Family(ABC):
             return self.mle_mean(history).value
         except (EmptyWindow, DomainError):
             return self.default_reference()
-
-    def observation_hint(self, history: tuple[float, ...]) -> float | None:
-        """A point near the bulk of sup-likelihood weight, usable as a
-        quadrature breakpoint; None when no interior point is available."""
-        return self._point_near(self._mle_or_reference(history))
-
-    def _point_near(self, mean: float) -> float | None:
-        """The observation equal to this mean if it lies inside the support."""
-        return mean if self.convex_core().strictly_contains(mean) else None
 
     def _check_mean(self, mu: float, interior: bool = False) -> float:
         """Validate a mean; interior=True additionally rejects degenerate
@@ -436,11 +439,15 @@ class GaussianLocation(Family):
         if not sigma2 > 0 or math.isinf(sigma2):
             raise DomainError(f"sigma2 must be positive and finite, got {sigma2!r}")
         self.sigma2 = float(sigma2)
+        self._scale = math.sqrt(self.sigma2)
+        self._log_peak = -0.5 * math.log(2.0 * math.pi * self.sigma2)
         super().__init__(mean_domain)
 
-    def variance(self, mu: float) -> float:
-        self._check_mean(mu)
+    def _variance(self, mu: float) -> float:
         return self.sigma2
+
+    def _sigma(self, mu: float) -> float:
+        return self._scale
 
     def natural_from_mean(self, mu: float) -> float:
         return mu / self.sigma2
@@ -452,17 +459,17 @@ class GaussianLocation(Family):
         return 0.5 * self.sigma2 * theta * theta
 
     def _saturated_log_likelihood(self, x: float) -> float:
-        return -0.5 * math.log(2.0 * math.pi * self.sigma2)
+        return self._log_peak
 
     def _divergence(self, mu0: float, mu1: float) -> float:
         d = mu0 - mu1
         return d * d / (2.0 * self.sigma2)
 
     def geodesic_from_mean(self, mu: float, reference: float) -> float:
-        return (mu - reference) / math.sqrt(self.sigma2)
+        return (mu - reference) / self._scale
 
     def mean_from_geodesic(self, beta: float, reference: float) -> float:
-        return reference + beta * math.sqrt(self.sigma2)
+        return reference + beta * self._scale
 
     def sample(self, mu: float, size: int, rng: np.random.Generator) -> np.ndarray:
         mu = self._check_mean(mu)
@@ -491,9 +498,12 @@ class GammaShape(Family):
         self.shape = float(shape)
         super().__init__(mean_domain)
 
-    def variance(self, mu: float) -> float:
-        mu = self._check_mean(mu, interior=True)
+    def _variance(self, mu: float) -> float:
         return mu * mu / self.shape
+
+    def _sigma(self, mu: float) -> float:
+        # not sqrt(V): mu * mu overflows above 1e154
+        return mu / math.sqrt(self.shape)
 
     def natural_from_mean(self, mu: float) -> float:
         return -self.shape / mu
@@ -555,9 +565,11 @@ class Tweedie32(Family):
     _preferred_reference = 1.0
     _support = Interval(0.0, math.inf, lower_included=True)
 
-    def variance(self, mu: float) -> float:
-        mu = self._check_mean(mu, interior=True)
+    def _variance(self, mu: float) -> float:
         return 2.0 * mu ** 1.5
+
+    def _sigma(self, mu: float) -> float:
+        return math.sqrt(2.0) * mu ** 0.75
 
     def natural_from_mean(self, mu: float) -> float:
         return -1.0 / math.sqrt(mu)
@@ -602,8 +614,7 @@ class Bernoulli(Family):
     _preferred_reference = 0.5
     _support = Interval(0.0, 1.0, lower_included=True, upper_included=True)
 
-    def variance(self, mu: float) -> float:
-        mu = self._check_mean(mu, interior=True)
+    def _variance(self, mu: float) -> float:
         return mu * (1.0 - mu)
 
     def natural_from_mean(self, mu: float) -> float:
@@ -655,8 +666,7 @@ class Poisson(Family):
     _preferred_reference = 1.0
     _support = Interval(0.0, math.inf, lower_included=True)
 
-    def variance(self, mu: float) -> float:
-        mu = self._check_mean(mu, interior=True)
+    def _variance(self, mu: float) -> float:
         return mu
 
     def natural_from_mean(self, mu: float) -> float:
@@ -808,8 +818,11 @@ class TransformedFamily(Family):
     def _full_mean_domain(self) -> Interval:
         return self.base._full_mean_domain()
 
-    def variance(self, mu: float) -> float:
-        return self.base.variance(mu)
+    def _variance(self, mu: float) -> float:
+        return self.base._variance(mu)
+
+    def _sigma(self, mu: float) -> float:
+        return self.base._sigma(mu)
 
     def natural_from_mean(self, mu: float) -> float:
         return self.base.natural_from_mean(mu)
@@ -873,13 +886,6 @@ class TransformedFamily(Family):
                 f"observation {x!r} does not pull back to a finite point of the base support closure {base_core.bounds()}"
             )
         return x
-
-    def _point_near(self, mean: float) -> float | None:
-        base_point = self.base._point_near(mean)
-        if base_point is None:
-            return None
-        y = float(self._forward(base_point))
-        return y if self._core.strictly_contains(y) else None
 
     def sample(self, mu: float, size: int, rng: np.random.Generator) -> np.ndarray:
         base_draws = self.base.sample(mu, size, rng)

@@ -4,8 +4,8 @@ Thin wrapper over adaptive Gauss-Kronrod quadrature.  An unbounded side is
 scanned outward from a peak hint at doubling distances until four probes in a
 row lie below 1e-16 of the running peak.  The finite window ends at the first
 probe of that run and is integrated with the probes inside it as break
-points; the rest of the tail is integrated under the map u = 1/x, so no mass
-is cut off.
+points; the rest of the tail is integrated under the map u = edge / x, so no
+mass is cut off.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ def _truncate_side(f, anchor: float, direction: int, peak: float) -> tuple[float
 
     The probes double their distance from the anchor each step.  The scan
     stops after a run of _DECAY_RUN probes below DECAY_FACTOR of the peak,
-    and the window edge is the first probe of that run: integrate's 1/x tail
-    pass covers everything beyond it.  The edge stays on its side of 0 so the
-    1/x map is finite; where the run starts at or across 0 the last probe is
-    the edge instead.  The probes up to the edge are reused as integrator
-    break points so slowly decaying tails cannot hide between sample points
-    of a wide panel.
+    and the window edge is the first probe of that run: integrate's tail pass
+    under u = edge / x covers everything beyond it.  The edge stays on its
+    side of 0 so that map is finite; where the run starts at or across 0 the
+    last probe is the edge instead.  The probes up to the edge are reused as
+    integrator break points so slowly decaying tails cannot hide between
+    sample points of a wide panel.
     """
     step = max(1.0, abs(anchor))
     run = 0
@@ -108,16 +108,19 @@ def integrate(
     tol_rel: float = 1e-8,
     peak_hint: float | None = None,
     max_subdivisions: int = 400,
+    breaks: Sequence[float] = (),
 ) -> QuadratureResult:
     """Integrate f over an interval, handling unbounded endpoints.
 
     peak_hint marks where the integrand is expected to be largest; it anchors
-    a scan that locates the decaying tail region.  On each unbounded side the
+    a scan that locates the decaying tail region.  breaks are points where f
+    is known not to be smooth (kinks); they become break points of the
+    window, so no panel straddles one.  On each unbounded side the
     window ends at the first probe of the final run of decayed probes (see
     _truncate_side).  The bulk is integrated over the window with the probes
     inside it as breakpoints, and each unbounded tail beyond the window is
-    integrated separately under the 1/x transform, so slowly decaying tails
-    contribute their true mass instead of being cut.
+    integrated separately under the map u = edge / x onto (0, 1], so slowly
+    decaying tails contribute their true mass instead of being cut.
     """
     # imported on first use: scipy.integrate is about half of the package's import time
     from scipy import integrate as _scipy_integrate
@@ -127,7 +130,7 @@ def integrate(
         raise ValueError(f"empty integration domain ({a}, {b})")
 
     lo, hi = a, b
-    breaks: list[float] = []
+    breaks = list(breaks)
     if math.isinf(a) or math.isinf(b):
         if peak_hint is not None and a < peak_hint < b:
             anchor = peak_hint
@@ -171,29 +174,32 @@ def integrate(
     subdivisions = int(info["last"])
     warning = out[3] if len(out) > 3 else None
 
-    # The window edges always keep hi > 0 and lo < 0 on unbounded sides, so each
-    # discarded tail maps under u = 1/x to a finite window touching zero.
-    # That keeps slowly decaying tails resolvable where the native infinite
-    # transform would compress their mass into an invisibly thin layer.
-    def tail_transformed(u: float) -> float:
+    # The window edges always keep hi > 0 and lo < 0 on unbounded sides, so
+    # the tail beyond each edge e maps under x = e / u to u in (0, 1], with
+    # dx = |x| / u du.  That keeps slowly decaying tails resolvable where the
+    # native infinite transform would compress their mass into an invisibly
+    # thin layer, and the scale e keeps u and |x| / u finite at any edge (under
+    # u = 1/x, u * u underflows once the edge passes 1e154).
+    def tail_transformed(u: float, edge: float) -> float:
         if u == 0.0:
             return 0.0
-        x = 1.0 / u
+        x = edge / u
         if math.isinf(x):
             return 0.0
         fx = f(x)
-        return fx / (u * u) if math.isfinite(fx) else 0.0
+        return fx * abs(x) / u if math.isfinite(fx) else 0.0
 
-    tails: list[tuple[float, float]] = []
+    edges: list[float] = []
     if math.isinf(b) and hi < b:
-        tails.append((0.0, 1.0 / hi))
+        edges.append(hi)
     if math.isinf(a) and a < lo:
-        tails.append((1.0 / lo, 0.0))
-    for t_lo, t_hi in tails:
+        edges.append(lo)
+    for edge in edges:
         tail = _scipy_integrate.quad(
             tail_transformed,
-            t_lo,
-            t_hi,
+            0.0,
+            1.0,
+            args=(edge,),
             epsabs=tol_abs,
             epsrel=tol_rel,
             limit=max_subdivisions,
@@ -255,28 +261,33 @@ def sum_counting(
     rel_tol: float = 1e-15,
     patience: int = 25,
     max_terms: int = 200_000,
+    peak: int | None = None,
 ) -> float:
-    """Sum f(k) for k = start, start+1, ... until a long run of negligible terms.
+    """Sum f(k) over the integers k >= start, outward from peak (default start).
 
-    Intended for nonnegative series that eventually decay monotonically
-    (likelihood tails over counting measure).
+    The sum runs upward from peak until a long run of negligible terms, then
+    downward from peak - 1 until such a run or until start.  Starting at the
+    bulk matters: summed from start, a series whose mass sits at k = 10^4
+    meets 25 terms that underflow to 0 before any mass and stops at 0.
+    Intended for nonnegative series that decay monotonically away from their
+    bulk (likelihood tails over counting measure).
     """
+    first = start if peak is None else max(start, int(peak))
     total = 0.0
-    run = 0
-    k = start
-    for _ in range(max_terms):
-        term = f(k)
-        if math.isnan(term):
-            raise NanIntegrand(f"series term is NaN at k={k}")
-        total += term
-        if term <= rel_tol * max(total, 1e-300):
-            run += 1
-            if run >= patience:
-                return total
-        else:
-            run = 0
-        k += 1
-    raise NonConvergence(f"series did not settle within {max_terms} terms")
+    used = 0
+    for k, step in ((first, 1), (first - 1, -1)):
+        run = 0
+        while k >= start and run < patience:
+            if used >= max_terms:
+                raise NonConvergence(f"series did not settle within {max_terms} terms")
+            term = f(k)
+            used += 1
+            if math.isnan(term):
+                raise NanIntegrand(f"series term is NaN at k={k}")
+            total += term
+            run = run + 1 if term <= rel_tol * max(total, 1e-300) else 0
+            k += step
+    return total
 
 
 def guarded(fn: Callable[[float], float]) -> Callable[[float], float]:

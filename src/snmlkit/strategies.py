@@ -15,6 +15,19 @@ Fixed-horizon joints:
 
 Bernoulli values on the maximal domain are exact ``fractions.Fraction``;
 everything else is float, with quadrature behind the normalizers.
+
+Every integral is taken in a unit-Fisher chart, where the Fisher information
+is 1.  Integrals over the parameter (the Jeffreys normalizer, the Bayes
+predictive, the concentration integral of the analyses) use the chart of the
+mean, over the image of the mean domain.  Integrals over the observation
+(the SNML normalizer and each layer of the CNML normalizer) use the same
+chart applied to the observation, y = mean_from_geodesic(beta, anchor) with
+dy = sigma(y) d beta, over the image of the support.  Both are based at the
+clipped maximum-likelihood mean and scan outward from beta = 0, so the bump
+of the integrand is about one unit wide there, whatever the scale of the
+history, and no endpoint singularity (sigma -> 0, or y^(k-1) under Gamma)
+reaches the integrator.  Counting supports are summed outward from the
+clipped mean.
 """
 
 from __future__ import annotations
@@ -144,12 +157,6 @@ def _bernoulli_sup_fraction(values: Sequence[float]) -> Fraction:
     return out
 
 
-def _sum_discrete(family: Family, term: Callable[[float], float]) -> float:
-    if family.finite_support is not None:
-        return math.fsum(term(v) for v in family.finite_support)
-    return quadrature.sum_counting(lambda k: term(float(k)))
-
-
 def _history_mean(family: Family, hist: tuple[float, ...]) -> float:
     """x-bar, the mean of the history's sufficient statistic (0 for no history).
 
@@ -177,8 +184,9 @@ def _relative_log_likelihood(family: Family, n: int, mean: float) -> Callable[[f
     return lambda mu: offset - n * family._divergence(mean, mu)
 
 
-def _snml_log_gain(family: Family, n: int, mean: float) -> Callable[[float], float]:
-    """y -> sup log-likelihood of a history extended by y minus that of the history.
+def _snml_log_gain(family: Family, n: int, mean: float, log_rel: float = 0.0) -> Callable[[float], float]:
+    """y -> sup log-likelihood of a history extended by y minus that of the
+    history, plus log_rel.
 
     The history enters through its length n and its mean x-bar alone: the
     extended history has mean x-bar' = (n x-bar + t(y)) / (n + 1), t the
@@ -189,36 +197,125 @@ def _snml_log_gain(family: Family, n: int, mean: float) -> Callable[[float], flo
 
     def log_gain(y: float) -> float:
         mu = family.mean_domain.clip(mean + (family._statistic(y) - mean) / (n + 1))
-        return family._log_density(mu, y) + relative(mu)
+        return family._log_density(mu, y) + relative(mu) + log_rel
 
     return log_gain
+
+
+def _interior_anchor(family: Family, est: float) -> float:
+    """est, moved 1e-6 of the scale inside the mean domain where it sits on or
+    beyond an endpoint: a base point for the unit-Fisher chart."""
+    lo, hi = family.mean_interior()
+    if math.isfinite(lo) and math.isfinite(hi):
+        pad = 1e-6 * (hi - lo)
+        return min(max(est, lo + pad), hi - pad)
+    if math.isfinite(lo) and est <= lo:
+        return lo + 1e-6 * max(1.0, abs(lo))
+    if math.isfinite(hi) and est >= hi:
+        return hi - 1e-6 * max(1.0, abs(hi))
+    return est
+
+
+def _chart_window(family: Family, bounds: tuple[float, float], anchor: float) -> tuple[float, float]:
+    """Image of an interval of means under the unit-Fisher chart based at anchor.
+
+    The interval is the mean domain for integrals over the parameter, and the
+    support for integrals over the observation, which for these steep
+    families is the closure of the full mean domain.
+    """
+    edges = []
+    for end, side in zip(bounds, (-math.inf, math.inf)):
+        try:
+            beta = family.geodesic_from_mean(end, anchor)
+        except (ValueError, OverflowError):
+            beta = side
+        edges.append(side if math.isnan(beta) else beta)
+    return edges[0], edges[1]
+
+
+def _observation_total(
+    family: Family, n: int, mean: float, log_weight: Callable[[float], float], tol_rel: float
+) -> float:
+    """Sum or integral of exp(log_weight(y)) over the observation space, for a
+    weight that follows the sup-likelihood of n observations with mean x-bar
+    and y.
+
+    A counting support is summed outward from the clipped mean.  A continuous
+    one is integrated in the unit-Fisher chart of the observation based at
+    the clipped mean, y = mean_from_geodesic(beta, anchor), dy = sigma(y) d
+    beta, and its atoms are added.  In that chart a Gamma weight
+    y^(k-1) e^(-...) at 0 becomes smooth with exponential tails, the Tweedie
+    left edge is finite, and the bump of the weight is about one unit wide
+    around beta = 0.  sigma is the unchecked one: the observation ranges over
+    the whole support, also where a restricted mean domain has no member.
+    Raises NonConvergence when the sum or the integral does not settle.
+    """
+    center = family.mean_domain.clip(mean) if n else family.default_reference()
+    if family.finite_support is not None:
+        return math.fsum(math.exp(log_weight(v)) for v in family.finite_support)
+    if family.is_discrete:
+        return quadrature.sum_counting(lambda k: math.exp(log_weight(float(k))), peak=round(center))
+    lo, hi = family.convex_core().bounds()
+    anchor = _interior_anchor(family, center)
+    to_observation = family.mean_from_geodesic
+    sigma = family._sigma
+
+    def integrand(beta: float) -> float:
+        y = to_observation(beta, anchor)
+        # far out, y rounds onto an endpoint, where the weight may be infinite
+        if not lo < y < hi:
+            return 0.0
+        w = math.exp(log_weight(y))
+        # sigma may overflow where the weight has underflowed
+        return w * sigma(y) if w else 0.0
+
+    # the weight has a kink where the maximum-likelihood mean of the n + 1
+    # observations reaches a bound of a restricted mean domain
+    kinks = (mean + (n + 1) * (bound - mean) for bound in family.mean_domain.bounds() if math.isfinite(bound))
+    res = quadrature.integrate(
+        quadrature.guarded(integrand),
+        _chart_window(family, (lo, hi), anchor),
+        tol_abs=_NORMALIZER_TOL_ABS,
+        tol_rel=tol_rel,
+        peak_hint=0.0,
+        breaks=[family.geodesic_from_mean(y, anchor) for y in kinks if lo < y < hi],
+    )
+    return res.value + math.fsum(math.exp(log_weight(a)) for a in family.observation_atoms())
+
+
+def _log_shtarkov(family: Family, n: int, mean: float, depth: int, log_rel: float = 0.0) -> float:
+    """log of the sum or integral over the next depth observations of their
+    sup-likelihood together with n observations of mean x-bar, relative to
+    the sup-likelihood of those n alone, plus log_rel; -inf where it
+    underflows to 0.
+
+    Depth 1 is the SNML normalizer; the CNML normalizer nests it, with
+    log_rel the sup log-likelihood gained since the conditioning prefix, so
+    the absolute tolerance is on the scale of the whole normalizer.  Outer
+    layers may be looser; the innermost pass carries the precision.
+    """
+    gain = _snml_log_gain(family, n, mean, log_rel)
+    if depth == 1:
+        log_weight = gain
+    else:
+
+        def log_weight(y: float) -> float:
+            return _log_shtarkov(family, n + 1, mean + (family._statistic(y) - mean) / (n + 1), depth - 1, gain(y))
+
+    total = _observation_total(family, n, mean, log_weight, _NORMALIZER_TOL_REL * 30.0 ** (depth - 1))
+    return math.log(total) if total > 0 else -math.inf
 
 
 @lru_cache(maxsize=8192)
 def _snml_log_normalizer(family: Family, history: tuple[float, ...]) -> float:
     """log integral (or sum) over y of sup_mu p_mu(history, y) / sup_mu p_mu(history)."""
-    gain = _snml_log_gain(family, len(history), _history_mean(family, history))
-
-    def rel(y: float) -> float:
-        return math.exp(gain(y))
-
-    if family.is_discrete:
-        total = _sum_discrete(family, rel)
-    else:
-        try:
-            res = quadrature.integrate(
-                quadrature.guarded(rel),
-                family.convex_core().bounds(),
-                tol_abs=_NORMALIZER_TOL_ABS,
-                tol_rel=_NORMALIZER_TOL_REL,
-                peak_hint=family.observation_hint(history),
-            )
-        except NonConvergence as exc:
-            raise DivergentNormalizer(f"snml normalizer for history {history!r}: {exc}") from exc
-        total = res.value + math.fsum(rel(a) for a in family.observation_atoms())
-    if not total > 0 or math.isinf(total):
-        raise DivergentNormalizer(f"snml normalizer for history {history!r} evaluated to {total!r}")
-    return math.log(total)
+    try:
+        log_norm = _log_shtarkov(family, len(history), _history_mean(family, history), 1)
+    except NonConvergence as exc:
+        raise DivergentNormalizer(f"snml normalizer for history {history!r}: {exc}") from exc
+    if not math.isfinite(log_norm):
+        raise DivergentNormalizer(f"snml normalizer for history {history!r} evaluated to {math.exp(log_norm)!r}")
+    return log_norm
 
 
 def _snml(family: Family, hist: tuple[float, ...]) -> tuple[Callable[[float], float], float]:
@@ -241,37 +338,6 @@ def snml_predictive(family: Family, history: Iterable[float] = ()) -> Predictive
     return PredictiveDistribution(family, log_weight, log_norm, horizon="one-step")
 
 
-def _posterior_anchor(family: Family, hist: tuple[float, ...]) -> float:
-    lo, hi = family.mean_interior()
-    est = family._mle_or_reference(hist)
-    if math.isfinite(lo) and math.isfinite(hi):
-        pad = 1e-6 * (hi - lo)
-        return min(max(est, lo + pad), hi - pad)
-    if math.isfinite(lo) and est <= lo:
-        return lo + 1e-6 * max(1.0, abs(lo))
-    if math.isfinite(hi) and est >= hi:
-        return hi - 1e-6 * max(1.0, abs(hi))
-    return est
-
-
-def _geodesic_window(family: Family, reference: float) -> tuple[float, float]:
-    """Image of the mean domain under the unit-Fisher chart based at reference."""
-    lo, hi = family.mean_interior()
-    try:
-        beta_lo = family.geodesic_from_mean(lo, reference)
-    except (ValueError, OverflowError):
-        beta_lo = -math.inf
-    try:
-        beta_hi = family.geodesic_from_mean(hi, reference)
-    except (ValueError, OverflowError):
-        beta_hi = math.inf
-    if math.isnan(beta_lo):
-        beta_lo = -math.inf
-    if math.isnan(beta_hi):
-        beta_hi = math.inf
-    return beta_lo, beta_hi
-
-
 def _concentration_integral(
     family: Family, n: int, mean: float, anchor: float, tol_abs: float, tol_rel: float
 ) -> float:
@@ -292,7 +358,7 @@ def _concentration_integral(
 
     res = quadrature.integrate(
         quadrature.guarded(integrand),
-        _geodesic_window(family, anchor),
+        _chart_window(family, family.mean_interior(), anchor),
         tol_abs=tol_abs,
         tol_rel=tol_rel,
         peak_hint=0.0,
@@ -303,7 +369,7 @@ def _concentration_integral(
 @lru_cache(maxsize=4096)
 def _jeffreys_posterior(family: Family, hist: tuple[float, ...]) -> tuple[float, float]:
     """Return (anchor mean, log posterior normalizer relative to the sup-likelihood)."""
-    anchor = _posterior_anchor(family, hist)
+    anchor = _interior_anchor(family, family._mle_or_reference(hist))
     try:
         total = _concentration_integral(family, len(hist), _history_mean(family, hist), anchor, 1e-13, 1e-11)
     except NonConvergence as exc:
@@ -319,7 +385,7 @@ def _bayes(family: Family, hist: tuple[float, ...]) -> tuple[Callable[[float], f
         return _pulled_back(family, _bayes, hist)
     anchor, log_norm = _jeffreys_posterior(family, hist)
     relative = _relative_log_likelihood(family, len(hist), _history_mean(family, hist))
-    window = _geodesic_window(family, anchor)
+    window = _chart_window(family, family.mean_interior(), anchor)
 
     def log_weight(y: float) -> float:
         def integrand(beta: float) -> float:
@@ -378,33 +444,12 @@ def cnml_joint(family: Family, seq: ObservationSequence, horizon: int | None = N
         raise HorizonTooLarge(f"free horizon n-m={free} exceeds the supported cap {cap} for kind {family.kind}")
     if _is_exact_bernoulli(family):
         return _bernoulli_cnml_fraction(seq)
-
-    def shtarkov_rel(n: int, mean: float, log_rel: float, depth: int) -> float:
-        """Sum or integral over the last depth observations of the sup-likelihood
-        relative to that of the conditioning prefix; the sequence so far enters
-        through n, its mean and its own log_rel."""
-        if depth == 0:
-            return math.exp(log_rel)
-        gain = _snml_log_gain(family, n, mean)
-
-        def term(y: float) -> float:
-            y = float(y)
-            t = family._statistic(y)
-            return shtarkov_rel(n + 1, mean + (t - mean) / (n + 1), log_rel + gain(y), depth - 1)
-
-        if family.is_discrete:
-            return _sum_discrete(family, term)
-        hint = family._point_near(family.mean_domain.clip(mean) if n else family.default_reference())
-        # outer layers may be looser; the innermost pass carries the precision
-        tol_rel = _NORMALIZER_TOL_REL * 30.0 ** (depth - 1)
-        res = quadrature.integrate(
-            quadrature.guarded(term),
-            family.convex_core().bounds(),
-            tol_abs=_NORMALIZER_TOL_ABS,
-            tol_rel=tol_rel,
-            peak_hint=hint,
-        )
-        return res.value + math.fsum(term(a) for a in family.observation_atoms())
+    if isinstance(family, TransformedFamily):
+        # the Shtarkov integral does not change under the map, so the joint is
+        # the base family's times the continuation's Jacobian
+        pulled = ObservationSequence(tuple(family.pullback(v) for v in seq.values), seq.m)
+        log_jacobian = math.fsum(family._density_log_jacobian(y) for y in seq.continuation)
+        return cnml_joint(family.base, pulled) * math.exp(log_jacobian)
 
     # The numerator is relative to the prefix too, chained one observation at a
     # time, so it stays finite where both sup-likelihoods are 0 (a 0 under Gamma
@@ -415,10 +460,10 @@ def cnml_joint(family: Family, seq: ObservationSequence, horizon: int | None = N
     for y in seq.continuation:
         log_numerator += _snml_log_gain(family, n, mean)(y)
         n, mean = n + 1, mean + (family._statistic(y) - mean) / (n + 1)
-    denominator = shtarkov_rel(seq.m, prefix_mean, 0.0, free)
-    if not denominator > 0 or math.isinf(denominator):
-        raise DivergentNormalizer(f"conditional Shtarkov normalizer evaluated to {denominator!r}")
-    return math.exp(log_numerator) / denominator
+    log_denominator = _log_shtarkov(family, seq.m, prefix_mean, free)
+    if not math.isfinite(log_denominator):
+        raise DivergentNormalizer(f"conditional Shtarkov normalizer evaluated to {math.exp(log_denominator)!r}")
+    return math.exp(log_numerator - log_denominator)
 
 
 def nml_joint(family: Family, seq: ObservationSequence, horizon: int | None = None) -> float | Fraction:

@@ -159,7 +159,7 @@ def test_jeffreys_integrand_matches_per_observation_sums(name):
     lo, hi = family.mean_interior()
     for n in (1, 2, 5, 16):
         hist = raw_draws(name, family, mean, n, rng)
-        anchor = strategies._posterior_anchor(family, hist)
+        anchor = strategies._interior_anchor(family, family._mle_or_reference(hist))
         relative = strategies._relative_log_likelihood(family, n, strategies._history_mean(family, hist))
         base = per_observation_sup_log_likelihood(family, hist)
         y = raw_draws(name, family, mean, 1, rng)[0]

@@ -85,19 +85,27 @@ def test_heavy_power_tail_mass_is_kept(fn, domain, peak_hint, expected):
     ],
     ids=["normal", "exponential", "normal-at-1000"],
 )
-def test_tail_window_ends_at_first_decayed_probe(fn, domain, peak_hint, expected, old_calls):
-    """Panels past the first decayed probe of the scan are left to the 1/x tail
+def test_tail_window_ends_at_first_decayed_probe(fn, domain, peak_hint, expected, old_calls, integrand_calls):
+    """Panels past the first decayed probe of the scan are left to the tail
     pass; old_calls is the count when the window ran to the last probe."""
-    calls = 0
-
-    def counted(x):
-        nonlocal calls
-        calls += 1
-        return fn(x)
-
-    res = quadrature.integrate(counted, domain, tol_abs=1e-12, tol_rel=1e-10, peak_hint=peak_hint)
+    res = quadrature.integrate(fn, domain, tol_abs=1e-12, tol_rel=1e-10, peak_hint=peak_hint)
     assert res.value == pytest.approx(expected, abs=1e-12)
-    assert calls < old_calls
+    assert integrand_calls.count < old_calls
+
+
+@pytest.mark.parametrize(
+    "fn,domain,peak_hint",
+    [
+        (lambda x: math.exp(-x / 1e200), (0.0, math.inf), 1e200),
+        (lambda x: math.exp(x / 1e200), (-math.inf, 0.0), -1e200),
+    ],
+    ids=["right", "left"],
+)
+def test_tail_beyond_1e154_edge(fn, domain, peak_hint):
+    """The window edge lies near 6e201; under u = 1/x the tail pass squared u
+    into 0 there and raised ZeroDivisionError."""
+    res = quadrature.integrate(fn, domain, peak_hint=peak_hint)
+    assert res.value == pytest.approx(1e200, rel=1e-10)
 
 
 def test_peak_far_from_origin():
@@ -153,6 +161,14 @@ class TestSumCounting:
             lambda k: math.exp(-2.0) * 2.0**k / math.factorial(k), start=0
         )
         assert total == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("mean", [2000.0, 1e4])
+    def test_poisson_masses_summed_from_the_peak(self, mean):
+        """Summed from 0, the first 25 masses underflow to 0 and the sum stops there."""
+        total = quadrature.sum_counting(
+            lambda k: math.exp(k * math.log(mean) - mean - math.lgamma(k + 1.0)), peak=round(mean)
+        )
+        assert total == pytest.approx(1.0, rel=1e-10)
 
     def test_geometric_series(self):
         total = quadrature.sum_counting(lambda k: 0.5**k, start=1)

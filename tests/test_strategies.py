@@ -5,7 +5,9 @@ import math
 from fractions import Fraction
 from math import lgamma
 
+import mpmath
 import pytest
+from scipy.special import ive
 
 import snmlkit as sk
 from snmlkit import quadrature, strategies
@@ -18,8 +20,8 @@ from snmlkit.families import ObservationSequence
 from snmlkit.strategies import STRATEGIES
 
 
-def gamma_snml_density(k, history, y):
-    """Closed-form one-step density for a fixed-shape family on (0, inf).
+def gamma_snml_log_density(k, history, y):
+    """Closed-form one-step log density for a fixed-shape family on (0, inf).
 
     With t observations total and history sum S, the sup-likelihood envelope
     is proportional to y^(k-1) (S+y)^(-tk); the normalizer is a Beta integral.
@@ -27,12 +29,23 @@ def gamma_snml_density(k, history, y):
     t = len(history) + 1
     s = sum(history)
     log_beta = lgamma(k) + lgamma((t - 1) * k) - lgamma(t * k)
-    return math.exp(
-        (k - 1) * math.log(y)
-        - t * k * math.log(s + y)
-        - (1 - t) * k * math.log(s)
-        - log_beta
-    )
+    return (k - 1) * math.log(y) - t * k * math.log(s + y) - (1 - t) * k * math.log(s) - log_beta
+
+
+def gamma_snml_density(k, history, y):
+    return math.exp(gamma_snml_log_density(k, history, y))
+
+
+def tweedie_log_predictive(history, y):
+    """Closed-form Jeffreys (= SNML) one-step log density of the Tweedie 3/2 family.
+
+    The base measure is h(y) = I_1(2 sqrt y) / sqrt y on y > 0 plus a unit
+    atom at 0, and the posterior normalizer of n observations with sum s is
+    Z(n, s) = sqrt(pi / n) exp(-2 sqrt(n s)); the density is h(y) Z(n+1, s+y) / Z(n, s).
+    """
+    n, s = len(history), math.fsum(history)
+    log_h = 0.0 if y == 0.0 else math.log(ive(1, 2.0 * math.sqrt(y))) + 2.0 * math.sqrt(y) - 0.5 * math.log(y)
+    return log_h + 0.5 * math.log(n / (n + 1)) - 2.0 * math.sqrt((n + 1) * (s + y)) + 2.0 * math.sqrt(n * s)
 
 
 def gaussian_snml_density(sigma2, history, y):
@@ -40,6 +53,11 @@ def gaussian_snml_density(sigma2, history, y):
     center = sum(history) / len(history)
     var = sigma2 * t / (t - 1)
     return math.exp(-((y - center) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
+
+
+LEVY = sk.transform_family(sk.GammaShape(0.5), lambda x: 1.0 / x, lambda y: 1.0 / y, lambda y: -1.0 / (y * y))
+# support (-inf, 0): outside the domain of the base family's charts
+REFLECTED_GAMMA = sk.transform_family(sk.GammaShape(2.0), lambda x: -x, lambda y: -y, lambda y: -1.0)
 
 
 # ---- SNML closed forms --------------------------------------------------------
@@ -166,8 +184,13 @@ class TestCnml:
             ("poisson", sk.Poisson(), (2.0, 1.0), 3.0),
             # both sup-likelihoods are 0 here; the ratio is 40/729
             ("gamma-zero-in-prefix", sk.GammaShape(2.0), (1.0, 0.0), 2.0),
+            # transformed families take the base family's joint times the Jacobian
+            ("levy", LEVY, (1.0, 0.3), 2.0),
+            ("reflected-gamma", REFLECTED_GAMMA, (-1.0,), -2.0),
+            ("poisson-far-from-zero", sk.Poisson(), (2000.0,), 2010.0),
         ],
-        ids=["gaussian", "gamma", "tweedie", "bernoulli", "poisson", "gamma-zero-in-prefix"],
+        ids=["gaussian", "gamma", "tweedie", "bernoulli", "poisson", "gamma-zero-in-prefix", "levy",
+             "reflected-gamma", "poisson-far-from-zero"],
     )
     def test_one_step_reduces_to_snml(self, name, family, history, y):
         seq = ObservationSequence(history + (y,), m=len(history))
@@ -408,3 +431,95 @@ def test_degenerate_mle_raises_one_domain_error_before_quadrature(shape, history
             predictive(family, history)
         messages.add(str(info.value))
     assert len(messages) == 1
+
+
+# ---- observation integrals in the unit-Fisher chart ------------------------------
+
+SCALES = [1e-8, 1e-4, 1.0, 1e4, 1e8]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("k", [0.1, 0.5, 1.0, 2.0])
+def test_gamma_snml_matches_closed_form_across_scales(k, scale):
+    family = sk.GammaShape(k)
+    for history in ((scale,), (0.3 * scale, 2.0 * scale)):
+        pred = sk.snml_predictive(family, history)
+        for y in (0.01 * scale, scale, 100.0 * scale):
+            assert pred.log_density(y) == pytest.approx(gamma_snml_log_density(k, history, y), abs=1e-9)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_tweedie_snml_matches_closed_form_across_scales(scale):
+    for history in ((scale,), (0.3 * scale, 2.0 * scale)):
+        pred = sk.snml_predictive(sk.Tweedie32(), history)
+        for y in (0.0, 0.01 * scale, scale, 100.0 * scale):
+            assert pred.log_density(y) == pytest.approx(tweedie_log_predictive(history, y), abs=1e-9)
+
+
+def test_gamma_snml_far_out_on_the_line():
+    """The chart anchored at 1e300 reaches y = inf at beta = 20.3; the mass the
+    float range cannot hold, x / (x + 1.8e308) = 5.6e-9 of the total, is lost.
+    Integrated in y, the tail pass raised ZeroDivisionError."""
+    pred = sk.snml_predictive(sk.GammaShape(1.0), (1e300,))
+    assert pred.log_normalizer == pytest.approx(2.0 * math.log(2.0) - 1.0, rel=1e-7)
+
+
+@pytest.mark.parametrize("center", [0.0, 1.0, -1e3, 1e6, -1e6])
+def test_gaussian_log_normalizer_far_from_zero(center):
+    family = sk.GaussianLocation(1.0)
+    one = sk.snml_predictive(family, (center,)).log_normalizer
+    two = sk.snml_predictive(family, (center - 1.0, center + 1.0)).log_normalizer
+    assert one == pytest.approx(0.5 * math.log(2.0), rel=1e-10)
+    assert two == pytest.approx(0.5 * math.log(1.5), rel=1e-10)
+
+
+def test_restricted_gamma_normalizer_breaks_at_the_kinks(integrand_calls):
+    """The clipped MLE of (1, y) meets the bounds 2 and 5 at y = 3 and y = 9;
+    the weight has a kink at each, and they are break points of the integral.
+    Without them the chart integral takes 776 calls and misses by 1.1e-10."""
+    pred = sk.snml_predictive(sk.GammaShape(2.0, mean_domain=(2.0, 5.0)), (1.0,))
+    assert pred.log_normalizer == pytest.approx(0.10429681238665809, rel=1e-10)  # mpmath, 40 digits
+    assert integrand_calls.count < 776
+
+
+@pytest.mark.parametrize("x", [2000.0, 1e4, 1e6])
+def test_poisson_snml_far_from_zero(x):
+    """Summed from k = 0 the series stopped on 25 masses that underflow to 0.
+    The oracle sums the same sup-likelihood ratios in mpmath over 12 standard
+    deviations sqrt(2x) either side of x."""
+    mpmath.mp.dps = 25
+    mx = mpmath.mpf(x)
+    width = int(12 * math.sqrt(2 * x))
+    terms = []
+    for k in range(max(0, int(x) - width), int(x) + width + 1):
+        s = mx + k
+        terms.append(mpmath.exp(s * mpmath.log(s / 2) - s - mpmath.loggamma(k + 1) - mx * mpmath.log(mx) + mx))
+    want = float(mpmath.log(mpmath.fsum(terms)))
+    assert sk.snml_predictive(sk.Poisson(), (x,)).log_normalizer == pytest.approx(want, abs=1e-10)
+
+
+def test_chart_halves_the_gamma_half_normalizer_work(integrand_calls):
+    """Integrated in y, the y^(-1/2) endpoint took 1432 integrand calls."""
+    sk.snml_predictive(sk.GammaShape(0.5), (1.3,))
+    assert integrand_calls.count < 1432 // 2
+
+
+def test_chart_cuts_the_gamma_cnml_work(integrand_calls):
+    """sup-likelihood ratio (3/3.5)^3 / (27/2) = 16/343; integrated in y the
+    two nested layers took 404,754 integrand calls."""
+    joint = sk.cnml_joint(sk.GammaShape(1.0), ObservationSequence((1.0, 2.0, 0.5), m=1))
+    assert joint == pytest.approx(16.0 / 343.0, rel=1e-8)
+    assert integrand_calls.count < 404_754
+
+
+@pytest.mark.parametrize("family,values", [(sk.GammaShape(0.5), (1.0, 0.5, 2.0)), (LEVY, (1.0, 2.0, 0.5))], ids=["gamma", "levy"])
+def test_half_shape_cnml_over_two_free_observations(family, values):
+    """Gamma(k) after (1,): the joint of (y1, y2) is (y1 y2)^(k-1) (1+y1+y2)^(-3k)
+    over B(k, k) B(2k, k).  The Levy values pull back to (1, 0.5, 2) with
+    Jacobian 1/y1^2 * 1/y2^2 = 1.  Integrated in y, the y^(-1/2) endpoints
+    left the Gamma value 1.3e-6 off and the Levy one 2.4e-10."""
+    k = 0.5
+    log_beta = 3 * lgamma(k) - lgamma(3 * k)  # log of B(k, k) B(2k, k)
+    want = math.exp((k - 1) * math.log(0.5 * 2.0) - 3 * k * math.log(3.5) - log_beta)
+    joint = sk.cnml_joint(family, ObservationSequence(values, m=1))
+    assert joint == pytest.approx(want, rel=1e-10)
