@@ -283,8 +283,10 @@ def exchangeability_test(
 ) -> AnalysisReport:
     """Max relative spread of SNML joints across permutations of x_{m+1}..x_n.
 
-    ``all-discrete`` enumerates every sequence over a finite support (grouped
-    by history and continuation multiset); ``random`` draws ``count``
+    ``all-discrete`` enumerates every history multiset and continuation
+    multiset over a finite support (an SNML joint sees its history only
+    through the multiset, so each ordering of a history gives the same
+    spread); ``random`` draws ``count``
     continuations (and the history, unless given) at ``sample_mean``;
     explicit ``continuations`` override the test set.  The worst witness pair
     is recorded in details.
@@ -311,9 +313,9 @@ def exchangeability_test(
             raise DomainError(f"kind {family.kind} has no finite support; use the random test set")
         if len(support) ** n > 4096:
             raise DomainError(f"enumerating {len(support)}^{n} sequences is above the supported size")
-        for hist in itertools.product(support, repeat=m):
+        for hist in itertools.combinations_with_replacement(support, m):
             for multiset in itertools.combinations_with_replacement(support, free):
-                cases.append((tuple(hist), tuple(multiset)))
+                cases.append((hist, multiset))
     elif mode == "random":
         rng = np.random.default_rng(seed)
         mean = float(sample_mean) if sample_mean is not None else family.default_reference()

@@ -45,9 +45,5 @@ class ImproperPosterior(DivergentIntegral):
     """The Jeffreys posterior does not normalize for the given history."""
 
 
-class HorizonTooLarge(SnmlkitError, ValueError):
-    """A joint computation was requested beyond the supported horizon."""
-
-
 class DifferentiationError(SnmlkitError, ValueError):
     """A tabulated variance function is too coarse to differentiate."""

@@ -17,6 +17,8 @@ where l*(x) = log p_x(x) is the saturated log-likelihood and D the KL
 divergence.  The log-likelihood of x_1..x_n therefore depends on mu only
 through n and the sample mean xbar:
 sum_i log p_mu(x_i) = sum_i log p_xbar(x_i) - n * D(xbar || mu).
+The sum t of k observations has the same form, l*_k(t) - k * D(t/k || mu),
+with l*_k the saturated log-density of a sum of k members.
 
 The support of the base measure is reported as a closed-or-open interval (the
 convex hull of the support, with endpoint flags recording whether an atom sits
@@ -231,8 +233,12 @@ class Family(ABC):
         """A(theta), the log normalizer against the family's base measure."""
 
     @abstractmethod
-    def _saturated_log_likelihood(self, x: float) -> float:
-        """l*(x) = log p_x(x), the log density at x of the member with mean x."""
+    def _saturated_log_likelihood(self, x: float, k: int = 1) -> float:
+        """l*_k(x), the log density at x of the sum of k members with mean x / k.
+
+        k = 1 is l*(x) = log p_x(x).  The sum of k members with mean mu has
+        log density l*_k(x) - k D(x / k || mu), the deviance form over the
+        k-fold convolution of the base measure."""
 
     @abstractmethod
     def _divergence(self, mu0: float, mu1: float) -> float:
@@ -458,8 +464,10 @@ class GaussianLocation(Family):
     def cumulant(self, theta: float) -> float:
         return 0.5 * self.sigma2 * theta * theta
 
-    def _saturated_log_likelihood(self, x: float) -> float:
-        return self._log_peak
+    def _saturated_log_likelihood(self, x: float, k: int = 1) -> float:
+        # the sum of k members is Gaussian with variance k sigma2; k = 1 is on
+        # the path of every density evaluation, so it skips the log
+        return self._log_peak if k == 1 else self._log_peak - 0.5 * math.log(k)
 
     def _divergence(self, mu0: float, mu1: float) -> float:
         d = mu0 - mu1
@@ -518,9 +526,10 @@ class GammaShape(Family):
             raise DomainError(f"natural parameter must be negative, got {theta!r}")
         return -self.shape * math.log(-theta)
 
-    def _saturated_log_likelihood(self, x: float) -> float:
-        k = self.shape
-        return k * math.log(k) - k - math.lgamma(k) - math.log(x)
+    def _saturated_log_likelihood(self, x: float, k: int = 1) -> float:
+        # the sum of k members is Gamma with shape k * shape
+        a = k * self.shape
+        return a * math.log(a) - a - math.lgamma(a) - math.log(x)
 
     def _divergence(self, mu0: float, mu1: float) -> float:
         if math.isinf(mu0) or math.isinf(mu1):
@@ -584,8 +593,8 @@ class Tweedie32(Family):
             raise DomainError(f"natural parameter must be negative, got {theta!r}")
         return -1.0 / theta
 
-    def _saturated_log_likelihood(self, x: float) -> float:
-        return tweedie_ops.saturated_log_likelihood(x)
+    def _saturated_log_likelihood(self, x: float, k: int = 1) -> float:
+        return tweedie_ops.saturated_log_likelihood(x, k)
 
     def _divergence(self, mu0: float, mu1: float) -> float:
         return tweedie_ops.divergence(mu0, mu1)
@@ -626,8 +635,16 @@ class Bernoulli(Family):
     def cumulant(self, theta: float) -> float:
         return float(np.logaddexp(0.0, theta))
 
-    def _saturated_log_likelihood(self, x: float) -> float:
-        return 0.0
+    def _saturated_log_likelihood(self, x: float, k: int = 1) -> float:
+        # log of the Binomial(k, x / k) mass at x, with 0 log 0 = 0; a single
+        # draw is its own mean and has mass 1
+        if k == 1:
+            return 0.0
+        out = math.log(math.comb(k, int(x)))
+        for count in (x, k - x):
+            if count:
+                out += count * math.log(count / k)
+        return out
 
     def _divergence(self, mu0: float, mu1: float) -> float:
         if mu0 == mu1:
@@ -678,7 +695,8 @@ class Poisson(Family):
     def cumulant(self, theta: float) -> float:
         return math.exp(theta)
 
-    def _saturated_log_likelihood(self, x: float) -> float:
+    def _saturated_log_likelihood(self, x: float, k: int = 1) -> float:
+        # the sum of k members is Poisson with mean k mu, so l*_k = l*
         return (x * math.log(x) if x else 0.0) - x - math.lgamma(x + 1.0)
 
     def _divergence(self, mu0: float, mu1: float) -> float:
@@ -867,7 +885,8 @@ class TransformedFamily(Family):
         # through the base kernel, which keeps its own boundary cases (Gamma at 0)
         return self.base._log_density(mu, self.pullback(y)) + self._density_log_jacobian(y)
 
-    def _saturated_log_likelihood(self, y: float) -> float:
+    def _saturated_log_likelihood(self, y: float, k: int = 1) -> float:
+        # k is 1: cnml_joint and the predictives take a transformed family through its base
         return self._log_density(self.pullback(y), y)
 
     def _check_observation(self, x: float) -> float:

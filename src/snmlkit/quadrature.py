@@ -1,4 +1,4 @@
-"""Numerical integration against Lebesgue, counting, and mixed base measures.
+"""Numerical integration against Lebesgue and counting measures.
 
 Thin wrapper over adaptive Gauss-Kronrod quadrature.  An unbounded side is
 scanned outward from a peak hint at doubling distances until four probes in a
@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import NanIntegrand, NonConvergence
 
 DECAY_FACTOR = 1e-16
@@ -27,15 +25,6 @@ class QuadratureResult:
     value: float
     abs_error_estimate: float
     subdivisions: int
-    truncated_domain: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class MixedMeasure:
-    """A density plus point masses, e.g. Lebesgue with an atom at zero."""
-
-    density: Callable[[float], float]
-    atoms: tuple[tuple[float, float], ...] = ()
 
 
 def _truncate_side(f, anchor: float, direction: int, peak: float) -> tuple[float, float, list[float]]:
@@ -222,36 +211,6 @@ def integrate(
         value=float(value),
         abs_error_estimate=float(abserr),
         subdivisions=subdivisions,
-        truncated_domain=(lo, hi),
-    )
-
-
-def integrate_mixed(
-    measure: MixedMeasure,
-    weight: Callable[[float], float],
-    domain: tuple[float, float],
-    tol_abs: float = 1e-10,
-    tol_rel: float = 1e-8,
-    peak_hint: float | None = None,
-) -> QuadratureResult:
-    """Integrate weight against density*dx plus the atom masses."""
-    atom_total = 0.0
-    a, b = domain
-    for location, mass in measure.atoms:
-        if a <= location <= b:
-            atom_total += mass * weight(location)
-    cont = integrate(
-        lambda x: measure.density(x) * weight(x),
-        domain,
-        tol_abs=tol_abs,
-        tol_rel=tol_rel,
-        peak_hint=peak_hint,
-    )
-    return QuadratureResult(
-        value=cont.value + atom_total,
-        abs_error_estimate=cont.abs_error_estimate,
-        subdivisions=cont.subdivisions,
-        truncated_domain=cont.truncated_domain,
     )
 
 
@@ -321,11 +280,3 @@ def laplace_reference(n: float, boundary: bool = False) -> float:
         raise ValueError("n must be positive")
     value = math.sqrt(2.0 * math.pi / n)
     return 0.5 * value if boundary else value
-
-
-def grid(lower: float, upper: float, count: int) -> np.ndarray:
-    """Evenly spaced interior evaluation points (endpoints excluded)."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    edges = np.linspace(lower, upper, count + 2)
-    return edges[1:-1]

@@ -16,23 +16,26 @@ Fixed-horizon joints:
 Bernoulli values on the maximal domain are exact ``fractions.Fraction``;
 everything else is float, with quadrature behind the normalizers.
 
+The sup-likelihood of k free observations depends on them only through the
+sum t of their sufficient statistics.  So the SNML normalizer (k = 1) and
+the CNML normalizer at any free horizon k are one integral, or one sum, over
+t, against the law of a sum of k members (see ``_snml_log_gain``).
+
 Every integral is taken in a unit-Fisher chart, where the Fisher information
 is 1.  Integrals over the parameter (the Jeffreys normalizer, the Bayes
 predictive, the concentration integral of the analyses) use the chart of the
-mean, over the image of the mean domain.  Integrals over the observation
-(the SNML normalizer and each layer of the CNML normalizer) use the same
-chart applied to the observation, y = mean_from_geodesic(beta, anchor) with
-dy = sigma(y) d beta, over the image of the support.  Both are based at the
-clipped maximum-likelihood mean and scan outward from beta = 0, so the bump
-of the integrand is about one unit wide there, whatever the scale of the
-history, and no endpoint singularity (sigma -> 0, or y^(k-1) under Gamma)
-reaches the integrator.  Counting supports are summed outward from the
-clipped mean.
+mean, over the image of the mean domain.  The integral over the
+continuation's sum uses the same chart applied to its mean s = t / k,
+s = mean_from_geodesic(beta, anchor) with dt = k sigma(s) d beta, over the
+image of the support.  Both are based at the clipped maximum-likelihood mean
+and scan outward from beta = 0, so the bump of the integrand is about one
+unit wide there, whatever the scale of the history, and no endpoint
+singularity (sigma -> 0, or t^(a-1) under Gamma(a)) reaches the integrator.
+Counting supports are summed outward from k times the clipped mean.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +46,6 @@ from . import quadrature
 from .errors import (
     DivergentNormalizer,
     DomainError,
-    HorizonTooLarge,
     ImproperPosterior,
     NonConvergence,
 )
@@ -184,20 +186,35 @@ def _relative_log_likelihood(family: Family, n: int, mean: float) -> Callable[[f
     return lambda mu: offset - n * family._divergence(mean, mu)
 
 
-def _snml_log_gain(family: Family, n: int, mean: float, log_rel: float = 0.0) -> Callable[[float], float]:
-    """y -> sup log-likelihood of a history extended by y minus that of the
-    history, plus log_rel.
+def _snml_log_gain(family: Family, n: int, mean: float, k: int = 1) -> Callable[[float], float]:
+    """t -> log weight of t in the Shtarkov normalizer over the next k
+    observations, t the sum of their sufficient statistics; for k = 1, t is
+    the next observation y and the weight is the sup log-likelihood of the
+    history extended by y minus that of the history.
 
     The history enters through its length n and its mean x-bar alone: the
-    extended history has mean x-bar' = (n x-bar + t(y)) / (n + 1), t the
-    sufficient statistic, and its maximum-likelihood mean is mu' = clip(x-bar').
-    On an unrestricted domain the gain is l*(y) - D(y || x-bar') - n D(x-bar || x-bar').
+    extended history has maximum-likelihood mean mu' = clip((n x-bar + t) / (n + k)).
+    By the deviance identity the k observations have log-likelihood at mu'
+    equal to their saturated value minus k D(t / k || mu'), and over all
+    continuations with sum t the saturated values integrate to the law of a
+    sum of k members at its own mean, l*_k(t).  The weight is therefore
+    l*_k(t) - k D(t / k || mu') + n D(x-bar || clip x-bar) - n D(x-bar || mu').
+    A transformed family takes k = 1 only, with t its observation.
     """
     relative = _relative_log_likelihood(family, n, mean)
+    shift, size = k * mean, n + k
+    if k == 1:
+        # the family's own kernel, with its boundary cases (Gamma at 0) and a
+        # transformed family's Jacobian
+        log_density = family._log_density
+    else:
 
-    def log_gain(y: float) -> float:
-        mu = family.mean_domain.clip(mean + (family._statistic(y) - mean) / (n + 1))
-        return family._log_density(mu, y) + relative(mu) + log_rel
+        def log_density(mu: float, t: float) -> float:
+            return family._saturated_log_likelihood(t, k) - k * family._divergence(t / k, mu)
+
+    def log_gain(t: float) -> float:
+        mu = family.mean_domain.clip(mean + (family._statistic(t) - shift) / size)
+        return log_density(mu, t) + relative(mu)
 
     return log_gain
 
@@ -233,76 +250,60 @@ def _chart_window(family: Family, bounds: tuple[float, float], anchor: float) ->
     return edges[0], edges[1]
 
 
-def _observation_total(
-    family: Family, n: int, mean: float, log_weight: Callable[[float], float], tol_rel: float
-) -> float:
-    """Sum or integral of exp(log_weight(y)) over the observation space, for a
-    weight that follows the sup-likelihood of n observations with mean x-bar
-    and y.
+def _log_shtarkov(family: Family, n: int, mean: float, k: int) -> float:
+    """log of the sum or integral over the next k observations of their
+    sup-likelihood together with n observations of mean x-bar, relative to
+    the sup-likelihood of those n alone; -inf where it underflows to 0.
 
-    A counting support is summed outward from the clipped mean.  A continuous
-    one is integrated in the unit-Fisher chart of the observation based at
-    the clipped mean, y = mean_from_geodesic(beta, anchor), dy = sigma(y) d
-    beta, and its atoms are added.  In that chart a Gamma weight
-    y^(k-1) e^(-...) at 0 becomes smooth with exponential tails, the Tweedie
-    left edge is finite, and the bump of the weight is about one unit wide
-    around beta = 0.  sigma is the unchecked one: the observation ranges over
-    the whole support, also where a restricted mean domain has no member.
-    Raises NonConvergence when the sum or the integral does not settle.
+    k = 1 is the SNML normalizer, and k = n - m the CNML normalizer.  The
+    weight (_snml_log_gain) sees the k observations only through the sum t of
+    their statistics, so this is one sum or integral over t.  A counting
+    support is summed outward from k times the clipped mean.  A continuous
+    one is integrated in the unit-Fisher chart of the continuation's mean
+    s = t / k based at the clipped mean, s = mean_from_geodesic(beta, anchor),
+    dt = k sigma(s) d beta, and the continuations made of atoms alone are
+    added.  In that chart a Gamma(a) weight t^(k a - 1) e^(-...) at 0 becomes
+    smooth with exponential tails, the Tweedie left edge is finite, and the
+    bump of the weight is about one unit wide around beta = 0.  sigma is the
+    unchecked one: s ranges over the whole support, also where a restricted
+    mean domain has no member.  Raises NonConvergence when the sum or the
+    integral does not settle.
     """
+    log_weight = _snml_log_gain(family, n, mean, k)
     center = family.mean_domain.clip(mean) if n else family.default_reference()
     if family.finite_support is not None:
-        return math.fsum(math.exp(log_weight(v)) for v in family.finite_support)
-    if family.is_discrete:
-        return quadrature.sum_counting(lambda k: math.exp(log_weight(float(k))), peak=round(center))
-    lo, hi = family.convex_core().bounds()
-    anchor = _interior_anchor(family, center)
-    to_observation = family.mean_from_geodesic
-    sigma = family._sigma
-
-    def integrand(beta: float) -> float:
-        y = to_observation(beta, anchor)
-        # far out, y rounds onto an endpoint, where the weight may be infinite
-        if not lo < y < hi:
-            return 0.0
-        w = math.exp(log_weight(y))
-        # sigma may overflow where the weight has underflowed
-        return w * sigma(y) if w else 0.0
-
-    # the weight has a kink where the maximum-likelihood mean of the n + 1
-    # observations reaches a bound of a restricted mean domain
-    kinks = (mean + (n + 1) * (bound - mean) for bound in family.mean_domain.bounds() if math.isfinite(bound))
-    res = quadrature.integrate(
-        quadrature.guarded(integrand),
-        _chart_window(family, (lo, hi), anchor),
-        tol_abs=_NORMALIZER_TOL_ABS,
-        tol_rel=tol_rel,
-        peak_hint=0.0,
-        breaks=[family.geodesic_from_mean(y, anchor) for y in kinks if lo < y < hi],
-    )
-    return res.value + math.fsum(math.exp(log_weight(a)) for a in family.observation_atoms())
-
-
-def _log_shtarkov(family: Family, n: int, mean: float, depth: int, log_rel: float = 0.0) -> float:
-    """log of the sum or integral over the next depth observations of their
-    sup-likelihood together with n observations of mean x-bar, relative to
-    the sup-likelihood of those n alone, plus log_rel; -inf where it
-    underflows to 0.
-
-    Depth 1 is the SNML normalizer; the CNML normalizer nests it, with
-    log_rel the sup log-likelihood gained since the conditioning prefix, so
-    the absolute tolerance is on the scale of the whole normalizer.  Outer
-    layers may be looser; the innermost pass carries the precision.
-    """
-    gain = _snml_log_gain(family, n, mean, log_rel)
-    if depth == 1:
-        log_weight = gain
+        # the sums of k draws from {0, 1}
+        total = math.fsum(math.exp(log_weight(float(t))) for t in range(k + 1))
+    elif family.is_discrete:
+        total = quadrature.sum_counting(lambda t: math.exp(log_weight(float(t))), peak=round(k * center))
     else:
+        lo, hi = family.convex_core().bounds()
+        anchor = _interior_anchor(family, center)
+        to_observation = family.mean_from_geodesic
+        sigma = family._sigma
 
-        def log_weight(y: float) -> float:
-            return _log_shtarkov(family, n + 1, mean + (family._statistic(y) - mean) / (n + 1), depth - 1, gain(y))
+        def integrand(beta: float) -> float:
+            s = to_observation(beta, anchor)
+            # far out, s rounds onto an endpoint, where the weight may be infinite
+            if not lo < s < hi:
+                return 0.0
+            w = math.exp(log_weight(k * s))
+            # sigma may overflow where the weight has underflowed
+            return w * sigma(s) if w else 0.0
 
-    total = _observation_total(family, n, mean, log_weight, _NORMALIZER_TOL_REL * 30.0 ** (depth - 1))
+        # the weight has a kink where the maximum-likelihood mean of the n + k
+        # observations reaches a bound b of a restricted mean domain, at
+        # t = (n + k) b - n x-bar
+        kinks = (mean + (n + k) * (b - mean) / k for b in family.mean_domain.bounds() if math.isfinite(b))
+        res = quadrature.integrate(
+            quadrature.guarded(integrand),
+            _chart_window(family, (lo, hi), anchor),
+            tol_abs=_NORMALIZER_TOL_ABS,
+            tol_rel=_NORMALIZER_TOL_REL,
+            peak_hint=0.0,
+            breaks=[family.geodesic_from_mean(s, anchor) for s in kinks if lo < s < hi],
+        )
+        total = k * res.value + math.fsum(math.exp(log_weight(k * a)) for a in family.observation_atoms())
     return math.log(total) if total > 0 else -math.inf
 
 
@@ -418,20 +419,20 @@ def bayes_jeffreys_predictive(family: Family, history: Iterable[float] = ()) -> 
     return PredictiveDistribution(family, log_weight, log_norm, horizon="posterior-predictive")
 
 
-def _bernoulli_cnml_fraction(seq: ObservationSequence) -> Fraction:
-    free = seq.n - seq.m
-    numerator = _bernoulli_sup_fraction(seq.values)
-    denominator = Fraction(0)
-    for bits in itertools.product((0.0, 1.0), repeat=free):
-        denominator += _bernoulli_sup_fraction(seq.history + bits)
-    return numerator / denominator
+def _bernoulli_shtarkov_fraction(history: tuple[float, ...], k: int) -> Fraction:
+    """Exact sum over the 2^k binary continuations of history of their
+    sup-likelihood; the C(k, s) continuations with s ones share one value."""
+    return sum(
+        math.comb(k, s) * _bernoulli_sup_fraction(history + (1.0,) * s + (0.0,) * (k - s)) for s in range(k + 1)
+    )
 
 
 def cnml_joint(family: Family, seq: ObservationSequence, horizon: int | None = None) -> float | Fraction:
     """Conditional NML joint of x_{m+1}..x_n given x_1..x_m.
 
-    For continuous observations this is a joint density; the free horizon
-    n - m is capped (nested quadrature) at 4, and at 12 for discrete families.
+    For continuous observations this is a joint density.  At any free
+    horizon n - m its normalizer is one integral or sum over the sum of the
+    continuation (``_log_shtarkov``).
     """
     seq = _coerce_sequence(family, seq)
     if horizon is not None and int(horizon) != seq.n:
@@ -439,11 +440,13 @@ def cnml_joint(family: Family, seq: ObservationSequence, horizon: int | None = N
     free = seq.n - seq.m
     if free == 0:
         return 1.0
-    cap = 12 if family.is_discrete else 4
-    if free > cap:
-        raise HorizonTooLarge(f"free horizon n-m={free} exceeds the supported cap {cap} for kind {family.kind}")
+    if seq.m < family.min_conditioning:
+        raise DivergentNormalizer(
+            f"kind {family.kind} needs at least m={family.min_conditioning} conditioning "
+            f"observations; got {seq.m} (the maximum-likelihood envelope is not normalizable)"
+        )
     if _is_exact_bernoulli(family):
-        return _bernoulli_cnml_fraction(seq)
+        return _bernoulli_sup_fraction(seq.values) / _bernoulli_shtarkov_fraction(seq.history, free)
     if isinstance(family, TransformedFamily):
         # the Shtarkov integral does not change under the map, so the joint is
         # the base family's times the continuation's Jacobian
@@ -485,10 +488,7 @@ def shtarkov_sum(family: Family, n: int) -> Fraction:
         raise DivergentNormalizer("exact Shtarkov sums are available for the maximal Bernoulli family only")
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = Fraction(0)
-    for s in range(n + 1):
-        total += math.comb(n, s) * _bernoulli_sup_fraction((1.0,) * s + (0.0,) * (n - s))
-    return total
+    return _bernoulli_shtarkov_fraction((), n)
 
 
 def _bernoulli_snml_joint_fraction(seq: ObservationSequence) -> Fraction:

@@ -16,6 +16,13 @@ l*(0) = 0 (the member with mean 0 is the unit point mass at 0), and the KL
 divergence D(z || mu) = (sqrt(mu) - sqrt(z))^2 / sqrt(mu).  The exponentially
 scaled Bessel function ``ive`` keeps l* finite for any z.
 
+A sum of k members with mean mu has N ~ Poisson(k sqrt(mu)) jumps of the same
+size law, so on z > 0 its density is
+exp(-k sqrt(mu) - z/sqrt(mu)) * sqrt(k/z) * I_1(2 sqrt(k z)), plus an atom
+exp(-k sqrt(mu)) at 0: in deviance form l*_k(z) - k D(z/k || mu) with
+
+    l*_k(z) = log(I_1(2 sqrt(k z)) exp(-2 sqrt(k z))) + (log k - log z) / 2.
+
 Reference: Jorgensen (1997), The Theory of Dispersion Models, ch. 4.
 """
 
@@ -41,11 +48,11 @@ def _check_mean(mu: float) -> None:
         raise DomainError(f"mean must be positive and finite, got {mu!r}")
 
 
-def saturated_log_likelihood(z: float) -> float:
-    """l*(z) = log p_z(z) for an observation z >= 0."""
+def saturated_log_likelihood(z: float, k: int = 1) -> float:
+    """l*_k(z) for a sum z >= 0 of k observations; k = 1 gives l*(z) = log p_z(z)."""
     if z == 0.0:
         return 0.0
-    return math.log(special.ive(1, 2.0 * math.sqrt(z))) - 0.5 * math.log(z)
+    return math.log(special.ive(1, 2.0 * math.sqrt(k * z))) - 0.5 * math.log(z / k)
 
 
 def divergence(mu0: float, mu1: float) -> float:

@@ -225,6 +225,19 @@ class TestExchangeability:
         assert witness["min_joint"] == Fraction(1, 20)
         assert report.details["strategy"] == "snml"
 
+    def test_all_discrete_enumerates_history_multisets(self):
+        ber = sk.Bernoulli()
+        report = sk.exchangeability_test(ber, 2, 4, "all-discrete")
+        # 3 history multisets times 3 continuation multisets
+        assert len(report.grid) == 9
+        conts = [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+        ordered = [
+            sk.exchangeability_test(ber, 2, 4, history=h, continuations=conts).max_abs_deviation
+            for h in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
+        ]
+        assert report.max_abs_deviation == max(ordered)
+        assert ordered[1] == ordered[2]
+
     def test_gaussian_explicit_pair_is_exact(self):
         report = sk.exchangeability_test(
             sk.GaussianLocation(1.0), 1, 3, history=(0.5,), continuations=[(0.0, 2.0)]

@@ -111,6 +111,18 @@ class TestJoint:
         want = (1.0 / (2 * math.sqrt(math.pi))) * math.exp(-4.0 / 3.0) / math.sqrt(3 * math.pi)
         assert float(out.strip()) == pytest.approx(want, rel=1e-10)
 
+    def test_gaussian_cnml_at_horizon_nine(self, capsys):
+        values = (0.3, -1.2, 0.8, 2.1, -0.4, 0.0, 1.5, -2.2, 0.6, 1.1)
+        code, out, _ = run(
+            capsys, "joint", "--family", "gaussian", "--strategy", "cnml", "--m", "1",
+            "--seq", ",".join(str(v) for v in values),
+        )
+        assert code == 0
+        # sup-likelihood ratio of the 9 free values over sqrt((m + k) / m) = sqrt(10)
+        rss = sum((v - sum(values) / 10) ** 2 for v in values)
+        want = math.exp(-4.5 * math.log(2 * math.pi) - rss / 2) / math.sqrt(10)
+        assert float(out.strip()) == pytest.approx(want, rel=1e-10)
+
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(capsys, "joint", "--family", "bernoulli", "--values", "1,0")
         assert code == 2

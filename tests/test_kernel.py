@@ -60,6 +60,44 @@ def test_restricted_gamma_matches_scipy(mu, x):
     assert_close(fam.log_density_mean(mu, x), stats.gamma.logpdf(x, a=2.0, scale=mu / 2.0), 1e-12)
 
 
+# ---- the law of a sum of k members: l*_k(t) - k D(t / k || mu) --------------------
+
+
+def sum_log_density(family, k, mu, t):
+    return family._saturated_log_likelihood(t, k) - k * family._divergence(t / k, mu)
+
+
+def tweedie_sum_log_density_series(k, mu, t):
+    """N ~ Poisson(k sqrt(mu)) exponential jumps of mean sqrt(mu): the Poisson
+    mixture of Gamma(N) densities, summed term by term."""
+    root = math.sqrt(mu)
+    terms = [
+        -k * root + n * math.log(k * root) - math.lgamma(n + 1) + stats.gamma.logpdf(t, a=n, scale=root)
+        for n in range(1, 400)
+    ]
+    return float(np.logaddexp.reduce(terms))
+
+
+@pytest.mark.parametrize("k", [2, 3, 7])
+@pytest.mark.parametrize("mu", [0.3, 1.0, 4.5])
+def test_sum_laws_match_scipy(k, mu):
+    for t in (0.05, 0.8, 3.0, 11.0):
+        assert_close(
+            sum_log_density(sk.GaussianLocation(2.0), k, mu, t), stats.norm.logpdf(t, k * mu, math.sqrt(2.0 * k)), 1e-12
+        )
+        for shape in (0.5, 2.0):
+            want = stats.gamma.logpdf(t, a=k * shape, scale=mu / shape)
+            assert_close(sum_log_density(sk.GammaShape(shape), k, mu, t), want, 1e-12)
+        assert_close(sum_log_density(sk.Tweedie32(), k, mu, t), tweedie_sum_log_density_series(k, mu, t), 1e-12)
+    for t in range(0, 30):
+        assert_close(sum_log_density(sk.Poisson(), k, mu, float(t)), stats.poisson.logpmf(t, k * mu), 1e-12)
+    p = mu / 5.0
+    for t in range(0, k + 1):
+        assert_close(sum_log_density(sk.Bernoulli(), k, p, float(t)), stats.binom.logpmf(t, k, p), 1e-12)
+    # the sum is 0 only when every member sits on the Tweedie atom
+    assert_close(sum_log_density(sk.Tweedie32(), k, mu, 0.0), -k * math.sqrt(mu), 1e-12)
+
+
 def test_restricted_domain_rejects_outside_means():
     fam = sk.GammaShape(2.0, mean_domain=(0.5, 4.0))
     with pytest.raises(sk.DomainError):

@@ -1,4 +1,4 @@
-"""Tests for the quadrature wrapper: closed forms, tails, and mixed measures."""
+"""Tests for the quadrature wrapper: closed forms, tails, and counting sums."""
 
 import math
 
@@ -46,13 +46,6 @@ def test_additivity():
     right = quadrature.integrate(fn, (1.0, 3.0))
     budget = 2 * (whole.abs_error_estimate + left.abs_error_estimate + right.abs_error_estimate)
     assert abs(whole.value - (left.value + right.value)) <= max(budget, 1e-14)
-
-
-def test_truncated_domain_is_finite():
-    res = quadrature.integrate(gaussian_bump, (-math.inf, math.inf))
-    lo, hi = res.truncated_domain
-    assert math.isfinite(lo) and math.isfinite(hi)
-    assert lo < 0 < hi
 
 
 @pytest.mark.parametrize(
@@ -173,27 +166,6 @@ class TestSumCounting:
     def test_geometric_series(self):
         total = quadrature.sum_counting(lambda k: 0.5**k, start=1)
         assert total == pytest.approx(1.0, rel=1e-12)
-
-
-class TestIntegrateMixed:
-    def test_atoms_only_expectation(self):
-        measure = quadrature.MixedMeasure(
-            density=lambda x: 0.0, atoms=((0.0, 0.4), (1.0, 0.6))
-        )
-        res = quadrature.integrate_mixed(measure, lambda x: x, (0.0, 2.0))
-        assert res.value == pytest.approx(0.6, abs=1e-12)
-
-    def test_empty_measure(self):
-        measure = quadrature.MixedMeasure(density=lambda x: 0.0, atoms=())
-        res = quadrature.integrate_mixed(measure, lambda x: 1.0, (0.0, 1.0))
-        assert res.value == 0.0
-
-    def test_density_plus_atom_normalizes(self):
-        measure = quadrature.MixedMeasure(
-            density=lambda x: 0.5 * math.exp(-x), atoms=((0.0, 0.5),)
-        )
-        res = quadrature.integrate_mixed(measure, lambda x: 1.0, (0.0, math.inf))
-        assert res.value == pytest.approx(1.0, rel=1e-10)
 
 
 @pytest.mark.parametrize(

@@ -7,13 +7,13 @@ from math import lgamma
 
 import mpmath
 import pytest
+from scipy.integrate import quad
 from scipy.special import ive
 
 import snmlkit as sk
 from snmlkit import quadrature, strategies
 from snmlkit.errors import (
     DivergentNormalizer,
-    HorizonTooLarge,
     ImproperPosterior,
 )
 from snmlkit.families import ObservationSequence
@@ -197,13 +197,251 @@ class TestCnml:
         joint = float(sk.cnml_joint(family, seq))
         assert joint == pytest.approx(sk.snml_predictive(family, history).density(y), rel=1e-8)
 
-    def test_continuous_horizon_cap(self):
-        with pytest.raises(HorizonTooLarge):
-            sk.cnml_joint(sk.GaussianLocation(1.0), ObservationSequence((0.0,) * 6, m=1))
 
-    def test_discrete_horizon_cap(self):
-        with pytest.raises(HorizonTooLarge):
-            sk.cnml_joint(sk.Bernoulli(), ObservationSequence((1.0,) * 14, m=1))
+# ---- CNML at any horizon: closed forms and exact sums ----------------------------
+
+
+def gaussian_cnml(sigma2, values, m):
+    """sup-likelihood ratio of the continuation over sqrt((m + k) / m), the
+    Gaussian conditional Shtarkov integral over k free observations."""
+    k = len(values) - m
+
+    def rss(v):
+        center = sum(v) / len(v)
+        return sum((x - center) ** 2 for x in v)
+
+    log_ratio = -0.5 * k * math.log(2 * math.pi * sigma2) - (rss(values) - rss(values[:m])) / (2 * sigma2)
+    return math.exp(log_ratio) / math.sqrt((m + k) / m)
+
+
+def gamma_log_cnml(a, values, m):
+    """Gamma(a) CNML over k free observations after m with sum S, total T:
+    prod y^(a-1) T^(-N a) S^(m a) Gamma(N a) / (Gamma(a)^k Gamma(m a)), from the
+    Dirichlet integral over the simplex and a Beta integral over the sum."""
+    n, k = len(values), len(values) - m
+    s, t = sum(values[:m]), sum(values)
+    return (
+        (a - 1) * sum(math.log(y) for y in values[m:])
+        - n * a * math.log(t)
+        + m * a * math.log(s)
+        + lgamma(n * a)
+        - k * lgamma(a)
+        - lgamma(m * a)
+    )
+
+
+def poisson_log_cnml_mpmath(values, m):
+    """Sums over the sum t of the k free counts: the k^t / t! multinomial
+    weight collects the 1/y! of every continuation with that sum."""
+    mpmath.mp.dps = 40
+    n, k = len(values), len(values) - m
+    s = sum(values[:m])
+
+    def sup_exponent(total, count):
+        return 0 if total == 0 else total * mpmath.log(mpmath.mpf(total) / count) - total
+
+    numerator = sup_exponent(sum(values), n) - sum(mpmath.loggamma(v + 1) for v in values[m:])
+    terms = [
+        mpmath.exp(sup_exponent(s + t, n) + t * mpmath.log(k) - mpmath.loggamma(t + 1)) for t in range(400)
+    ]
+    return float(numerator - mpmath.log(mpmath.fsum(terms)))
+
+
+def bernoulli_sup(values):
+    ones, n = values.count(1.0), len(values)
+    return Fraction(ones, n) ** ones * Fraction(n - ones, n) ** (n - ones) if n else Fraction(1)
+
+
+def bernoulli_enumerated_shtarkov(history, k):
+    return sum(bernoulli_sup(history + bits) for bits in itertools.product((0.0, 1.0), repeat=k))
+
+
+WAVE = tuple(math.sin(1.7 * i) for i in range(23))
+
+
+class TestCnmlHorizons:
+    @pytest.mark.parametrize("sigma2", [1.0, 4.0])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("k", [6, 20])
+    def test_gaussian_closed_form(self, sigma2, m, k):
+        values = WAVE[: m + k]
+        joint = sk.cnml_joint(sk.GaussianLocation(sigma2), ObservationSequence(values, m))
+        assert joint == pytest.approx(gaussian_cnml(sigma2, values, m), rel=1e-10)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_poisson_mpmath_sum_at_ten(self, m):
+        values = (2.0, 0.0, 5.0, 1.0, 3.0, 0.0, 4.0, 2.0, 1.0, 6.0, 2.0, 3.0, 1.0)[: m + 10]
+        joint = sk.cnml_joint(sk.Poisson(), ObservationSequence(values, m))
+        assert math.log(joint) == pytest.approx(poisson_log_cnml_mpmath(values, m), abs=1e-12)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("k", [2, 3, 6, 10])
+    def test_gamma_beta_closed_form(self, a, m, k):
+        values = tuple(0.4 + 0.37 * ((7 * i) % 5) for i in range(m + k))
+        joint = sk.cnml_joint(sk.GammaShape(a), ObservationSequence(values, m))
+        assert joint == pytest.approx(math.exp(gamma_log_cnml(a, values, m)), rel=1e-10)
+
+    @pytest.mark.parametrize("history", [(), (1.0,), (0.0, 0.0, 1.0)])
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_bernoulli_fractions_equal_the_enumeration(self, history, k):
+        continuation = tuple(float(i % 3 == 0) for i in range(k))
+        seq = ObservationSequence(history + continuation, len(history))
+        want = bernoulli_sup(seq.values) / bernoulli_enumerated_shtarkov(history, k)
+        assert sk.cnml_joint(sk.Bernoulli(), seq) == want
+        if not history:
+            assert sk.nml_joint(sk.Bernoulli(), seq) == want
+            assert sk.shtarkov_sum(sk.Bernoulli(), k) == bernoulli_enumerated_shtarkov((), k)
+
+    @pytest.mark.parametrize("history", [(), (1.0,), (1.0, 1.0, 0.0)])
+    def test_restricted_bernoulli_float_enumeration(self, history):
+        family = sk.Bernoulli(mean_domain=(0.2, 0.8))
+
+        def sup(values):
+            ones, n = sum(values), len(values)
+            mu = min(max(ones / n, 0.2), 0.8)
+            return math.exp(ones * math.log(mu) + (n - ones) * math.log(1.0 - mu))
+
+        continuation = (1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
+        total = math.fsum(sup(history + bits) for bits in itertools.product((0.0, 1.0), repeat=8))
+        joint = sk.cnml_joint(family, ObservationSequence(history + continuation, len(history)))
+        assert joint == pytest.approx(sup(history + continuation) / total, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "family,values,m",
+        [
+            (sk.GaussianLocation(1.0), WAVE[:21], 1),
+            (sk.GammaShape(0.5), (1.0, 0.3, 2.0, 0.7, 1.1, 4.0, 0.2, 0.9, 1.5, 0.6, 2.2), 1),
+            (sk.GammaShape(1.0, mean_domain=(0.5, 3.0)), (1.0, 2.0, 0.5, 0.1), 1),
+            (sk.Tweedie32(), (1.0, 0.0, 2.5, 0.0, 0.7), 2),
+            (sk.Poisson(), (3.0, 1.0, 0.0, 4.0, 2.0, 2.0, 1.0, 5.0, 0.0, 3.0, 1.0), 1),
+            (LEVY, (1.0, 2.0, 0.5, 4.0), 1),
+        ],
+        ids=["gaussian-20", "gamma-10", "restricted-gamma-3", "tweedie-3", "poisson-10", "levy-3"],
+    )
+    def test_one_integral_at_any_horizon(self, family, values, m, monkeypatch):
+        calls = []
+
+        def counted(name):
+            original = getattr(quadrature, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("integrate", "sum_counting"):
+            monkeypatch.setattr(quadrature, name, counted(name))
+        assert sk.cnml_joint(family, ObservationSequence(values, m)) > 0.0
+        assert len(calls) == 1
+
+
+# ---- CNML at horizon 2 against nested quadrature from the definition ------------
+
+
+def _line_integral(f, points, lo, hi):
+    edges = [lo, *sorted(p for p in points if lo < p < hi), hi]
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        value, error = quad(f, a, b, epsabs=1e-300, epsrel=1e-11, limit=200, full_output=1)[:2]
+        assert error <= 1e-9 * abs(value) + 1e-300
+        total += value
+    return total
+
+
+def horizon_two_cnml(log_suplik, prefix, continuation, window, kinks=(), atom=False):
+    """CNML joint of two free observations: their sup-likelihood ratio over the
+    double integral of it, each integral taken by scipy quad.  A positive
+    support is integrated in u = log y over the window, beyond which these
+    integrands hold less than 1e-13 of their mass; window None is the real
+    line.  kinks are values c of y1 + y2 where the clipped maximum-likelihood
+    mean meets a bound; atom adds a unit point mass at 0 for either
+    observation."""
+    base = log_suplik(prefix)
+
+    def weight(y1, y2):
+        return math.exp(log_suplik(prefix + (y1, y2)) - base)
+
+    if window:
+
+        def along(g, points):
+            logs = [0.0] + [math.log(p) for p in points if p > 0]
+            return _line_integral(lambda u: g(math.exp(u)) * math.exp(u), logs, *window)
+
+    else:
+
+        def along(g, points):
+            return _line_integral(g, points, -math.inf, math.inf)
+
+    def inner(y1):
+        return along(lambda y2: weight(y1, y2), [c - y1 for c in kinks])
+
+    total = along(inner, kinks)
+    if atom:
+        total += 2.0 * inner(0.0) + weight(0.0, 0.0)
+    return math.exp(log_suplik(prefix + continuation) - base) / total
+
+
+def gaussian_log_suplik(values):
+    center = sum(values) / len(values)
+    return -0.5 * len(values) * math.log(2 * math.pi) - 0.5 * sum((x - center) ** 2 for x in values)
+
+
+def gamma_log_suplik(a, lo=0.0, hi=math.inf):
+    def log_suplik(values):
+        mu = min(max(sum(values) / len(values), lo), hi)
+        return sum((a - 1) * math.log(x) - lgamma(a) + a * math.log(a / mu) - a * x / mu for x in values)
+
+    return log_suplik
+
+
+def tweedie_log_suplik(values):
+    """log of prod h(z) exp(-sqrt(mu) - z / sqrt(mu)) at mu = the mean, with
+    h(z) = I_1(2 sqrt z) / sqrt z on z > 0 and h(0) = 1 for the atom."""
+    log_h = sum(
+        0.0 if z == 0.0 else math.log(ive(1, 2.0 * math.sqrt(z))) + 2.0 * math.sqrt(z) - 0.5 * math.log(z)
+        for z in values
+    )
+    return log_h - 2.0 * len(values) * math.sqrt(sum(values) / len(values))
+
+
+def levy_log_suplik(values):
+    return gamma_log_suplik(0.5)(tuple(1.0 / y for y in values)) - 2.0 * sum(math.log(y) for y in values)
+
+
+@pytest.mark.parametrize(
+    "family,log_suplik,prefix,continuation,window,kinks,atom",
+    [
+        (sk.GaussianLocation(1.0), gaussian_log_suplik, (0.5,), (1.2, -0.4), None, (), False),
+        (sk.GammaShape(2.0), gamma_log_suplik(2.0), (1.0,), (2.0, 0.5), (-40.0, 20.0), (), False),
+        (sk.Tweedie32(), tweedie_log_suplik, (1.0, 2.0), (0.5, 1.3), (-40.0, 12.0), (), True),
+        (sk.Tweedie32(), tweedie_log_suplik, (1.0, 2.0), (0.0, 1.3), (-40.0, 12.0), (), True),
+        # the clipped mean of (1, y1, y2) meets 0.5 at y1 + y2 = 0.5 and 3 at y1 + y2 = 8
+        (sk.GammaShape(1.0, mean_domain=(0.5, 3.0)), gamma_log_suplik(1.0, 0.5, 3.0), (1.0,), (2.0, 0.5),
+         (-40.0, 20.0), (0.5, 8.0), False),
+        # both y -> 0 together leaves mass ~ e^(u/2): 2e-9 of it lies below u = -40
+        (LEVY, levy_log_suplik, (1.0,), (2.0, 0.5), (-80.0, 80.0), (), False),
+    ],
+    ids=["gaussian", "gamma2", "tweedie", "tweedie-zero", "restricted-gamma", "levy"],
+)
+def test_horizon_two_matches_nested_quadrature(family, log_suplik, prefix, continuation, window, kinks, atom):
+    want = horizon_two_cnml(log_suplik, prefix, continuation, window, kinks, atom)
+    joint = sk.cnml_joint(family, ObservationSequence(prefix + continuation, len(prefix)))
+    assert joint == pytest.approx(want, rel=1e-9)
+
+
+def test_poisson_horizon_two_matches_the_double_sum():
+    def log_suplik(values):
+        mean = sum(values) / len(values)
+        return sum(x * math.log(mean) - mean - lgamma(x + 1.0) if mean else 0.0 for x in values)
+
+    prefix, base = (2.0,), log_suplik((2.0,))
+    total = math.fsum(
+        math.exp(log_suplik(prefix + (float(y1), float(y2))) - base) for y1 in range(80) for y2 in range(80)
+    )
+    want = math.exp(log_suplik((2.0, 1.0, 3.0)) - base) / total
+    assert sk.cnml_joint(sk.Poisson(), ObservationSequence((2.0, 1.0, 3.0), 1)) == pytest.approx(want, rel=1e-9)
 
 
 class TestNml:
@@ -371,6 +609,10 @@ def test_densities_are_nonnegative():
 def test_empty_history_diverges_for_most_families(family):
     with pytest.raises(DivergentNormalizer):
         sk.snml_predictive(family, ())
+    # Gamma used to return a number here: its flat chart integrand stops where
+    # exp(beta) leaves the float range
+    with pytest.raises(DivergentNormalizer):
+        sk.cnml_joint(family, ObservationSequence((1.0, 2.0), 0))
     with pytest.raises((ImproperPosterior, DivergentNormalizer)):
         sk.bayes_jeffreys_predictive(family, ())
 
