@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import quadrature
+from ._expression import derivative_functions
 from .errors import (
     DifferentiationError,
     DivergentIntegral,
@@ -430,12 +431,13 @@ def _bundle_from_profile(mu: float, profile: tuple[float, float, float, float, f
 class VarianceFunctionSpec:
     """A positive variance function V(mu) on a bounded open interval.
 
-    ``closed`` takes a symbolic expression in ``mu`` and differentiates
-    sigma = sqrt(V) analytically; ``from_table`` interpolates (mu, V) samples
-    with a quintic spline and differentiates it by fourth-order central
-    differences with one Richardson step, step h = 1e-3 * width.  A table's
-    profiles for a whole grid take one spline evaluation, on every stencil
-    node of every grid point.
+    ``closed`` takes an expression in ``mu`` (numbers, + - * / ** or ^,
+    parentheses, exp, log and sqrt; anything else raises DomainError before
+    it is evaluated) and differentiates its tree exactly; ``from_table``
+    interpolates (mu, V) samples with a quintic spline and differentiates it
+    by fourth-order central differences with one Richardson step, step
+    h = 1e-3 * width.  A table's profiles for a whole grid take one spline
+    evaluation, on every stencil node of every grid point.
 
     ``sigma_fn`` maps a mean to sigma; ``profiles_fn`` maps a list of means
     to their profiles; ``reach`` is how far the profiles look beyond a mean.
@@ -464,21 +466,11 @@ class VarianceFunctionSpec:
 
     @classmethod
     def closed(cls, expression, domain, label: str | None = None) -> "VarianceFunctionSpec":
-        import sympy  # imported on first use: it is most of the package's import time and memory
-
-        mu_sym = sympy.Symbol("mu", real=True)
-        expr = sympy.sympify(expression, locals={"mu": mu_sym})
-        if expr.free_symbols - {mu_sym}:
-            raise DomainError(f"variance expression has unknown symbols: {expr.free_symbols - {mu_sym}}")
-        # sqrt(V) and its sympy relatives collapse to Abs for perfect squares,
-        # whose higher derivatives are distributions.  Differentiating V
-        # itself stays smooth; the sigma derivatives then follow from the
-        # exact identities obtained by differentiating sigma^2 = V.
-        funcs = []
-        d = expr
-        for _ in range(5):
-            funcs.append(sympy.lambdify(mu_sym, d, modules="math"))
-            d = sympy.diff(d, mu_sym)
+        # sqrt(V) of a perfect square is |.|, whose higher derivatives are
+        # distributions.  Differentiating V itself stays smooth; the sigma
+        # derivatives then follow from the exact identities obtained by
+        # differentiating sigma^2 = V.
+        text, funcs = derivative_functions(expression, 5)
 
         def derivatives(mu: float, count: int) -> list[float]:
             """V and its first count - 1 derivatives at mu, V positive."""
@@ -505,7 +497,7 @@ class VarianceFunctionSpec:
         def profiles(mus: list[float]) -> list[tuple[float, float, float, float, float]]:
             return [profile(mu) for mu in mus]
 
-        return cls(label or str(expr), domain, sigma, profiles, "closed", default_tolerance=1e-6)
+        return cls(label or text, domain, sigma, profiles, "closed", default_tolerance=1e-6)
 
     @classmethod
     def from_table(cls, mu_values, v_values, label: str | None = None) -> "VarianceFunctionSpec":

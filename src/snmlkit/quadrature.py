@@ -1,11 +1,13 @@
 """Numerical integration against Lebesgue and counting measures.
 
-Thin wrapper over adaptive Gauss-Kronrod quadrature.  An unbounded side is
-scanned outward from a peak hint at doubling distances until four probes in a
-row lie below 1e-16 of the running peak.  The finite window ends at the first
-probe of that run and is integrated with the probes inside it as break
-points; the rest of the tail is integrated under the map u = edge / x, so no
-mass is cut off.
+Thin wrapper over adaptive Gauss-Kronrod quadrature.  Where the domain has
+an unbounded side, both sides are scanned outward from a peak hint at
+doubling distances until four probes in a row lie below 1e-16 of the
+running peak, or a finite side's edge is reached.  On an unbounded side the
+finite window ends at the first probe of that run.  The window is
+integrated with the probes inside it as break points; the rest of each
+unbounded tail is integrated under the map u = edge / x, so no mass is cut
+off.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ class QuadratureResult:
     subdivisions: int
 
 
-def _truncate_side(f, anchor: float, direction: int, peak: float) -> tuple[float, float, list[float]]:
+def _truncate_side(
+    f, anchor: float, direction: int, peak: float, bound: float
+) -> tuple[float, float, list[float]]:
     """Scan outward from anchor; return (window edge, updated peak, probe points).
 
     The probes double their distance from the anchor each step.  The scan
@@ -37,7 +41,11 @@ def _truncate_side(f, anchor: float, direction: int, peak: float) -> tuple[float
     side of 0 so that map is finite; where the run starts at or across 0 the
     last probe is the edge instead.  The probes up to the edge are reused as
     integrator break points so slowly decaying tails cannot hide between
-    sample points of a wide panel.
+    sample points of a wide panel.  On a finite side (bound finite) the edge
+    is the bound.  There the probes up to the first decayed one become break
+    points only when the integrand decays before the bound, so a bump far
+    from it cannot hide either; a scan that reaches the bound first returns
+    none, and the side stays one panel.
     """
     step = max(1.0, abs(anchor))
     run = 0
@@ -45,6 +53,8 @@ def _truncate_side(f, anchor: float, direction: int, peak: float) -> tuple[float
     probes: list[float] = []
     for _ in range(80):
         x = anchor + direction * step
+        if direction * (x - bound) >= 0.0:
+            return bound, peak, []
         fx = abs(f(x))
         if math.isnan(fx):
             raise NanIntegrand(f"integrand returned NaN at x={x!r}")
@@ -54,6 +64,8 @@ def _truncate_side(f, anchor: float, direction: int, peak: float) -> tuple[float
             run += 1
             if run >= _DECAY_RUN:
                 edge = probes[-_DECAY_RUN]
+                if math.isfinite(bound):
+                    return bound, peak, probes[: -_DECAY_RUN + 1]
                 if direction * edge > 0.0:
                     return edge, peak, probes[: -_DECAY_RUN + 1]
                 return x, peak, probes
@@ -106,10 +118,12 @@ def integrate(
     is known not to be smooth (kinks); they become break points of the
     window, so no panel straddles one.  On each unbounded side the
     window ends at the first probe of the final run of decayed probes (see
-    _truncate_side).  The bulk is integrated over the window with the probes
-    inside it as breakpoints, and each unbounded tail beyond the window is
-    integrated separately under the map u = edge / x onto (0, 1], so slowly
-    decaying tails contribute their true mass instead of being cut.
+    _truncate_side); a finite side is probed up to its edge, so a bump far
+    from that edge still gets panels at its own scale.  The bulk is
+    integrated over the window with the probes inside it as breakpoints, and
+    each unbounded tail beyond the window is integrated separately under the
+    map u = edge / x onto (0, 1], so slowly decaying tails contribute their
+    true mass instead of being cut.
     """
     # imported on first use: scipy.integrate is about half of the package's import time
     from scipy import integrate as _scipy_integrate
@@ -132,16 +146,10 @@ def integrate(
         peak = abs(f(anchor))
         if math.isnan(peak):
             raise NanIntegrand(f"integrand returned NaN at x={anchor!r}")
-        if math.isinf(a):
-            lo, peak, probes = _truncate_side(f, anchor, -1, peak)
-            breaks.extend(probes)
-        else:
-            lo = a
-        if math.isinf(b):
-            hi, peak, probes = _truncate_side(f, anchor, +1, peak)
-            breaks.extend(probes)
-        else:
-            hi = b
+        lo, peak, probes = _truncate_side(f, anchor, -1, peak, a)
+        breaks.extend(probes)
+        hi, peak, probes = _truncate_side(f, anchor, +1, peak, b)
+        breaks.extend(probes)
 
     if peak_hint is not None:
         breaks.append(peak_hint)

@@ -385,13 +385,22 @@ def _bayes(family: Family, hist: tuple[float, ...]) -> tuple[Callable[[float], f
     if isinstance(family, TransformedFamily):
         return _pulled_back(family, _bayes, hist)
     anchor, log_norm = _jeffreys_posterior(family, hist)
-    relative = _relative_log_likelihood(family, len(hist), _history_mean(family, hist))
+    n, mean = len(hist), _history_mean(family, hist)
+    relative = _relative_log_likelihood(family, n, mean)
+    gain = _snml_log_gain(family, n, mean)
     window = _chart_window(family, family.mean_interior(), anchor)
 
     def log_weight(y: float) -> float:
+        # the integrand peaks at exp(gain(y)), the SNML weight of y; it is
+        # integrated relative to that peak, so the absolute tolerance keeps
+        # its scale however small the density is
+        top = gain(y)
+        if not math.isfinite(top):
+            return top
+
         def integrand(beta: float) -> float:
             mu = family.mean_from_geodesic(beta, anchor)
-            return math.exp(relative(mu) + family._log_density(mu, y))
+            return math.exp(relative(mu) + family._log_density(mu, y) - top)
 
         res = quadrature.integrate(
             quadrature.guarded(integrand),
@@ -402,7 +411,7 @@ def _bayes(family: Family, hist: tuple[float, ...]) -> tuple[Callable[[float], f
         )
         if res.value <= 0.0:
             return -math.inf
-        return math.log(res.value)
+        return top + math.log(res.value)
 
     return log_weight, log_norm
 

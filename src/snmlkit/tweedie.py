@@ -14,7 +14,12 @@ with the saturated log-likelihood
 
 l*(0) = 0 (the member with mean 0 is the unit point mass at 0), and the KL
 divergence D(z || mu) = (sqrt(mu) - sqrt(z))^2 / sqrt(mu).  The exponentially
-scaled Bessel function ``ive`` keeps l* finite for any z.
+scaled Bessel function ``ive`` keeps l* finite for any z.  scipy's ``ive(1, x)``
+returns NaN for x > 2^30 - 1/2; from there on the large-argument expansion
+
+    log(I_1(x) exp(-x)) = -log(2 pi x) / 2 + log1p(-3/(8x) - 15/(128x^2)) + O(x^-3)
+
+is exact to double precision.
 
 A sum of k members with mean mu has N ~ Poisson(k sqrt(mu)) jumps of the same
 size law, so on z > 0 its density is
@@ -48,11 +53,22 @@ def _check_mean(mu: float) -> None:
         raise DomainError(f"mean must be positive and finite, got {mu!r}")
 
 
+# the largest argument at which scipy's ive(1, x) is not NaN
+IVE_LAST_FINITE = 2.0**30 - 0.5
+
+
+def log_ive1_large(x: float) -> float:
+    """log(I_1(x) exp(-x)) by its large-argument expansion; accurate for x >= 1e8."""
+    return -0.5 * math.log(2.0 * math.pi * x) + math.log1p(-3.0 / (8.0 * x) - 15.0 / (128.0 * x * x))
+
+
 def saturated_log_likelihood(z: float, k: int = 1) -> float:
     """l*_k(z) for a sum z >= 0 of k observations; k = 1 gives l*(z) = log p_z(z)."""
     if z == 0.0:
         return 0.0
-    return math.log(special.ive(1, 2.0 * math.sqrt(k * z))) - 0.5 * math.log(z / k)
+    x = 2.0 * math.sqrt(k * z)
+    log_ive = log_ive1_large(x) if x > IVE_LAST_FINITE else math.log(special.ive(1, x))
+    return log_ive - 0.5 * math.log(z / k)
 
 
 def divergence(mu0: float, mu1: float) -> float:

@@ -476,8 +476,49 @@ class TestVarianceFunctionSpec:
             ("nu**2", (0.5, 4.0)),
             ("mu**2", (0.5, math.inf)),
             ("mu**2", (4.0, 0.5)),
+            ("mu**", (0.5, 4.0)),
+            ("(mu - 5)**(3/2)", (0.5, 4.0)),
+            ("foo(mu)", (0.5, 4.0)),
+            ("__import__('math').sqrt(4)*mu", (0.5, 4.0)),
+            ("mu.real", (0.5, 4.0)),
+            ("mu[0]", (0.5, 4.0)),
+            ("'mu'", (0.5, 4.0)),
+            ("log(mu, 2)", (0.5, 4.0)),
+            ("exp(x=mu)", (0.5, 4.0)),
+            ("lambda: mu", (0.5, 4.0)),
+            ("mu if mu else 1", (0.5, 4.0)),
+            ("True*mu", (0.5, 4.0)),
+            ("1j*mu", (0.5, 4.0)),
+            ("1e400*mu", (0.5, 4.0)),
+            ("1/0 + mu", (0.5, 4.0)),
+            ("log(0)*mu", (0.5, 4.0)),
+            ("10**400 + mu", (0.5, 4.0)),
+            ("(" * 300 + "mu" + ")" * 300, (0.5, 4.0)),
         ],
-        ids=["negative", "unknown-symbol", "unbounded", "reversed"],
+        ids=[
+            "negative",
+            "unknown-symbol",
+            "unbounded",
+            "reversed",
+            "syntax-error",
+            "complex-power",
+            "unknown-call",
+            "import",
+            "attribute",
+            "subscript",
+            "string",
+            "two-arguments",
+            "keyword-argument",
+            "lambda",
+            "conditional",
+            "bool",
+            "complex-constant",
+            "infinite-constant",
+            "constant-division-by-zero",
+            "constant-log-of-zero",
+            "constant-overflow",
+            "nested-too-deep",
+        ],
     )
     def test_invalid_closed_specs(self, expr, domain):
         with pytest.raises(DomainError):

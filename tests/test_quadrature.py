@@ -110,6 +110,17 @@ def test_peak_far_from_origin():
     assert res.value == pytest.approx(math.sqrt(2 * math.pi), rel=1e-9)
 
 
+@pytest.mark.parametrize("domain", [(-1e4, math.inf), (-1e8, math.inf), (-math.inf, 1e4)])
+def test_bump_far_from_a_finite_edge(domain):
+    """A finite side is scanned like an unbounded one, up to its edge; the
+    integrand decays long before it, so the probes up to the decay become
+    break points.  Without them one panel from the edge to the bump's scale
+    probe at -1 (or +1) hid that flank of the bump: 24% of the mass was lost
+    at an edge 1e4 away."""
+    res = quadrature.integrate(lambda x: math.exp(-x * x / 8.0), domain, peak_hint=0.0)
+    assert res.value == pytest.approx(math.sqrt(8.0 * math.pi), rel=1e-10)
+
+
 def test_narrow_spike_found_via_peak_hint():
     scale = 1e-3
     res = quadrature.integrate(

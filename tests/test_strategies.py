@@ -698,6 +698,42 @@ def test_tweedie_snml_matches_closed_form_across_scales(scale):
             assert pred.log_density(y) == pytest.approx(tweedie_log_predictive(history, y), abs=1e-9)
 
 
+def mp_tweedie_log_predictive(history, y):
+    """tweedie_log_predictive at 50 digits, with mpmath's I_1."""
+    with mpmath.workdps(50):
+        n, s, y = len(history), mpmath.fsum(mpmath.mpf(v) for v in history), mpmath.mpf(y)
+        log_h = 0 if y == 0 else mpmath.log(mpmath.besseli(1, 2 * mpmath.sqrt(y))) - mpmath.log(y) / 2
+        return float(
+            log_h + mpmath.log(mpmath.mpf(n) / (n + 1)) / 2 - 2 * mpmath.sqrt((n + 1) * (s + y)) + 2 * mpmath.sqrt(n * s)
+        )
+
+
+@pytest.mark.parametrize("history", [(1e20,), (1e24,)])
+def test_tweedie_predictives_far_from_zero(history):
+    """l*(y) uses ive(1, 2 sqrt y), which is NaN past y = 2.9e17, and both
+    predictives raised NanIntegrand.  The Bayes density is an integral over
+    the mean per point, relative to its peak, the SNML weight of y; it is
+    checked within three standard deviations of the history, where its
+    integrand peaks inside the posterior's window."""
+    x = history[0]
+    sd = math.sqrt(2.0 * x**1.5)
+    bulk = (x - 3.0 * sd, x, x + sd)
+    for strategy, points in ((sk.snml_predictive, (0.0, 0.01 * x, *bulk, 100.0 * x)), (sk.bayes_jeffreys_predictive, bulk)):
+        pred = strategy(sk.Tweedie32(), history)
+        for y in points:
+            want = mp_tweedie_log_predictive(history, y)
+            assert abs(pred.log_density(y) - want) <= 1e-10 * max(1.0, abs(want)), (strategy.__name__, y)
+
+
+@pytest.mark.parametrize("shape,want", [(0.5, math.inf), (2.0, -math.inf)])
+def test_bayes_density_at_zero_follows_the_snml_weight(shape, want):
+    """p_mu(0) is infinite for every mean of Gamma(0.5) and 0 for Gamma(2), and
+    so is the Jeffreys density there.  Gamma(0.5) gave -inf, because the guard
+    turned its infinite integrand into 0."""
+    for strategy in (sk.bayes_jeffreys_predictive, sk.snml_predictive):
+        assert strategy(sk.GammaShape(shape), (1.0,)).log_density(0.0) == want
+
+
 def test_gamma_snml_far_out_on_the_line():
     """The chart anchored at 1e300 reaches y = inf at beta = 20.3; the mass the
     float range cannot hold, x / (x + 1.8e308) = 5.6e-9 of the total, is lost.

@@ -6,7 +6,7 @@ from math import exp, lgamma, log
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import iv
+from scipy.special import iv, ive
 
 import snmlkit as sk
 from snmlkit import quadrature, tweedie
@@ -70,6 +70,49 @@ class TestDensity:
     def test_domain_errors(self, mu, z):
         with pytest.raises(DomainError):
             tweedie.log_density(mu, z)
+
+
+def mp_log_ive1(x):
+    return mp.log(mp.besseli(1, mp.mpf(x))) - mp.mpf(x)
+
+
+class TestLargeArguments:
+    """scipy's ive(1, x) is NaN for x > 2^30 - 1/2, where l*(z) takes the
+    large-argument expansion instead."""
+
+    def test_expansion_matches_mpmath(self):
+        switch = tweedie.IVE_LAST_FINITE
+        with mp.workdps(50):
+            for x in [*np.geomspace(1e8, 1e24, 33), switch, math.nextafter(switch, math.inf)]:
+                want = mp_log_ive1(x)
+                assert abs(float(tweedie.log_ive1_large(x) - want)) <= 1e-15 * abs(float(want)), x
+
+    def test_switch_keeps_scipy_below_and_is_continuous(self):
+        switch = tweedie.IVE_LAST_FINITE
+        # adjacent floats z whose arguments 2 sqrt(z) straddle the switch
+        below = (0.5 * switch) ** 2
+        while 2.0 * math.sqrt(below) > switch:
+            below = math.nextafter(below, 0.0)
+        above = math.nextafter(below, math.inf)
+        while 2.0 * math.sqrt(above) <= switch:
+            below, above = above, math.nextafter(above, math.inf)
+        for z in (1e10, 1e16, below):
+            x = 2.0 * math.sqrt(z)
+            assert tweedie.saturated_log_likelihood(z) == math.log(ive(1, x)) - 0.5 * math.log(z)
+        assert abs(math.log(ive(1, switch)) - tweedie.log_ive1_large(switch)) <= 1e-15 * abs(tweedie.log_ive1_large(switch))
+        with mp.workdps(50):
+            for z in (below, above, 1e20, 1e48):
+                want = mp_log_ive1(2 * mp.sqrt(mp.mpf(z))) - mp.log(mp.mpf(z)) / 2
+                got = tweedie.saturated_log_likelihood(z)
+                assert abs(float(mp.mpf(got) - want)) <= 1e-15 * abs(float(want)), z
+
+    @pytest.mark.parametrize("z", [1e18, 1e30])
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_sum_of_k_members_matches_mpmath(self, z, k):
+        with mp.workdps(50):
+            want = mp_log_ive1(2 * mp.sqrt(mp.mpf(k) * z)) - mp.log(mp.mpf(z) / k) / 2
+            got = tweedie.saturated_log_likelihood(z, k)
+            assert abs(float(mp.mpf(got) - want)) <= 1e-15 * abs(float(want))
 
 
 class TestMoments:
