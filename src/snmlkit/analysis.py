@@ -32,7 +32,7 @@ from .errors import (
     NonConvergence,
 )
 from .families import Family, ObservationSequence
-from .strategies import _concentration_integral, cnml_joint, strategy_joint
+from .strategies import _concentration_integral, _joint_value, _log_joint
 
 
 class Verdict(str, Enum):
@@ -170,6 +170,12 @@ def parse_report_csv(text: str) -> tuple[tuple, tuple, tuple]:
 # ---- concentration integrals ------------------------------------------------
 
 
+def _positive_integer(n) -> int:
+    if not (n >= 1 and float(n).is_integer()):
+        raise DomainError(f"n must be a positive integer, got {n!r}")
+    return int(n)
+
+
 def condition_integral(
     family: Family,
     mu0: float,
@@ -184,9 +190,7 @@ def condition_integral(
     the mean domain.  This is the Jeffreys posterior normalizer of n
     observations with mean mu0, computed by the same code.
     """
-    if n < 1 or int(n) != n:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _positive_integer(n)
     mu0 = family._check_mean(mu0, interior=True)
     try:
         return _concentration_integral(family, n, mu0, mu0, tol_abs, tol_rel)
@@ -230,8 +234,8 @@ def laplace_asymptotics_check(
     if pos not in ("interior", "boundary"):
         raise DomainError(f"position must be 'interior' or 'boundary', got {position!r}")
     boundary = pos == "boundary"
-    n_list = tuple(int(n) for n in n_list)
-    if not n_list or any(n < 1 for n in n_list):
+    n_list = tuple(_positive_integer(n) for n in n_list)
+    if not n_list:
         raise DomainError("n_list must hold positive integers")
     lo, hi = family.mean_interior()
     if boundary:
@@ -259,13 +263,21 @@ def laplace_asymptotics_check(
 # ---- exchangeability ---------------------------------------------------------
 
 
-def _spread(joints: Sequence) -> tuple[float, int, int]:
-    hi = max(range(len(joints)), key=lambda i: joints[i])
-    lo = min(range(len(joints)), key=lambda i: joints[i])
-    top = joints[hi]
-    if top <= 0:
-        return 0.0, hi, lo
-    return float((top - joints[lo]) / top), hi, lo
+def _spread(joints: Sequence[tuple[float, Fraction | None]]) -> tuple[float, int, int]:
+    """(max - min) / max over joints given as (log joint, exact joint or None),
+    with the indices of the max and the min.
+
+    Exact joints give an exact spread.  Otherwise the spread is -expm1 of the
+    log difference, which holds where both joints underflow.
+    """
+    exact = all(e is not None for _, e in joints)
+    key = (lambda i: joints[i][1]) if exact else (lambda i: joints[i][0])
+    hi = max(range(len(joints)), key=key)
+    lo = min(range(len(joints)), key=key)
+    (log_top, top), (log_low, low) = joints[hi], joints[lo]
+    if exact:
+        return float((top - low) / top), hi, lo
+    return (-math.expm1(log_low - log_top) if log_top > -math.inf else 0.0), hi, lo
 
 
 def exchangeability_test(
@@ -337,7 +349,7 @@ def exchangeability_test(
     worst = -1.0
     for hist, cont in cases:
         orderings = sorted(set(itertools.permutations(cont)))
-        joints = [strategy_joint(family, "snml", ObservationSequence(hist + p, m)) for p in orderings]
+        joints = [_log_joint(family, "snml", ObservationSequence(hist + p, m)) for p in orderings]
         spread, hi_i, lo_i = _spread(joints)
         grid.append(cont)
         values.append(spread)
@@ -346,9 +358,9 @@ def exchangeability_test(
             witness = {
                 "history": list(hist),
                 "max_ordering": list(orderings[hi_i]),
-                "max_joint": joints[hi_i],
+                "max_joint": _joint_value(*joints[hi_i]),
                 "min_ordering": list(orderings[lo_i]),
-                "min_joint": joints[lo_i],
+                "min_joint": _joint_value(*joints[lo_i]),
             }
     details = {"m": m, "n": n, "strategy": "snml", "witness": witness}
     return AnalysisReport.from_values(grid, values, tolerance, fail_threshold, reference=0.0, details=details)
@@ -375,11 +387,12 @@ def bayes_cnml_agreement(
         raise DomainError("no sequences supplied")
     gaps, cnml_values, bayes_values = [], [], []
     for s in seqs:
-        c = float(cnml_joint(family, s))
-        b = float(strategy_joint(family, "bayes", s))
-        cnml_values.append(c)
-        bayes_values.append(b)
-        gaps.append(abs(b - c) / max(abs(c), 1e-300))
+        log_c, exact_c = _log_joint(family, "cnml", s)
+        log_b, _ = _log_joint(family, "bayes", s)
+        cnml_values.append(float(_joint_value(log_c, exact_c)))
+        bayes_values.append(_joint_value(log_b, None))
+        # |b - c| / c, which holds where both joints underflow
+        gaps.append(abs(math.expm1(log_b - log_c)) if log_b != log_c else 0.0)
     details = {"m": m, "n": n, "cnml": cnml_values, "bayes": bayes_values}
     return AnalysisReport.from_values(
         [s.values for s in seqs], gaps, tolerance, fail_threshold, reference=0.0, details=details

@@ -265,7 +265,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_laplace(args) -> int:
     family = _family_from_args(args)
-    n_list = tuple(int(x) for x in _parse_floats(args.n_list, "--n-list"))
+    n_list = _parse_floats(args.n_list, "--n-list")
     report = analysis.laplace_asymptotics_check(family, args.mu0, args.position, n_list)
     return _emit_report(args, report)
 

@@ -21,16 +21,21 @@ sum t of their sufficient statistics.  So the SNML normalizer (k = 1) and
 the CNML normalizer at any free horizon k are one integral, or one sum, over
 t, against the law of a sum of k members (see ``_snml_log_gain``).
 
+The one integral over the parameter is the concentration integral C(n, x-bar)
+(``_concentration_integral``): the Jeffreys normalizer of a history relative
+to its sup-likelihood, and so every Bayes density, exp(gain(y)) C(n + 1,
+x-bar') / C(n, x-bar) with x-bar' the extended history's mean, and the
+concentration integral of the analyses.
+
 Every integral is taken in a unit-Fisher chart, where the Fisher information
-is 1.  Integrals over the parameter (the Jeffreys normalizer, the Bayes
-predictive, the concentration integral of the analyses) use the chart of the
-mean, over the image of the mean domain.  The integral over the
-continuation's sum uses the same chart applied to its mean s = t / k,
-s = mean_from_geodesic(beta, anchor) with dt = k sigma(s) d beta, over the
-image of the support.  Both are based at the clipped maximum-likelihood mean
-and scan outward from beta = 0, so the bump of the integrand is about one
-unit wide there, whatever the scale of the history, and no endpoint
-singularity (sigma -> 0, or t^(a-1) under Gamma(a)) reaches the integrator.
+is 1.  The integral over the parameter uses the chart of the mean, over the
+image of the mean domain.  The integral over the continuation's sum uses
+the same chart applied to its mean s = t / k, s = mean_from_geodesic(beta,
+anchor) with dt = k sigma(s) d beta, over the image of the support.  Both
+are based at the clipped maximum-likelihood mean and scan outward from
+beta = 0, so the bump of the integrand is about one unit wide there,
+whatever the scale of the history, and no endpoint singularity (sigma -> 0,
+or t^(a-1) under Gamma(a)) reaches the integrator.
 Counting supports are summed outward from k times the clipped mean.
 """
 
@@ -127,13 +132,6 @@ def _pulled_back(family: TransformedFamily, predictive, hist: tuple[float, ...])
     return log_weight, log_norm
 
 
-def _coerce_sequence(family: Family, seq: ObservationSequence) -> ObservationSequence:
-    if not isinstance(seq, ObservationSequence):
-        raise TypeError("expected an ObservationSequence (values plus conditioning length m)")
-    _coerce_values(family, seq.values)
-    return seq
-
-
 def _strategy_name(strategy: str) -> str:
     name = str(strategy).lower()
     if name not in STRATEGIES:
@@ -199,13 +197,12 @@ def _snml_log_gain(family: Family, n: int, mean: float, k: int = 1) -> Callable[
     continuations with sum t the saturated values integrate to the law of a
     sum of k members at its own mean, l*_k(t).  The weight is therefore
     l*_k(t) - k D(t / k || mu') + n D(x-bar || clip x-bar) - n D(x-bar || mu').
-    A transformed family takes k = 1 only, with t its observation.
+    A transformed family is taken to its base family before it gets here.
     """
     relative = _relative_log_likelihood(family, n, mean)
     shift, size = k * mean, n + k
     if k == 1:
-        # the family's own kernel, with its boundary cases (Gamma at 0) and a
-        # transformed family's Jacobian
+        # the family's own kernel, with its boundary cases (Gamma at 0)
         log_density = family._log_density
     else:
 
@@ -368,8 +365,9 @@ def _concentration_integral(
 
 
 @lru_cache(maxsize=4096)
-def _jeffreys_posterior(family: Family, hist: tuple[float, ...]) -> tuple[float, float]:
-    """Return (anchor mean, log posterior normalizer relative to the sup-likelihood)."""
+def _jeffreys_posterior(family: Family, hist: tuple[float, ...]) -> float:
+    """log C(n, x-bar), the Jeffreys posterior normalizer of a sorted history
+    relative to its sup-likelihood."""
     anchor = _interior_anchor(family, family._mle_or_reference(hist))
     try:
         total = _concentration_integral(family, len(hist), _history_mean(family, hist), anchor, 1e-13, 1e-11)
@@ -377,43 +375,22 @@ def _jeffreys_posterior(family: Family, hist: tuple[float, ...]) -> tuple[float,
         raise ImproperPosterior(f"Jeffreys posterior does not normalize for history {hist!r}: {exc}") from exc
     if not total > 0 or math.isinf(total):
         raise ImproperPosterior(f"Jeffreys posterior normalizer evaluated to {total!r}")
-    return anchor, math.log(total)
+    return math.log(total)
 
 
 def _bayes(family: Family, hist: tuple[float, ...]) -> tuple[Callable[[float], float], float]:
-    """(log weight, log normalizer) of the Jeffreys posterior predictive after a sorted history."""
+    """(log weight, log normalizer) of the Jeffreys posterior predictive after a
+    sorted history: exp(gain(y)) C(n + 1, x-bar') / C(n, x-bar), the SNML
+    numerator times the ratio of the posterior normalizers of the extended
+    history and of the history."""
     if isinstance(family, TransformedFamily):
         return _pulled_back(family, _bayes, hist)
-    anchor, log_norm = _jeffreys_posterior(family, hist)
-    n, mean = len(hist), _history_mean(family, hist)
-    relative = _relative_log_likelihood(family, n, mean)
-    gain = _snml_log_gain(family, n, mean)
-    window = _chart_window(family, family.mean_interior(), anchor)
+    gain = _snml_log_gain(family, len(hist), _history_mean(family, hist))
 
     def log_weight(y: float) -> float:
-        # the integrand peaks at exp(gain(y)), the SNML weight of y; it is
-        # integrated relative to that peak, so the absolute tolerance keeps
-        # its scale however small the density is
-        top = gain(y)
-        if not math.isfinite(top):
-            return top
+        return gain(y) + _jeffreys_posterior(family, tuple(sorted(hist + (y,))))
 
-        def integrand(beta: float) -> float:
-            mu = family.mean_from_geodesic(beta, anchor)
-            return math.exp(relative(mu) + family._log_density(mu, y) - top)
-
-        res = quadrature.integrate(
-            quadrature.guarded(integrand),
-            window,
-            tol_abs=1e-13,
-            tol_rel=1e-11,
-            peak_hint=0.0,
-        )
-        if res.value <= 0.0:
-            return -math.inf
-        return top + math.log(res.value)
-
-    return log_weight, log_norm
+    return log_weight, _jeffreys_posterior(family, hist)
 
 
 def bayes_jeffreys_predictive(family: Family, history: Iterable[float] = ()) -> PredictiveDistribution:
@@ -436,32 +413,67 @@ def _bernoulli_shtarkov_fraction(history: tuple[float, ...], k: int) -> Fraction
     )
 
 
-def cnml_joint(family: Family, seq: ObservationSequence, horizon: int | None = None) -> float | Fraction:
-    """Conditional NML joint of x_{m+1}..x_n given x_1..x_m.
+def _exact(joint: Fraction) -> tuple[float, Fraction]:
+    """(log joint, joint) of a positive rational joint; the log is taken from
+    its integer parts, so it does not underflow."""
+    return math.log(joint.numerator) - math.log(joint.denominator), joint
 
-    For continuous observations this is a joint density.  At any free
-    horizon n - m its normalizer is one integral or sum over the sum of the
+
+def _log_joint(
+    family: Family, strategy: str, seq: ObservationSequence, horizon: int | None = None
+) -> tuple[float, Fraction | None]:
+    """(log joint, exact joint or None) of the continuation x_{m+1}..x_n given x_1..x_m.
+
+    The exact joint is the Fraction of exact Bernoulli SNML, CNML and NML.
+    Everything else is kept as a log, which stays finite where a joint of
+    many or far-out observations over- or underflows.  At any free horizon
+    n - m the CNML normalizer is one integral or sum over the sum of the
     continuation (``_log_shtarkov``).
     """
-    seq = _coerce_sequence(family, seq)
+    name = _strategy_name(strategy)
+    if not isinstance(seq, ObservationSequence):
+        raise TypeError("expected an ObservationSequence (values plus conditioning length m)")
+    _coerce_values(family, seq.values)
     if horizon is not None and int(horizon) != seq.n:
         raise ValueError(f"horizon {horizon} does not match the sequence length {seq.n}")
+    if name == "nml" and seq.m != 0:
+        raise ValueError("nml conditions on nothing; use cnml_joint when m > 0")
+    if name == "nml" and family.shtarkov_divergent_tails is not None:
+        raise DivergentNormalizer(
+            f"the maximum-likelihood envelope of kind {family.kind} has a divergent "
+            f"integral on the {family.shtarkov_divergent_tails} tail(s); no NML distribution exists"
+        )
+    exact_bernoulli = _is_exact_bernoulli(family)
+    if name == "snml" and exact_bernoulli:
+        # each step is the one-step CNML joint
+        steps = (
+            _bernoulli_sup_fraction(seq.values[: t + 1]) / _bernoulli_shtarkov_fraction(seq.values[:t], 1)
+            for t in range(seq.m, seq.n)
+        )
+        return _exact(math.prod(steps, start=Fraction(1)))
+    if name in ("snml", "bayes"):
+        predictive = snml_predictive if name == "snml" else bayes_jeffreys_predictive
+        log_total = 0.0
+        for t in range(seq.m, seq.n):
+            log_total += predictive(family, seq.values[:t]).log_density(seq.values[t])
+        return log_total, None
+
     free = seq.n - seq.m
     if free == 0:
-        return 1.0
+        return 0.0, None
     if seq.m < family.min_conditioning:
         raise DivergentNormalizer(
             f"kind {family.kind} needs at least m={family.min_conditioning} conditioning "
             f"observations; got {seq.m} (the maximum-likelihood envelope is not normalizable)"
         )
-    if _is_exact_bernoulli(family):
-        return _bernoulli_sup_fraction(seq.values) / _bernoulli_shtarkov_fraction(seq.history, free)
+    if exact_bernoulli:
+        return _exact(_bernoulli_sup_fraction(seq.values) / _bernoulli_shtarkov_fraction(seq.history, free))
     if isinstance(family, TransformedFamily):
         # the Shtarkov integral does not change under the map, so the joint is
         # the base family's times the continuation's Jacobian
         pulled = ObservationSequence(tuple(family.pullback(v) for v in seq.values), seq.m)
         log_jacobian = math.fsum(family._density_log_jacobian(y) for y in seq.continuation)
-        return cnml_joint(family.base, pulled) * math.exp(log_jacobian)
+        return _log_joint(family.base, "cnml", pulled)[0] + log_jacobian, None
 
     # The numerator is relative to the prefix too, chained one observation at a
     # time, so it stays finite where both sup-likelihoods are 0 (a 0 under Gamma
@@ -475,20 +487,29 @@ def cnml_joint(family: Family, seq: ObservationSequence, horizon: int | None = N
     log_denominator = _log_shtarkov(family, seq.m, prefix_mean, free)
     if not math.isfinite(log_denominator):
         raise DivergentNormalizer(f"conditional Shtarkov normalizer evaluated to {math.exp(log_denominator)!r}")
-    return math.exp(log_numerator - log_denominator)
+    return log_numerator - log_denominator, None
+
+
+def _joint_value(log_joint: float, exact: Fraction | None) -> float | Fraction:
+    """The exact joint where there is one, else exp(log joint): inf where it
+    overflows, 0.0 where it underflows."""
+    if exact is not None:
+        return exact
+    try:
+        return math.exp(log_joint)
+    except OverflowError:
+        return math.inf
+
+
+def cnml_joint(family: Family, seq: ObservationSequence, horizon: int | None = None) -> float | Fraction:
+    """Conditional NML joint of x_{m+1}..x_n given x_1..x_m; for continuous
+    observations a joint density."""
+    return _joint_value(*_log_joint(family, "cnml", seq, horizon))
 
 
 def nml_joint(family: Family, seq: ObservationSequence, horizon: int | None = None) -> float | Fraction:
     """Unconditioned NML joint; requires a finite Shtarkov normalizer."""
-    seq = _coerce_sequence(family, seq)
-    if seq.m != 0:
-        raise ValueError("nml conditions on nothing; use cnml_joint when m > 0")
-    if family.shtarkov_divergent_tails is not None:
-        raise DivergentNormalizer(
-            f"the maximum-likelihood envelope of kind {family.kind} has a divergent "
-            f"integral on the {family.shtarkov_divergent_tails} tail(s); no NML distribution exists"
-        )
-    return cnml_joint(family, seq, horizon)
+    return _joint_value(*_log_joint(family, "nml", seq, horizon))
 
 
 def shtarkov_sum(family: Family, n: int) -> Fraction:
@@ -500,39 +521,16 @@ def shtarkov_sum(family: Family, n: int) -> Fraction:
     return _bernoulli_shtarkov_fraction((), n)
 
 
-def _bernoulli_snml_joint_fraction(seq: ObservationSequence) -> Fraction:
-    total = Fraction(1)
-    for t in range(seq.m, seq.n):
-        hist = seq.values[:t]
-        numerator = _bernoulli_sup_fraction(hist + (seq.values[t],))
-        denominator = _bernoulli_sup_fraction(hist + (0.0,)) + _bernoulli_sup_fraction(hist + (1.0,))
-        total *= numerator / denominator
-    return total
-
-
 def strategy_joint(family: Family, strategy: str, seq: ObservationSequence) -> float | Fraction:
-    """Joint strategy value of the continuation x_{m+1}..x_n given x_1..x_m."""
-    name = _strategy_name(strategy)
-    seq = _coerce_sequence(family, seq)
-    if name == "cnml":
-        return cnml_joint(family, seq)
-    if name == "nml":
-        return nml_joint(family, seq)
-    if name == "snml" and _is_exact_bernoulli(family):
-        return _bernoulli_snml_joint_fraction(seq)
-    predictive = snml_predictive if name == "snml" else bayes_jeffreys_predictive
-    log_total = 0.0
-    for t in range(seq.m, seq.n):
-        log_total += predictive(family, seq.values[:t]).log_density(seq.values[t])
-    return math.exp(log_total)
+    """Joint strategy value of the continuation x_{m+1}..x_n given x_1..x_m:
+    an exact Fraction where ``_log_joint`` has one, else a float that is inf
+    where it overflows and 0.0 where it underflows."""
+    return _joint_value(*_log_joint(family, strategy, seq))
 
 
 def conditional_regret(family: Family, strategy: str, seq: ObservationSequence) -> RegretRecord:
     """Excess log loss of the strategy over the best single family member."""
-    name = _strategy_name(strategy)
-    seq = _coerce_sequence(family, seq)
-    joint = strategy_joint(family, name, seq)
-    strategy_loss = -math.log(joint)
+    strategy_loss = -_log_joint(family, strategy, seq)[0]
     best = family.sup_log_likelihood(seq.values)
     return RegretRecord(
         strategy_loss=strategy_loss,

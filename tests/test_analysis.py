@@ -33,6 +33,19 @@ def log_form_gamma_condition_value(k: float, n: int) -> float:
     return math.exp(0.5 * math.log(k) + nk + math.lgamma(nk) - nk * math.log(nk))
 
 
+def poisson_log_snml(history, y):
+    """log SNML mass of y after the counts in history: the sup log-likelihood
+    of history + (y,), less the log of its sum over every next count z."""
+
+    def log_sup(values):
+        mean = math.fsum(values) / len(values)
+        return math.fsum((x * math.log(mean) if x else 0.0) - mean - math.lgamma(x + 1) for x in values)
+
+    logs = [log_sup(history + (float(z),)) for z in range(int(4 * max(history)) + 200)]
+    top = max(logs)
+    return log_sup(history + (y,)) - top - math.log(math.fsum(math.exp(v - top) for v in logs))
+
+
 def reciprocal_gamma_half():
     def recip(x: float) -> float:
         return 1.0 / x
@@ -277,6 +290,16 @@ class TestExchangeability:
         assert report.verdict is Verdict.NON_CONSTANT
         assert report.max_abs_deviation == pytest.approx(0.13071, rel=1e-3)
 
+    def test_poisson_spread_of_underflowing_joints(self):
+        """Both joints of (0, 1000) after (1,) are below 1e-300 and underflowed
+        to 0, which read as spread 0 and Constant."""
+        report = sk.exchangeability_test(sk.Poisson(), 1, 3, history=(1.0,), continuations=[(0.0, 1000.0)])
+        a = poisson_log_snml((1.0,), 0.0) + poisson_log_snml((1.0, 0.0), 1000.0)
+        b = poisson_log_snml((1.0,), 1000.0) + poisson_log_snml((1.0, 1000.0), 0.0)
+        assert report.verdict is Verdict.NON_CONSTANT
+        assert report.max_abs_deviation == pytest.approx(-math.expm1(-abs(a - b)), rel=1e-6)
+        assert report.max_abs_deviation == pytest.approx(0.0102, abs=1e-4)
+
     def test_report_csv_round_trip(self):
         report = sk.exchangeability_test(sk.Bernoulli(), 0, 2, "all-discrete")
         grid, values, _ = parse_report_csv(report.to_csv())
@@ -306,6 +329,17 @@ class TestBayesCnmlAgreement:
         assert report.max_abs_deviation == pytest.approx(0.0625, abs=1e-12)
         assert report.details["cnml"][0] == pytest.approx(0.8, abs=1e-14)
         assert report.details["bayes"][0] == pytest.approx(0.75, rel=1e-10)
+
+    def test_poisson_gap_of_underflowing_joints(self):
+        """Both joints of 2000 after 1 are about e^-1380 and underflowed to 0,
+        which read as gap 0.  One-step CNML is SNML, and the Jeffreys
+        predictive of a count is negative binomial."""
+        report = sk.bayes_cnml_agreement(sk.Poisson(), 1, 2, [(1.0, 2000.0)])
+        a, y = 1.5, 2000.0
+        log_bayes = math.lgamma(a + y) - math.lgamma(a) - math.lgamma(y + 1) - (a + y) * math.log(2.0)
+        want = abs(math.expm1(log_bayes - poisson_log_snml((1.0,), y)))
+        assert report.max_abs_deviation == pytest.approx(want, rel=1e-6)
+        assert report.verdict is Verdict.NON_CONSTANT
 
     def test_gaussian_blocks_agree(self):
         report = sk.bayes_cnml_agreement(
@@ -350,6 +384,11 @@ class TestLaplace:
         for ratio in report.values:
             assert ratio == pytest.approx(1.0, abs=1e-7)
         assert report.details["position"] == "boundary"
+
+    def test_non_integral_n_is_rejected(self):
+        """n = 2.5 and 5.9 were truncated to 2 and 5 and reported as such."""
+        with pytest.raises(DomainError, match="positive integer"):
+            sk.laplace_asymptotics_check(sk.GammaShape(1.0), 1.0, n_list=(2.5, 5.9))
 
     def test_position_validation(self):
         fam = sk.GaussianLocation(1.0, mean_domain=(1.0, math.inf))

@@ -123,6 +123,11 @@ class TestJoint:
         want = math.exp(-4.5 * math.log(2 * math.pi) - rss / 2) / math.sqrt(10)
         assert float(out.strip()) == pytest.approx(want, rel=1e-10)
 
+    def test_overflowing_joint_prints_inf(self, capsys):
+        code, out, err = run(capsys, "joint", "--family", "gamma", "--m", "1", "--seq", ",".join(["1e-8"] * 45))
+        assert code == 0, err
+        assert float(out.strip()) == math.inf
+
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(capsys, "joint", "--family", "bernoulli", "--values", "1,0")
         assert code == 2
@@ -154,6 +159,20 @@ class TestRegret:
         assert payload["regret"] == pytest.approx(
             payload["strategy_loss"] + payload["best_expert_loglik"], abs=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "gaussian", "--seq", "0,60"),
+            ("--family", "gamma", "--seq", ",".join(["1e-8"] * 45)),
+        ],
+        ids=["underflow", "overflow"],
+    )
+    def test_regret_of_a_joint_out_of_float_range(self, capsys, argv):
+        code, out, err = run(capsys, "regret", "--strategy", "bayes", "--m", "1", "--format", "json", *argv)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert math.isfinite(payload["regret"])
 
 
 class TestCheckConstancy:
@@ -403,6 +422,12 @@ class TestLaplace:
         assert code == 0
         for ratio in json.loads(out)["values"]:
             assert ratio == pytest.approx(1.0, abs=1e-7)
+
+    def test_non_integral_n_list_exits_2(self, capsys):
+        code, out, err = run(capsys, "laplace", "--family", "gamma", "--mu0", "1", "--n-list", "2.5,5.9")
+        assert code == 2
+        assert out == ""
+        assert "positive integer" in err
 
 
 class TestSampleTweedie:

@@ -122,6 +122,57 @@ class TestBayesClosedForms:
             assert pred.density(y) == pytest.approx(want, rel=1e-10)
 
 
+def poisson_jeffreys_log_predictive(history, y):
+    """Negative binomial: after n counts with sum s the Jeffreys posterior is
+    Gamma(s + 1/2, rate n), and its predictive mass at y has this log."""
+    n, a = len(history), math.fsum(history) + 0.5
+    return lgamma(a + y) - lgamma(a) - lgamma(y + 1) + a * math.log(n / (n + 1)) - y * math.log(n + 1)
+
+
+@pytest.mark.parametrize("history", [(1.0,), (3.0, 0.0, 7.0), (2000.0,)])
+def test_poisson_bayes_matches_the_negative_binomial(history):
+    """Checked out to 3 x-bar + 30.  After (2000,) the mass at 6030 is 44
+    predictive standard deviations out, where an integral over the mean
+    anchored at the history's mean was 57 off in log."""
+    mean = math.fsum(history) / len(history)
+    top = int(3 * mean + 30)
+    points = range(top + 1) if top < 100 else (0, 1000, 1900, 2000, 2100, 3000, 4500, top)
+    pred = sk.bayes_jeffreys_predictive(sk.Poisson(), history)
+    for y in points:
+        want = poisson_jeffreys_log_predictive(history, float(y))
+        assert abs(pred.log_density(y) - want) <= 1e-9 * max(1.0, abs(want)), y
+
+
+RESTRICTED_BAYES_CASES = [
+    ("gamma_two", sk.GammaShape(2.0, mean_domain=(2.0, 5.0)), [(1.0,), (3.0, 4.5), (10.0,)], (0.1, 1.0, 3.0, 9.0, 20.0)),
+    ("poisson", sk.Poisson(mean_domain=(1.0, 10.0)), [(0.0,), (3.0, 0.0, 7.0), (20.0,)], (0.0, 1.0, 3.0, 10.0, 25.0)),
+    ("bernoulli", sk.Bernoulli(mean_domain=(0.2, 0.8)), [(), (1.0,), (0.0, 0.0, 1.0)], (0.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("name,family,histories,points", RESTRICTED_BAYES_CASES, ids=[c[0] for c in RESTRICTED_BAYES_CASES])
+def test_restricted_bayes_matches_the_posterior_integral(name, family, histories, points):
+    """The Jeffreys predictive from its definition, in the mean chart:
+    the integral of p_mu(y) prod_i p_mu(x_i) / sigma(mu) over the mean domain,
+    over that of prod_i p_mu(x_i) / sigma(mu), both scaled by the history's
+    sup-likelihood."""
+    lo, hi = family.mean_domain.bounds()
+    for history in histories:
+        pred = sk.bayes_jeffreys_predictive(family, history)
+        sup = family.sup_log_likelihood(history)
+
+        def posterior(mu):
+            return math.exp(math.fsum(family.log_density_mean(mu, x) for x in history) - sup) / family.sigma(mu)
+
+        def integral(f):
+            return quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+        norm = integral(posterior)
+        for y in points:
+            want = integral(lambda mu: math.exp(family.log_density_mean(mu, y)) * posterior(mu)) / norm
+            assert pred.density(y) == pytest.approx(want, rel=1e-9), (history, y)
+
+
 # ---- equivalence and non-equivalence ------------------------------------------
 
 
@@ -494,10 +545,59 @@ class TestStrategyJoint:
         step2 = sk.bayes_jeffreys_predictive(fam, (1.0, 0.5)).density(2.0)
         assert joint == pytest.approx(step1 * step2, rel=1e-12)
 
+    @pytest.mark.parametrize("strategy", ["snml", "bayes", "cnml"])
+    def test_overflowing_joint_is_inf(self, strategy):
+        """Gamma(1) after 1e-8, 44 more copies: the joint density is about
+        e^764.5, past the float range, and exp raised OverflowError."""
+        seq = ObservationSequence((1e-8,) * 45, m=1)
+        assert sk.strategy_joint(sk.GammaShape(1.0), strategy, seq) == math.inf
+
+    @pytest.mark.parametrize(
+        "family,history,continuation",
+        [(sk.Poisson(), (1.0,), (0.0, 3.0, 7.0)), (sk.Bernoulli(), (1.0,), (0.0, 1.0, 1.0, 0.0))],
+        ids=["poisson", "bernoulli"],
+    )
+    def test_bayes_joints_of_permutations_agree(self, family, history, continuation):
+        """A Bayes mixture is exchangeable for every family, unlike SNML."""
+        joints = [
+            sk.strategy_joint(family, "bayes", ObservationSequence(history + p, len(history)))
+            for p in sorted(set(itertools.permutations(continuation)))
+        ]
+        for joint in joints[1:]:
+            assert joint == pytest.approx(joints[0], rel=1e-12)
+
     def test_strategy_names(self):
         assert set(STRATEGIES) == {"snml", "bayes", "cnml", "nml"}
         with pytest.raises(ValueError):
             sk.strategy_joint(sk.Bernoulli(), "mdl", ObservationSequence((1.0,)))
+
+
+def test_bayes_joint_takes_one_concentration_integral_per_step_and_one(monkeypatch):
+    """The density at step t and the normalizer at step t + 1 are both C of
+    the first t + 1 values, one cache entry: k + 1 integrals over k free steps."""
+    calls = []
+    integral = strategies._concentration_integral
+
+    def counted(*args):
+        calls.append(args)
+        return integral(*args)
+
+    monkeypatch.setattr(strategies, "_concentration_integral", counted)
+    cache = strategies._jeffreys_posterior
+    cache.cache_clear()
+    sk.strategy_joint(sk.Poisson(), "bayes", ObservationSequence((1.0, 2.0, 5.0, 3.0, 0.0), m=1))
+    assert cache.cache_info().misses == len(calls) == 5
+
+
+def test_bayes_density_at_a_seen_extended_multiset_is_a_cache_hit():
+    family, cache = sk.GammaShape(2.0), strategies._jeffreys_posterior
+    cache.cache_clear()
+    sk.bayes_jeffreys_predictive(family, (1.0, 2.0)).density(3.0)
+    before = cache.cache_info()
+    sk.bayes_jeffreys_predictive(family, (3.0, 1.0)).density(2.0)
+    after = cache.cache_info()
+    # a miss for the history (1, 3), a hit for (1, 2, 3)
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
 # ---- regret --------------------------------------------------------------------
@@ -522,6 +622,22 @@ class TestRegret:
         r1 = sk.conditional_regret(fam, "cnml", ObservationSequence((0.5, 2.0), m=1))
         r2 = sk.conditional_regret(fam, "cnml", ObservationSequence((0.5, -1.0), m=1))
         assert r1.regret == pytest.approx(r2.regret, abs=1e-10)
+
+    @pytest.mark.parametrize("strategy", ["snml", "bayes", "cnml"])
+    def test_gaussian_regret_after_a_far_observation(self, strategy):
+        """Each strategy predicts N(0, 2) after 0, whose density at 60 is
+        e^-900 / sqrt(4 pi): the joint underflows to 0 and its log raised a
+        math domain error.  The regret is 1/2 log 2 - 1/2 log 2 pi."""
+        record = sk.conditional_regret(sk.GaussianLocation(1.0), strategy, ObservationSequence((0.0, 60.0), 1))
+        assert record.regret == pytest.approx(0.5 * math.log(2.0) - 0.5 * math.log(2.0 * math.pi), abs=1e-10)
+
+    @pytest.mark.parametrize("strategy", ["snml", "bayes", "cnml"])
+    def test_regret_of_an_overflowing_joint(self, strategy):
+        """The Gamma(1) joint of 44 copies of 1e-8 after 1e-8 is
+        Gamma(45) s_1 / s_45^45 under each strategy, about e^764.5."""
+        record = sk.conditional_regret(sk.GammaShape(1.0), strategy, ObservationSequence((1e-8,) * 45, 1))
+        want = lgamma(45.0) + math.log(1e-8) - 45.0 * math.log(45e-8)
+        assert record.strategy_loss == pytest.approx(-want, rel=1e-10)
 
     def test_snml_regret_nonnegative_for_bernoulli(self):
         record = sk.conditional_regret(sk.Bernoulli(), "snml", ObservationSequence((1.0, 0.0, 1.0)))
@@ -708,17 +824,17 @@ def mp_tweedie_log_predictive(history, y):
         )
 
 
-@pytest.mark.parametrize("history", [(1e20,), (1e24,)])
+@pytest.mark.parametrize("history", [(1e20,), (1e24,), (1e4,), (1e12,)])
 def test_tweedie_predictives_far_from_zero(history):
     """l*(y) uses ive(1, 2 sqrt y), which is NaN past y = 2.9e17, and both
-    predictives raised NanIntegrand.  The Bayes density is an integral over
-    the mean per point, relative to its peak, the SNML weight of y; it is
-    checked within three standard deviations of the history, where its
-    integrand peaks inside the posterior's window."""
+    predictives raised NanIntegrand.  An integral over the mean per Bayes
+    density point, anchored at the history's mean, lost the far tail: after
+    (1e4,) it gave -742.5 at 1e6 for -654.5, and after (1e12,) -642,651.6 at
+    1e10 for -642,553.0."""
     x = history[0]
     sd = math.sqrt(2.0 * x**1.5)
-    bulk = (x - 3.0 * sd, x, x + sd)
-    for strategy, points in ((sk.snml_predictive, (0.0, 0.01 * x, *bulk, 100.0 * x)), (sk.bayes_jeffreys_predictive, bulk)):
+    points = (0.0, 0.01 * x, x - 3.0 * sd, x, x + sd, 100.0 * x)
+    for strategy in (sk.snml_predictive, sk.bayes_jeffreys_predictive):
         pred = strategy(sk.Tweedie32(), history)
         for y in points:
             want = mp_tweedie_log_predictive(history, y)
