@@ -14,7 +14,6 @@ fourth-order central differences with one Richardson step).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import quadrature
+from . import _json, quadrature
 from ._expression import derivative_functions
 from .errors import (
     DifferentiationError,
@@ -133,7 +132,7 @@ class AnalysisReport:
         }
 
     def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
+        return _json.dumps(self.to_dict(), indent=indent)
 
     def to_csv(self) -> str:
         lines = ["point,value,deviation"]
@@ -302,7 +301,8 @@ def exchangeability_test(
     spread); ``random`` draws ``count``
     continuations (and the history, unless given) at ``sample_mean``;
     explicit ``continuations`` override the test set.  The worst witness pair
-    is recorded in details.
+    is recorded in details, with its joints and their logs: the joints may
+    underflow to 0 where the logs still show the spread.
     """
     m, n = int(m), int(n)
     if not 0 <= m < n:
@@ -359,8 +359,10 @@ def exchangeability_test(
                 "history": list(hist),
                 "max_ordering": list(orderings[hi_i]),
                 "max_joint": _joint_value(*joints[hi_i]),
+                "max_log_joint": joints[hi_i][0],
                 "min_ordering": list(orderings[lo_i]),
                 "min_joint": _joint_value(*joints[lo_i]),
+                "min_log_joint": joints[lo_i][0],
             }
     details = {"m": m, "n": n, "strategy": "snml", "witness": witness}
     return AnalysisReport.from_values(grid, values, tolerance, fail_threshold, reference=0.0, details=details)
@@ -374,7 +376,11 @@ def bayes_cnml_agreement(
     tolerance: float = 1e-4,
     fail_threshold: float = 1e-2,
 ) -> AnalysisReport:
-    """Relative gap between the Jeffreys posterior-predictive joint and CNML."""
+    """Relative gap between the Jeffreys posterior-predictive joint and CNML.
+
+    details holds both joints of each sequence and their logs (``log_cnml``,
+    ``log_bayes``), which still show the gap where the joints underflow.
+    """
     m, n = int(m), int(n)
     seqs: list[ObservationSequence] = []
     for s in sequences:
@@ -385,15 +391,24 @@ def bayes_cnml_agreement(
         seqs.append(s)
     if not seqs:
         raise DomainError("no sequences supplied")
-    gaps, cnml_values, bayes_values = [], [], []
+    gaps, cnml_values, bayes_values, cnml_logs, bayes_logs = [], [], [], [], []
     for s in seqs:
         log_c, exact_c = _log_joint(family, "cnml", s)
         log_b, _ = _log_joint(family, "bayes", s)
         cnml_values.append(float(_joint_value(log_c, exact_c)))
         bayes_values.append(_joint_value(log_b, None))
+        cnml_logs.append(log_c)
+        bayes_logs.append(log_b)
         # |b - c| / c, which holds where both joints underflow
         gaps.append(abs(math.expm1(log_b - log_c)) if log_b != log_c else 0.0)
-    details = {"m": m, "n": n, "cnml": cnml_values, "bayes": bayes_values}
+    details = {
+        "m": m,
+        "n": n,
+        "cnml": cnml_values,
+        "bayes": bayes_values,
+        "log_cnml": cnml_logs,
+        "log_bayes": bayes_logs,
+    }
     return AnalysisReport.from_values(
         [s.values for s in seqs], gaps, tolerance, fail_threshold, reference=0.0, details=details
     )

@@ -11,14 +11,13 @@ Floats are printed with 17 significant digits so CSV output round-trips.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, families, strategies, tweedie
+from . import _json, analysis, families, strategies, tweedie
 from .analysis import Verdict
 from .errors import SnmlkitError
 from .families import ObservationSequence
@@ -123,7 +122,7 @@ def _cmd_kl(args) -> int:
     family = _family_from_args(args)
     value = family.kl_divergence(args.mu0, args.mu1)
     if args.format == "json":
-        _emit(args, json.dumps({"mu0": args.mu0, "mu1": args.mu1, "kl": value}))
+        _emit(args, _json.dumps({"mu0": args.mu0, "mu1": args.mu1, "kl": value}))
     else:
         _emit(args, _fmt(value))
     return 0
@@ -146,7 +145,7 @@ def _cmd_predict(args) -> int:
     else:
         _emit(
             args,
-            json.dumps(
+            _json.dumps(
                 {
                     "strategy": args.strategy,
                     "history": list(history),
@@ -181,7 +180,7 @@ def _cmd_joint(args) -> int:
         }
         if not isinstance(value, float):
             payload["exact"] = str(value)
-        _emit(args, json.dumps(payload))
+        _emit(args, _json.dumps(payload))
     else:
         _emit(args, _fmt(float(value)))
     return 0
@@ -194,7 +193,7 @@ def _cmd_regret(args) -> int:
     if args.format == "json":
         _emit(
             args,
-            json.dumps(
+            _json.dumps(
                 {
                     "strategy": args.strategy,
                     "strategy_loss": record.strategy_loss,
@@ -259,7 +258,7 @@ def _cmd_check_ode(args) -> int:
 def _cmd_classify(args) -> int:
     vf = _variance_from_args(args)
     result = analysis.classify_family(vf)
-    _emit(args, json.dumps(result.to_dict(), indent=2))
+    _emit(args, _json.dumps(result.to_dict(), indent=2))
     return 0
 
 

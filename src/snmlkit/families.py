@@ -44,6 +44,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _json
 from . import tweedie as tweedie_ops
 from .errors import DomainError, EmptyWindow, NonMonotone, UnsupportedPoint
 
@@ -409,23 +410,17 @@ class Family(ABC):
     # ---- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps(self._json_dict(), sort_keys=True)
+        return _json.dumps(self._json_dict(), sort_keys=True)
 
     def _json_dict(self) -> dict:
         payload = {"kind": self.kind}
         payload.update(self._hyper_json())
-        payload["mean_domain"] = [_encode_bound(self.mean_domain.lower), _encode_bound(self.mean_domain.upper)]
+        payload["mean_domain"] = [self.mean_domain.lower, self.mean_domain.upper]
         return payload
 
     def __repr__(self) -> str:
         hyper = ", ".join(f"{k}={v}" for k, v in self._hyper_json().items())
         return f"{type(self).__name__}({hyper})"
-
-
-def _encode_bound(x: float):
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
 
 
 class GaussianLocation(Family):

@@ -7,7 +7,11 @@ running peak, or a finite side's edge is reached.  On an unbounded side the
 finite window ends at the first probe of that run.  The window is
 integrated with the probes inside it as break points; the rest of each
 unbounded tail is integrated under the map u = edge / x, so no mass is cut
-off.
+off.  That tail pass is skipped where the four decayed probes bound the
+mass beyond the edge far below the tolerance: |x| |f(x)| at least halves
+from each probe to the next, and twice its sum over them is at most 1e-3 of
+max(tol_abs, tol_rel |window value|).  The bound is then added to the error
+estimate.  Heavy power tails fail the halving test and keep their pass.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .errors import NanIntegrand, NonConvergence
 
 DECAY_FACTOR = 1e-16
 _DECAY_RUN = 4
+_TAIL_SKIP_FRACTION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -31,8 +36,9 @@ class QuadratureResult:
 
 def _truncate_side(
     f, anchor: float, direction: int, peak: float, bound: float
-) -> tuple[float, float, list[float]]:
-    """Scan outward from anchor; return (window edge, updated peak, probe points).
+) -> tuple[float, float, list[float], float]:
+    """Scan outward from anchor; return (window edge, updated peak, probe
+    points, tail bound).
 
     The probes double their distance from the anchor each step.  The scan
     stops after a run of _DECAY_RUN probes below DECAY_FACTOR of the peak,
@@ -46,34 +52,55 @@ def _truncate_side(
     points only when the integrand decays before the bound, so a bump far
     from it cannot hide either; a scan that reaches the bound first returns
     none, and the side stays one panel.
+
+    The tail bound is _tail_bound of |x| |f(x)| at the decayed probes, where
+    the edge is the first of them, so they lie beyond it; elsewhere it is inf.
     """
     step = max(1.0, abs(anchor))
     run = 0
     x = anchor
     probes: list[float] = []
+    weights: list[float] = []
     for _ in range(80):
         x = anchor + direction * step
         if direction * (x - bound) >= 0.0:
-            return bound, peak, []
+            return bound, peak, [], math.inf
         fx = abs(f(x))
         if math.isnan(fx):
             raise NanIntegrand(f"integrand returned NaN at x={x!r}")
         probes.append(x)
+        weights.append(abs(x) * fx)
         peak = max(peak, fx)
         if fx < DECAY_FACTOR * max(peak, 1e-300):
             run += 1
             if run >= _DECAY_RUN:
                 edge = probes[-_DECAY_RUN]
                 if math.isfinite(bound):
-                    return bound, peak, probes[: -_DECAY_RUN + 1]
+                    return bound, peak, probes[: -_DECAY_RUN + 1], math.inf
                 if direction * edge > 0.0:
-                    return edge, peak, probes[: -_DECAY_RUN + 1]
-                return x, peak, probes
+                    return edge, peak, probes[: -_DECAY_RUN + 1], _tail_bound(weights[-_DECAY_RUN:])
+                return x, peak, probes, math.inf
         else:
             run = 0
         step *= 2.0
     side = "right" if direction > 0 else "left"
     raise NonConvergence(f"integrand does not decay on the {side} tail (no cutoff below |x|={x:.3g})")
+
+
+def _tail_bound(weights: Sequence[float]) -> float:
+    """Bound on the mass beyond a window edge from the weights |x| |f(x)| of
+    the decayed probes from the edge out, or inf where they do not halve.
+
+    The probes double their distance from the anchor, so the panel from one
+    probe to the next holds about the weight of the first.  Where the weight
+    at least halves from each probe to the next, and goes on halving, the
+    weights beyond the last probe sum to at most the last one, and twice the
+    sum over the probes bounds the whole tail.  A power tail x^-p with p <= 2
+    never halves.
+    """
+    if all(b <= 0.5 * a for a, b in zip(weights, weights[1:])):
+        return 2.0 * sum(weights)
+    return math.inf
 
 
 def _peak_scale_probes(f, center: float, lo: float, hi: float) -> list[float]:
@@ -123,7 +150,11 @@ def integrate(
     integrated over the window with the probes inside it as breakpoints, and
     each unbounded tail beyond the window is integrated separately under the
     map u = edge / x onto (0, 1], so slowly decaying tails contribute their
-    true mass instead of being cut.
+    true mass instead of being cut.  A tail's pass is skipped when the
+    decayed probes beyond its edge bound its mass (_tail_bound) by at most
+    1e-3 of max(tol_abs, tol_rel |window value|); that bound is then added
+    to abs_error_estimate.  Every other tail, including any power tail that
+    decays like x^-2 or slower, gets its pass.
     """
     # imported on first use: scipy.integrate is about half of the package's import time
     from scipy import integrate as _scipy_integrate
@@ -134,6 +165,7 @@ def integrate(
 
     lo, hi = a, b
     breaks = list(breaks)
+    lo_bound = hi_bound = math.inf
     if math.isinf(a) or math.isinf(b):
         if peak_hint is not None and a < peak_hint < b:
             anchor = peak_hint
@@ -146,9 +178,9 @@ def integrate(
         peak = abs(f(anchor))
         if math.isnan(peak):
             raise NanIntegrand(f"integrand returned NaN at x={anchor!r}")
-        lo, peak, probes = _truncate_side(f, anchor, -1, peak, a)
+        lo, peak, probes, lo_bound = _truncate_side(f, anchor, -1, peak, a)
         breaks.extend(probes)
-        hi, peak, probes = _truncate_side(f, anchor, +1, peak, b)
+        hi, peak, probes, hi_bound = _truncate_side(f, anchor, +1, peak, b)
         breaks.extend(probes)
 
     if peak_hint is not None:
@@ -186,12 +218,16 @@ def integrate(
         fx = f(x)
         return fx * abs(x) / u if math.isfinite(fx) else 0.0
 
-    edges: list[float] = []
+    edges: list[tuple[float, float]] = []
     if math.isinf(b) and hi < b:
-        edges.append(hi)
+        edges.append((hi, hi_bound))
     if math.isinf(a) and a < lo:
-        edges.append(lo)
-    for edge in edges:
+        edges.append((lo, lo_bound))
+    negligible = _TAIL_SKIP_FRACTION * max(tol_abs, tol_rel * abs(value))
+    for edge, tail_bound in edges:
+        if tail_bound <= negligible:
+            abserr += tail_bound
+            continue
         tail = _scipy_integrate.quad(
             tail_transformed,
             0.0,

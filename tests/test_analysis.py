@@ -89,6 +89,20 @@ class TestAnalysisReport:
         with pytest.raises(DomainError):
             AnalysisReport.from_values((), (), 1e-6, 1e-3)
 
+    def test_json_writes_non_finite_floats_as_strings(self):
+        import json
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        report = AnalysisReport.from_values(
+            (0.5, 1.0), (math.inf, 1.0), 1e-6, 1e-3, reference=0.0, details={"x": [-math.inf, math.nan]}
+        )
+        payload = json.loads(report.to_json(), parse_constant=reject)
+        assert payload["values"] == ["inf", 1.0]
+        assert payload["max_abs_deviation"] == "inf"
+        assert payload["details"]["x"] == ["-inf", "nan"]
+
     def test_json_shape(self):
         import json
 
@@ -300,6 +314,15 @@ class TestExchangeability:
         assert report.max_abs_deviation == pytest.approx(-math.expm1(-abs(a - b)), rel=1e-6)
         assert report.max_abs_deviation == pytest.approx(0.0102, abs=1e-4)
 
+    def test_poisson_witness_logs_show_the_spread(self):
+        """The witness joints underflow to 0.0; their logs keep the spread."""
+        report = sk.exchangeability_test(sk.Poisson(), 1, 3, history=(1.0,), continuations=[(0.0, 1000.0)])
+        witness = report.details["witness"]
+        top, low = witness["max_log_joint"], witness["min_log_joint"]
+        assert math.isfinite(top) and math.isfinite(low)
+        assert witness["max_joint"] == 0.0 and witness["min_joint"] == 0.0
+        assert top - low == pytest.approx(-math.log1p(-report.max_abs_deviation), abs=1e-12)
+
     def test_report_csv_round_trip(self):
         report = sk.exchangeability_test(sk.Bernoulli(), 0, 2, "all-discrete")
         grid, values, _ = parse_report_csv(report.to_csv())
@@ -340,6 +363,14 @@ class TestBayesCnmlAgreement:
         want = abs(math.expm1(log_bayes - poisson_log_snml((1.0,), y)))
         assert report.max_abs_deviation == pytest.approx(want, rel=1e-6)
         assert report.verdict is Verdict.NON_CONSTANT
+
+    def test_poisson_log_joints_show_the_gap(self):
+        """The joints of 2000 after 1 underflow to 0.0; their logs keep the gap."""
+        report = sk.bayes_cnml_agreement(sk.Poisson(), 1, 2, [(1.0, 2000.0)])
+        assert report.details["cnml"] == [0.0] and report.details["bayes"] == [0.0]
+        (log_cnml,), (log_bayes,) = report.details["log_cnml"], report.details["log_bayes"]
+        assert abs(math.expm1(log_bayes - log_cnml)) == report.max_abs_deviation
+        assert report.max_abs_deviation == pytest.approx(0.024, abs=5e-4)
 
     def test_gaussian_blocks_agree(self):
         report = sk.bayes_cnml_agreement(

@@ -128,6 +128,18 @@ class TestJoint:
         assert code == 0, err
         assert float(out.strip()) == math.inf
 
+    def test_overflowing_joint_is_strict_json(self, capsys):
+        """JSON has no Infinity token: the value is written as the string "inf"."""
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        argv = ("joint", "--family", "gamma", "--m", "1", "--seq", ",".join(["1e-8"] * 45), "--format", "json")
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["value"] == "inf"
+
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(capsys, "joint", "--family", "bernoulli", "--values", "1,0")
         assert code == 2

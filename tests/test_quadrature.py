@@ -205,3 +205,29 @@ class TestGuarded:
     def test_nan_passes_through(self):
         fn = quadrature.guarded(lambda x: float("nan"))
         assert math.isnan(fn(1.0))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0, 10.0, 20.0])
+def test_power_tails_keep_their_mass(p):
+    """Whatever tail pass the decayed probes cannot bound still runs: an x^-p
+    tail with p <= 2 never halves |x| f(x) between doubling probes, and at
+    p = 3 its bound is above the tolerance."""
+    half_line = quadrature.integrate(lambda x: (1.0 + x) ** -p, (0.0, math.inf))
+    assert half_line.value == pytest.approx(1.0 / (p - 1.0), rel=1e-10)
+    line = quadrature.integrate(lambda x: (1.0 + x * x) ** (-p / 2.0), (-math.inf, math.inf))
+    want = math.sqrt(math.pi) * math.exp(math.lgamma((p - 1.0) / 2.0) - math.lgamma(p / 2.0))
+    assert line.value == pytest.approx(want, rel=1e-10)
+
+
+def test_tail_whose_probes_grow_keeps_its_pass():
+    """Beyond the Gaussian bump, 1e-21 x e^(-x / 1e5) is below 1e-16 of the
+    peak at every probe out to 64, and |x| f(x) summed over the probes is
+    under 1e-3 of the tolerance, but it grows from probe to probe: its mass,
+    1e-11, lies beyond them and is kept."""
+    c, scale = 1e-21, 1e5
+
+    def f(x):
+        return math.exp(-x * x) + (c * x * math.exp(-x / scale) if x > 0 else 0.0)
+
+    res = quadrature.integrate(f, (-math.inf, math.inf), tol_abs=1e-300, tol_rel=1e-14, peak_hint=0.0)
+    assert res.value == pytest.approx(math.sqrt(math.pi) + c * scale * scale, rel=1e-13)

@@ -7,6 +7,7 @@ from math import lgamma
 
 import mpmath
 import pytest
+import scipy.integrate
 from scipy.integrate import quad
 from scipy.special import ive
 
@@ -917,3 +918,78 @@ def test_half_shape_cnml_over_two_free_observations(family, values):
     want = math.exp((k - 1) * math.log(0.5 * 2.0) - 3 * k * math.log(3.5) - log_beta)
     joint = sk.cnml_joint(family, ObservationSequence(values, m=1))
     assert joint == pytest.approx(want, rel=1e-10)
+
+
+BENCHMARK_FAMILIES = {
+    "gaussian": sk.GaussianLocation(1.0),
+    "gamma0.5": sk.GammaShape(0.5),
+    "gamma1": sk.GammaShape(1.0),
+    "gamma2": sk.GammaShape(2.0),
+    "tweedie": sk.Tweedie32(),
+    "poisson": sk.Poisson(),
+    "bernoulli": sk.Bernoulli(),
+    "levy": LEVY,
+}
+CONTINUOUS_BENCHMARK_FAMILIES = ("gaussian", "gamma0.5", "gamma1", "gamma2", "tweedie", "levy")
+
+
+def _normalizers(family, n):
+    """SNML and Jeffreys log normalizers after a fixed history of length n."""
+    if family.finite_support:
+        cycle = (0.0, 1.0, 1.0, 0.0)
+    elif family.is_discrete:
+        cycle = (0.0, 1.0, 3.0, 2.0)
+    else:
+        cycle = (0.3, 1.1, 2.6, 0.7)
+    history = tuple(cycle[i % 4] for i in range(n))
+    snml = sk.snml_predictive(family, history)
+    bayes = sk.bayes_jeffreys_predictive(family, history)
+    return snml.log_normalizer, bayes.log_normalizer
+
+
+def test_skipped_tail_passes_change_no_normalizer(monkeypatch):
+    """The tail passes skipped where the decayed probes bound their mass add
+    less than an ulp to every normalizer of the benchmark families."""
+    shipped = {}
+    strategies._snml_log_normalizer.cache_clear()
+    strategies._jeffreys_posterior.cache_clear()
+    for name, family in BENCHMARK_FAMILIES.items():
+        for n in (1, 4, 16):
+            shipped[name, n] = _normalizers(family, n)
+    monkeypatch.setattr(quadrature, "_tail_bound", lambda weights: math.inf)
+    strategies._snml_log_normalizer.cache_clear()
+    strategies._jeffreys_posterior.cache_clear()
+    for name, family in BENCHMARK_FAMILIES.items():
+        for n in (1, 4, 16):
+            assert _normalizers(family, n) == shipped[name, n], (name, n)
+
+
+def test_gaussian_snml_normalizer_takes_one_quad_call(integrand_calls, monkeypatch):
+    """Both Gaussian tails are bounded by their decayed probes, so only the
+    window is integrated.  With a pass for each tail it took 3 calls and 356
+    integrand evaluations."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    pred = sk.snml_predictive(sk.GaussianLocation(1.0), (0.4,))
+    assert pred.log_normalizer == pytest.approx(0.5 * math.log(2.0), rel=1e-12)
+    assert len(calls) == 1
+    assert integrand_calls.count < 356
+
+
+# integrand evaluations of the battery below when every unbounded side got a
+# tail pass
+_BATTERY_EVALS_WITH_ALL_TAIL_PASSES = 11_740
+
+
+def test_normalizer_work_budget(integrand_calls):
+    """A timing-free guard on the normalizers' work: SNML and Jeffreys log
+    normalizers of the six continuous benchmark families at n = 1, 4, 16."""
+    for name in CONTINUOUS_BENCHMARK_FAMILIES:
+        for n in (1, 4, 16):
+            _normalizers(BENCHMARK_FAMILIES[name], n)
+    assert integrand_calls.count <= 0.8 * _BATTERY_EVALS_WITH_ALL_TAIL_PASSES
