@@ -6,12 +6,13 @@ doubling distances until four probes in a row lie below 1e-16 of the
 running peak, or a finite side's edge is reached.  On an unbounded side the
 finite window ends at the first probe of that run.  The window is
 integrated with the probes inside it as break points; the rest of each
-unbounded tail is integrated under the map u = edge / x, so no mass is cut
-off.  That tail pass is skipped where the four decayed probes bound the
-mass beyond the edge far below the tolerance: |x| |f(x)| at least halves
-from each probe to the next, and twice its sum over them is at most 1e-3 of
-max(tol_abs, tol_rel |window value|).  The bound is then added to the error
-estimate.  Heavy power tails fail the halving test and keep their pass.
+unbounded tail is integrated under the map u = (edge - a) / (x - a) about
+the scan anchor a, so no mass is cut off.  That tail pass is skipped where
+the four decayed probes bound the mass beyond the edge far below the
+tolerance: |x - a| |f(x)| at least halves from each probe to the next, and
+twice its sum over them is at most 1e-3 of max(tol_abs, tol_rel |window
+value|).  The bound is then added to the error estimate.  Heavy power tails
+fail the halving test and keep their pass.
 """
 
 from __future__ import annotations
@@ -43,18 +44,17 @@ def _truncate_side(
     The probes double their distance from the anchor each step.  The scan
     stops after a run of _DECAY_RUN probes below DECAY_FACTOR of the peak,
     and the window edge is the first probe of that run: integrate's tail pass
-    under u = edge / x covers everything beyond it.  The edge stays on its
-    side of 0 so that map is finite; where the run starts at or across 0 the
-    last probe is the edge instead.  The probes up to the edge are reused as
-    integrator break points so slowly decaying tails cannot hide between
-    sample points of a wide panel.  On a finite side (bound finite) the edge
-    is the bound.  There the probes up to the first decayed one become break
-    points only when the integrand decays before the bound, so a bump far
-    from it cannot hide either; a scan that reaches the bound first returns
-    none, and the side stays one panel.
+    under u = (edge - anchor) / (x - anchor) covers everything beyond it.
+    The probes up to the edge are reused as integrator break points so slowly
+    decaying tails cannot hide between sample points of a wide panel.  On a
+    finite side (bound finite) the edge is the bound.  There the probes up to
+    the first decayed one become break points only when the integrand decays
+    before the bound, so a bump far from it cannot hide either; a scan that
+    reaches the bound first returns none, and the side stays one panel.
 
-    The tail bound is _tail_bound of |x| |f(x)| at the decayed probes, where
-    the edge is the first of them, so they lie beyond it; elsewhere it is inf.
+    The tail bound is _tail_bound of |x - anchor| |f(x)| at the decayed probes
+    of an unbounded side, which lie from its edge out; on a finite side it is
+    inf.
     """
     step = max(1.0, abs(anchor))
     run = 0
@@ -69,17 +69,14 @@ def _truncate_side(
         if math.isnan(fx):
             raise NanIntegrand(f"integrand returned NaN at x={x!r}")
         probes.append(x)
-        weights.append(abs(x) * fx)
+        weights.append(abs(x - anchor) * fx)
         peak = max(peak, fx)
         if fx < DECAY_FACTOR * max(peak, 1e-300):
             run += 1
             if run >= _DECAY_RUN:
-                edge = probes[-_DECAY_RUN]
                 if math.isfinite(bound):
                     return bound, peak, probes[: -_DECAY_RUN + 1], math.inf
-                if direction * edge > 0.0:
-                    return edge, peak, probes[: -_DECAY_RUN + 1], _tail_bound(weights[-_DECAY_RUN:])
-                return x, peak, probes, math.inf
+                return probes[-_DECAY_RUN], peak, probes[: -_DECAY_RUN + 1], _tail_bound(weights[-_DECAY_RUN:])
         else:
             run = 0
         step *= 2.0
@@ -88,8 +85,9 @@ def _truncate_side(
 
 
 def _tail_bound(weights: Sequence[float]) -> float:
-    """Bound on the mass beyond a window edge from the weights |x| |f(x)| of
-    the decayed probes from the edge out, or inf where they do not halve.
+    """Bound on the mass beyond a window edge from the weights
+    |x - anchor| |f(x)| of the decayed probes from the edge out, or inf where
+    they do not halve.
 
     The probes double their distance from the anchor, so the panel from one
     probe to the next holds about the weight of the first.  Where the weight
@@ -149,12 +147,12 @@ def integrate(
     from that edge still gets panels at its own scale.  The bulk is
     integrated over the window with the probes inside it as breakpoints, and
     each unbounded tail beyond the window is integrated separately under the
-    map u = edge / x onto (0, 1], so slowly decaying tails contribute their
-    true mass instead of being cut.  A tail's pass is skipped when the
-    decayed probes beyond its edge bound its mass (_tail_bound) by at most
-    1e-3 of max(tol_abs, tol_rel |window value|); that bound is then added
-    to abs_error_estimate.  Every other tail, including any power tail that
-    decays like x^-2 or slower, gets its pass.
+    map u = (edge - a) / (x - a) onto (0, 1], a the scan anchor, so slowly
+    decaying tails contribute their true mass instead of being cut.  A tail's
+    pass is skipped when the decayed probes beyond its edge bound its mass
+    (_tail_bound) by at most 1e-3 of max(tol_abs, tol_rel |window value|);
+    that bound is then added to abs_error_estimate.  Every other tail,
+    including any power tail that decays like x^-2 or slower, gets its pass.
     """
     # imported on first use: scipy.integrate is about half of the package's import time
     from scipy import integrate as _scipy_integrate
@@ -203,20 +201,20 @@ def integrate(
     subdivisions = int(info["last"])
     warning = out[3] if len(out) > 3 else None
 
-    # The window edges always keep hi > 0 and lo < 0 on unbounded sides, so
-    # the tail beyond each edge e maps under x = e / u to u in (0, 1], with
-    # dx = |x| / u du.  That keeps slowly decaying tails resolvable where the
-    # native infinite transform would compress their mass into an invisibly
-    # thin layer, and the scale e keeps u and |x| / u finite at any edge (under
-    # u = 1/x, u * u underflows once the edge passes 1e154).
+    # An unbounded side's edge e lies beyond the scan anchor a, so the tail
+    # beyond it maps under x = a + (e - a) / u to u in (0, 1], with
+    # dx = |x - a| / u du.  That keeps slowly decaying tails resolvable where
+    # the native infinite transform would compress their mass into an
+    # invisibly thin layer, and the scale e - a keeps u and |x - a| / u finite
+    # at any edge (under u = 1/x, u * u underflows once the edge passes 1e154).
     def tail_transformed(u: float, edge: float) -> float:
         if u == 0.0:
             return 0.0
-        x = edge / u
+        x = anchor + (edge - anchor) / u
         if math.isinf(x):
             return 0.0
         fx = f(x)
-        return fx * abs(x) / u if math.isfinite(fx) else 0.0
+        return fx * abs(x - anchor) / u if math.isfinite(fx) else 0.0
 
     edges: list[tuple[float, float]] = []
     if math.isinf(b) and hi < b:

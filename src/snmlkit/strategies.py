@@ -16,27 +16,30 @@ Fixed-horizon joints:
 Bernoulli values on the maximal domain are exact ``fractions.Fraction``;
 everything else is float, with quadrature behind the normalizers.
 
-The sup-likelihood of k free observations depends on them only through the
-sum t of their sufficient statistics.  So the SNML normalizer (k = 1) and
-the CNML normalizer at any free horizon k are one integral, or one sum, over
-t, against the law of a sum of k members (see ``_snml_log_gain``).
+Every float value is one numerator over one normalizer.  The numerator is
+the SNML gain of each new observation, the sup-likelihood of the history
+extended by it over that of the history (``_snml_log_gain``); a joint
+chains the gains over its continuation.  Only the normalizers differ:
 
-The one integral over the parameter is the concentration integral C(n, x-bar)
-(``_concentration_integral``): the Jeffreys normalizer of a history relative
-to its sup-likelihood, and so every Bayes density, exp(gain(y)) C(n + 1,
-x-bar') / C(n, x-bar) with x-bar' the extended history's mean, and the
-concentration integral of the analyses.
+* SNML divides each step by its Shtarkov integral Z(n, x-bar) over y;
+* Jeffreys-Bayes multiplies each step by C(n + 1, x-bar') / C(n, x-bar), C
+  the Jeffreys normalizer relative to the sup-likelihood
+  (``_concentration_integral``).  Over a continuation these ratios telescope
+  to C(m, x-bar_m) / C(n, x-bar_n): two integrals at any horizon;
+* CNML divides by one Shtarkov integral over all n - m free observations.
+  They enter only through the sum t of their sufficient statistics, so it
+  is one integral, or one sum, over t, and SNML's Z is its k = 1 case.
 
-Every integral is taken in a unit-Fisher chart, where the Fisher information
-is 1.  The integral over the parameter uses the chart of the mean, over the
-image of the mean domain.  The integral over the continuation's sum uses
-the same chart applied to its mean s = t / k, s = mean_from_geodesic(beta,
-anchor) with dt = k sigma(s) d beta, over the image of the support.  Both
-are based at the clipped maximum-likelihood mean and scan outward from
-beta = 0, so the bump of the integrand is about one unit wide there,
-whatever the scale of the history, and no endpoint singularity (sigma -> 0,
-or t^(a-1) under Gamma(a)) reaches the integrator.
-Counting supports are summed outward from k times the clipped mean.
+A transformed family's values are its base family's on the pulled-back
+observations, times the Jacobian of the continuation.
+
+Every integral is taken in a unit-Fisher chart based at the clipped
+maximum-likelihood mean, where the Fisher information is 1: of the mean for
+C, of the continuation's mean t / k for Z (``_log_shtarkov``).  The bump of
+each integrand is about one unit wide at beta = 0 there, whatever the scale
+of the history, and no endpoint singularity (sigma -> 0, or t^(a-1) under
+Gamma(a)) reaches the integrator.  Counting supports are summed outward from
+k times the clipped mean.
 """
 
 from __future__ import annotations
@@ -116,20 +119,6 @@ def _sorted_history(family: Family, history: Iterable[float]) -> tuple[float, ..
     every ordering of one multiset shares the cached normalizers.
     """
     return tuple(sorted(_coerce_values(family, history)))
-
-
-def _pulled_back(family: TransformedFamily, predictive, hist: tuple[float, ...]):
-    """(log weight, log normalizer) of a transformed family's predictive.
-
-    It is the base family's predictive on the pulled-back history: the same
-    normalizer, and a density that picks up log |d pullback / dy| off the atoms.
-    """
-    base_weight, log_norm = predictive(family.base, tuple(sorted(family.pullback(y) for y in hist)))
-
-    def log_weight(y: float) -> float:
-        return base_weight(family.pullback(y)) + family._density_log_jacobian(y)
-
-    return log_weight, log_norm
 
 
 def _strategy_name(strategy: str) -> str:
@@ -250,7 +239,7 @@ def _chart_window(family: Family, bounds: tuple[float, float], anchor: float) ->
 def _log_shtarkov(family: Family, n: int, mean: float, k: int) -> float:
     """log of the sum or integral over the next k observations of their
     sup-likelihood together with n observations of mean x-bar, relative to
-    the sup-likelihood of those n alone; -inf where it underflows to 0.
+    the sup-likelihood of those n alone.
 
     k = 1 is the SNML normalizer, and k = n - m the CNML normalizer.  The
     weight (_snml_log_gain) sees the k observations only through the sum t of
@@ -264,7 +253,7 @@ def _log_shtarkov(family: Family, n: int, mean: float, k: int) -> float:
     bump of the weight is about one unit wide around beta = 0.  sigma is the
     unchecked one: s ranges over the whole support, also where a restricted
     mean domain has no member.  Raises NonConvergence when the sum or the
-    integral does not settle.
+    integral does not settle, and DivergentNormalizer when it is 0 or inf.
     """
     log_weight = _snml_log_gain(family, n, mean, k)
     center = family.mean_domain.clip(mean) if n else family.default_reference()
@@ -301,39 +290,32 @@ def _log_shtarkov(family: Family, n: int, mean: float, k: int) -> float:
             breaks=[family.geodesic_from_mean(s, anchor) for s in kinks if lo < s < hi],
         )
         total = k * res.value + math.fsum(math.exp(log_weight(k * a)) for a in family.observation_atoms())
-    return math.log(total) if total > 0 else -math.inf
+    if not 0.0 < total < math.inf:
+        raise DivergentNormalizer(f"Shtarkov normalizer over {k} observation(s) after n={n} evaluated to {total!r}")
+    return math.log(total)
 
 
 @lru_cache(maxsize=8192)
 def _snml_log_normalizer(family: Family, history: tuple[float, ...]) -> float:
     """log integral (or sum) over y of sup_mu p_mu(history, y) / sup_mu p_mu(history)."""
     try:
-        log_norm = _log_shtarkov(family, len(history), _history_mean(family, history), 1)
+        return _log_shtarkov(family, len(history), _history_mean(family, history), 1)
     except NonConvergence as exc:
         raise DivergentNormalizer(f"snml normalizer for history {history!r}: {exc}") from exc
-    if not math.isfinite(log_norm):
-        raise DivergentNormalizer(f"snml normalizer for history {history!r} evaluated to {math.exp(log_norm)!r}")
-    return log_norm
 
 
-def _snml(family: Family, hist: tuple[float, ...]) -> tuple[Callable[[float], float], float]:
-    """(log weight, log normalizer) of the SNML predictive after a sorted history."""
-    if isinstance(family, TransformedFamily):
-        return _pulled_back(family, _snml, hist)
-    log_norm = _snml_log_normalizer(family, hist)
-    return _snml_log_gain(family, len(hist), _history_mean(family, hist)), log_norm
+_UNNORMALIZABLE = "the maximum-likelihood envelope is not normalizable"
+_IMPROPER = "the Jeffreys posterior is improper"
 
 
-def snml_predictive(family: Family, history: Iterable[float] = ()) -> PredictiveDistribution:
-    """Last-step NML predictive given the history."""
-    hist = _sorted_history(family, history)
-    if len(hist) < family.min_conditioning:
-        raise DivergentNormalizer(
+def _require_conditioning(family: Family, m: int, error: type[Exception], reason: str) -> None:
+    """Raise error, before any integral, where m conditioning observations
+    are fewer than the family needs."""
+    if m < family.min_conditioning:
+        raise error(
             f"kind {family.kind} needs at least m={family.min_conditioning} conditioning "
-            f"observations; got {len(hist)} (the maximum-likelihood envelope is not normalizable)"
+            f"observations; got {m} ({reason})"
         )
-    log_weight, log_norm = _snml(family, hist)
-    return PredictiveDistribution(family, log_weight, log_norm, horizon="one-step")
 
 
 def _concentration_integral(
@@ -378,14 +360,20 @@ def _jeffreys_posterior(family: Family, hist: tuple[float, ...]) -> float:
     return math.log(total)
 
 
-def _bayes(family: Family, hist: tuple[float, ...]) -> tuple[Callable[[float], float], float]:
-    """(log weight, log normalizer) of the Jeffreys posterior predictive after a
-    sorted history: exp(gain(y)) C(n + 1, x-bar') / C(n, x-bar), the SNML
-    numerator times the ratio of the posterior normalizers of the extended
-    history and of the history."""
+def _one_step(family: Family, name: str, hist: tuple[float, ...]) -> tuple[Callable[[float], float], float]:
+    """(log weight, log normalizer) of the snml or bayes predictive after a
+    sorted history.  A transformed family's is the base family's on the
+    pulled-back history, with log |d pullback / dy| added off the atoms."""
     if isinstance(family, TransformedFamily):
-        return _pulled_back(family, _bayes, hist)
+        base_weight, log_norm = _one_step(family.base, name, tuple(sorted(family.pullback(y) for y in hist)))
+
+        def pulled_weight(y: float) -> float:
+            return base_weight(family.pullback(y)) + family._density_log_jacobian(y)
+
+        return pulled_weight, log_norm
     gain = _snml_log_gain(family, len(hist), _history_mean(family, hist))
+    if name == "snml":
+        return gain, _snml_log_normalizer(family, hist)
 
     def log_weight(y: float) -> float:
         return gain(y) + _jeffreys_posterior(family, tuple(sorted(hist + (y,))))
@@ -393,16 +381,18 @@ def _bayes(family: Family, hist: tuple[float, ...]) -> tuple[Callable[[float], f
     return log_weight, _jeffreys_posterior(family, hist)
 
 
+def snml_predictive(family: Family, history: Iterable[float] = ()) -> PredictiveDistribution:
+    """Last-step NML predictive given the history."""
+    hist = _sorted_history(family, history)
+    _require_conditioning(family, len(hist), DivergentNormalizer, _UNNORMALIZABLE)
+    return PredictiveDistribution(family, *_one_step(family, "snml", hist), horizon="one-step")
+
+
 def bayes_jeffreys_predictive(family: Family, history: Iterable[float] = ()) -> PredictiveDistribution:
     """Jeffreys-prior posterior predictive given the history."""
     hist = _sorted_history(family, history)
-    if len(hist) < family.min_conditioning:
-        raise ImproperPosterior(
-            f"kind {family.kind} needs at least m={family.min_conditioning} conditioning "
-            f"observations for a proper Jeffreys posterior; got {len(hist)}"
-        )
-    log_weight, log_norm = _bayes(family, hist)
-    return PredictiveDistribution(family, log_weight, log_norm, horizon="posterior-predictive")
+    _require_conditioning(family, len(hist), ImproperPosterior, _IMPROPER)
+    return PredictiveDistribution(family, *_one_step(family, "bayes", hist), horizon="posterior-predictive")
 
 
 def _bernoulli_shtarkov_fraction(history: tuple[float, ...], k: int) -> Fraction:
@@ -413,22 +403,16 @@ def _bernoulli_shtarkov_fraction(history: tuple[float, ...], k: int) -> Fraction
     )
 
 
-def _exact(joint: Fraction) -> tuple[float, Fraction]:
-    """(log joint, joint) of a positive rational joint; the log is taken from
-    its integer parts, so it does not underflow."""
-    return math.log(joint.numerator) - math.log(joint.denominator), joint
-
-
 def _log_joint(
     family: Family, strategy: str, seq: ObservationSequence, horizon: int | None = None
 ) -> tuple[float, Fraction | None]:
     """(log joint, exact joint or None) of the continuation x_{m+1}..x_n given x_1..x_m.
 
     The exact joint is the Fraction of exact Bernoulli SNML, CNML and NML.
-    Everything else is kept as a log, which stays finite where a joint of
-    many or far-out observations over- or underflows.  At any free horizon
-    n - m the CNML normalizer is one integral or sum over the sum of the
-    continuation (``_log_shtarkov``).
+    Everything else is a log, which stays finite where a joint of many or
+    far-out observations over- or underflows: the chained SNML gains, each
+    relative to its sorted prefix (finite where both sup-likelihoods are 0, a
+    0 under Gamma with shape > 1), minus the strategy's log normalizer.
     """
     name = _strategy_name(strategy)
     if not isinstance(seq, ObservationSequence):
@@ -443,51 +427,41 @@ def _log_joint(
             f"the maximum-likelihood envelope of kind {family.kind} has a divergent "
             f"integral on the {family.shtarkov_divergent_tails} tail(s); no NML distribution exists"
         )
-    exact_bernoulli = _is_exact_bernoulli(family)
-    if name == "snml" and exact_bernoulli:
-        # each step is the one-step CNML joint
-        steps = (
-            _bernoulli_sup_fraction(seq.values[: t + 1]) / _bernoulli_shtarkov_fraction(seq.values[:t], 1)
-            for t in range(seq.m, seq.n)
+    if _is_exact_bernoulli(family) and name != "bayes":
+        # the product over blocks a..b of their sup-likelihood over its Shtarkov
+        # sum: one block for CNML, one per step for SNML.  The log is taken from
+        # the integer parts, so it does not underflow.
+        cuts = range(seq.m, seq.n + 1) if name == "snml" else (seq.m, seq.n)
+        ratios = (
+            _bernoulli_sup_fraction(seq.values[:b]) / _bernoulli_shtarkov_fraction(seq.values[:a], b - a)
+            for a, b in zip(cuts, cuts[1:])
         )
-        return _exact(math.prod(steps, start=Fraction(1)))
-    if name in ("snml", "bayes"):
-        predictive = snml_predictive if name == "snml" else bayes_jeffreys_predictive
-        log_total = 0.0
-        for t in range(seq.m, seq.n):
-            log_total += predictive(family, seq.values[:t]).log_density(seq.values[t])
-        return log_total, None
-
+        joint = math.prod(ratios, start=Fraction(1))
+        return math.log(joint.numerator) - math.log(joint.denominator), joint
     free = seq.n - seq.m
     if free == 0:
         return 0.0, None
-    if seq.m < family.min_conditioning:
-        raise DivergentNormalizer(
-            f"kind {family.kind} needs at least m={family.min_conditioning} conditioning "
-            f"observations; got {seq.m} (the maximum-likelihood envelope is not normalizable)"
-        )
-    if exact_bernoulli:
-        return _exact(_bernoulli_sup_fraction(seq.values) / _bernoulli_shtarkov_fraction(seq.history, free))
+    error, reason = (ImproperPosterior, _IMPROPER) if name == "bayes" else (DivergentNormalizer, _UNNORMALIZABLE)
+    _require_conditioning(family, seq.m, error, reason)
     if isinstance(family, TransformedFamily):
-        # the Shtarkov integral does not change under the map, so the joint is
-        # the base family's times the continuation's Jacobian
+        # no normalizer changes under the map; the gains pick up the Jacobian
         pulled = ObservationSequence(tuple(family.pullback(v) for v in seq.values), seq.m)
         log_jacobian = math.fsum(family._density_log_jacobian(y) for y in seq.continuation)
-        return _log_joint(family.base, "cnml", pulled)[0] + log_jacobian, None
+        return _log_joint(family.base, name, pulled)[0] + log_jacobian, None
 
-    # The numerator is relative to the prefix too, chained one observation at a
-    # time, so it stays finite where both sup-likelihoods are 0 (a 0 under Gamma
-    # with shape > 1): the deviance form sees the prefix only through its mean.
-    prefix_mean = _history_mean(family, seq.history)
-    n, mean = seq.m, prefix_mean
-    log_numerator = 0.0
-    for y in seq.continuation:
-        log_numerator += _snml_log_gain(family, n, mean)(y)
-        n, mean = n + 1, mean + (family._statistic(y) - mean) / (n + 1)
-    log_denominator = _log_shtarkov(family, seq.m, prefix_mean, free)
-    if not math.isfinite(log_denominator):
-        raise DivergentNormalizer(f"conditional Shtarkov normalizer evaluated to {math.exp(log_denominator)!r}")
-    return log_numerator - log_denominator, None
+    # the sorted prefixes x_1..x_t for t = m..n
+    prefixes = [tuple(sorted(seq.values[:t])) for t in range(seq.m, seq.n + 1)]
+    log_numerator = sum(
+        _snml_log_gain(family, len(prefix), _history_mean(family, prefix))(y)
+        for prefix, y in zip(prefixes, seq.continuation)
+    )
+    if name == "snml":
+        log_normalizer = sum(_snml_log_normalizer(family, prefix) for prefix in prefixes[:-1])
+    elif name == "bayes":
+        log_normalizer = _jeffreys_posterior(family, prefixes[0]) - _jeffreys_posterior(family, prefixes[-1])
+    else:
+        log_normalizer = _log_shtarkov(family, seq.m, _history_mean(family, prefixes[0]), free)
+    return log_numerator - log_normalizer, None
 
 
 def _joint_value(log_joint: float, exact: Fraction | None) -> float | Fraction:

@@ -86,6 +86,21 @@ def test_tail_window_ends_at_first_decayed_probe(fn, domain, peak_hint, expected
     assert integrand_calls.count < old_calls
 
 
+@pytest.mark.parametrize("center,calls_mapped_about_zero", [(1000.0, 577), (50.0, 401)])
+def test_tail_map_is_taken_about_the_scan_anchor(center, calls_mapped_about_zero, integrand_calls):
+    """The scan from a peak hint at 1000 (or 50) puts its first left probe on
+    0.  While the tail map was taken about 0, an edge at or across 0 was out
+    of reach, so that side's window ran to the last decayed probe and its
+    tail kept its pass; calls_mapped_about_zero is that count."""
+    res = quadrature.integrate(
+        lambda x: math.exp(-((x - center) ** 2) / 2.0) / math.sqrt(2 * math.pi),
+        (-math.inf, math.inf),
+        peak_hint=center,
+    )
+    assert res.value == pytest.approx(1.0, abs=1e-12)
+    assert integrand_calls.count < calls_mapped_about_zero
+
+
 @pytest.mark.parametrize(
     "fn,domain,peak_hint",
     [

@@ -555,8 +555,13 @@ class TestStrategyJoint:
 
     @pytest.mark.parametrize(
         "family,history,continuation",
-        [(sk.Poisson(), (1.0,), (0.0, 3.0, 7.0)), (sk.Bernoulli(), (1.0,), (0.0, 1.0, 1.0, 0.0))],
-        ids=["poisson", "bernoulli"],
+        [
+            (sk.Poisson(), (1.0,), (0.0, 3.0, 7.0)),
+            (sk.Bernoulli(), (1.0,), (0.0, 1.0, 1.0, 0.0)),
+            (sk.GammaShape(1.0), (1.0,), (0.5, 2.0, 3.5)),
+            (sk.Tweedie32(), (1.0,), (0.0, 2.0, 0.7)),
+        ],
+        ids=["poisson", "bernoulli", "gamma1", "tweedie"],
     )
     def test_bayes_joints_of_permutations_agree(self, family, history, continuation):
         """A Bayes mixture is exchangeable for every family, unlike SNML."""
@@ -573,9 +578,10 @@ class TestStrategyJoint:
             sk.strategy_joint(sk.Bernoulli(), "mdl", ObservationSequence((1.0,)))
 
 
-def test_bayes_joint_takes_one_concentration_integral_per_step_and_one(monkeypatch):
-    """The density at step t and the normalizer at step t + 1 are both C of
-    the first t + 1 values, one cache entry: k + 1 integrals over k free steps."""
+def test_bayes_joint_takes_two_concentration_integrals_at_any_horizon(monkeypatch):
+    """The one-step ratios C(t, x-bar_t) / C(t - 1, x-bar_{t-1}) telescope to
+    C(m, x-bar_m) / C(n, x-bar_n).  The product of the k one-step predictives
+    took k + 1 integrals."""
     calls = []
     integral = strategies._concentration_integral
 
@@ -585,9 +591,49 @@ def test_bayes_joint_takes_one_concentration_integral_per_step_and_one(monkeypat
 
     monkeypatch.setattr(strategies, "_concentration_integral", counted)
     cache = strategies._jeffreys_posterior
-    cache.cache_clear()
-    sk.strategy_joint(sk.Poisson(), "bayes", ObservationSequence((1.0, 2.0, 5.0, 3.0, 0.0), m=1))
-    assert cache.cache_info().misses == len(calls) == 5
+    values = (1.0, 2.0, 5.0, 3.0, 0.0, 4.0)
+    for k in (1, 2, 5):
+        cache.cache_clear()
+        calls.clear()
+        sk.strategy_joint(sk.Poisson(), "bayes", ObservationSequence(values[: 1 + k], m=1))
+        assert cache.cache_info().misses == len(calls) == 2, k
+
+
+JOINT_ORACLE_VALUES = {
+    "gaussian": (0.3, 1.1, -0.7, 2.6),
+    "gamma0.5": (0.3, 1.1, 2.6, 0.7),
+    "gamma1": (0.3, 1.1, 2.6, 0.7),
+    "gamma2": (0.3, 1.1, 2.6, 0.7),
+    "tweedie": (1.2, 0.0, 2.6, 0.7),
+    "poisson": (2.0, 0.0, 3.0, 1.0),
+    "bernoulli": (1.0, 0.0, 1.0, 1.0),
+    "levy": (0.3, 1.1, 2.6, 0.7),
+    "gamma2-restricted": (3.0, 1.1, 6.0, 2.6),
+}
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("maker", [sk.snml_predictive, sk.bayes_jeffreys_predictive], ids=["snml", "bayes"])
+@pytest.mark.parametrize("name", JOINT_ORACLE_VALUES)
+def test_joint_is_the_product_of_its_one_step_predictives(name, maker, k):
+    """A joint chains the SNML gains and divides by its own normalizer; the
+    product of the one-step densities is the sequential definition."""
+    family = sk.GammaShape(2.0, mean_domain=(2.0, 5.0)) if name == "gamma2-restricted" else BENCHMARK_FAMILIES[name]
+    values = JOINT_ORACLE_VALUES[name][: 1 + k]
+    strategy = "snml" if maker is sk.snml_predictive else "bayes"
+    want = sum(maker(family, values[:t]).log_density(values[t]) for t in range(1, 1 + k))
+    assert strategies._log_joint(family, strategy, ObservationSequence(values, 1))[0] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("strategy", ["snml", "bayes", "cnml"])
+def test_levy_joint_is_the_pulled_back_gamma_joint(strategy):
+    """The Levy law is the reciprocal of Gamma(0.5): its joint is the Gamma
+    one on the reciprocals times the Jacobian 1 / y^2 of each continuation
+    value."""
+    values = (0.3, 1.1, 2.6, 0.7)
+    pulled = ObservationSequence(tuple(1.0 / v for v in values), 1)
+    want = strategies._log_joint(sk.GammaShape(0.5), strategy, pulled)[0] - 2.0 * sum(math.log(v) for v in values[1:])
+    assert strategies._log_joint(LEVY, strategy, ObservationSequence(values, 1))[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_bayes_density_at_a_seen_extended_multiset_is_a_cache_hit():
@@ -735,6 +781,22 @@ def test_empty_history_diverges_for_most_families(family):
 
 
 # ---- early, typed failures -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "strategy,error",
+    [
+        ("snml", DivergentNormalizer),
+        ("bayes", ImproperPosterior),
+        ("cnml", DivergentNormalizer),
+        ("nml", DivergentNormalizer),
+    ],
+)
+def test_unconditioned_gaussian_joints_raise_before_any_integral(strategy, error, integrand_calls):
+    with pytest.raises(error):
+        sk.strategy_joint(sk.GaussianLocation(1.0), strategy, ObservationSequence((0.5, 1.5), 0))
+    assert integrand_calls.count == 0
+
 
 BUILT_IN = [
     sk.GaussianLocation(1.0),
