@@ -149,6 +149,13 @@ class MleEstimate(NamedTuple):
     boundary: bool
 
 
+def exact_mean(n: int, total: int) -> float:
+    """x-bar: the mean of n statistics whose exact sum is total units of 2^-1074
+    (``Family._exact_statistic``), correctly rounded whatever their order or
+    magnitudes, since int true division rounds once."""
+    return total / (n << 1074)
+
+
 def _window_slice(values: tuple[float, ...], window) -> tuple[float, ...]:
     if window is None:
         return values
@@ -270,14 +277,11 @@ class Family(ABC):
         """The sufficient statistic of an observation, on the mean scale."""
         return x
 
-    def _sample_mean(self, values: tuple[float, ...]) -> float:
-        """Mean of the sufficient statistic over validated observations.
-
-        Summed about the first value, so that close values far from 0 lose
-        nothing to the sum and the mean is rounded once at its own magnitude.
-        """
-        first = self._statistic(values[0])
-        return first + math.fsum(self._statistic(v) - first for v in values) / len(values)
+    def _exact_statistic(self, x: float) -> int:
+        """The sufficient statistic of a validated observation as the integer
+        multiple of 2^-1074 that every finite float is, so sums are exact."""
+        numerator, denominator = self._statistic(x).as_integer_ratio()
+        return numerator << (1075 - denominator.bit_length())
 
     def observation_atoms(self) -> tuple[float, ...]:
         return self._observation_atoms
@@ -301,14 +305,6 @@ class Family(ABC):
         if math.isfinite(lo):
             return lo + 1.0
         return hi - 1.0
-
-    def _mle_or_reference(self, history: Sequence[float]) -> float:
-        """The clipped maximum-likelihood mean of history, or the default
-        reference when history is empty or has no valid estimate."""
-        try:
-            return self.mle_mean(history).value
-        except (EmptyWindow, DomainError):
-            return self.default_reference()
 
     def _check_mean(self, mu: float, interior: bool = False) -> float:
         """Validate a mean; interior=True additionally rejects degenerate
@@ -394,7 +390,7 @@ class Family(ABC):
             raise EmptyWindow("estimation window selects no observations")
         for v in selected:
             self._check_observation(v)
-        clipped = self.mean_domain.clip(self._sample_mean(selected))
+        clipped = self.mean_domain.clip(exact_mean(len(selected), sum(map(self._exact_statistic, selected))))
         lo, hi = self.mean_domain.bounds()
         boundary = (math.isfinite(lo) and clipped == lo) or (math.isfinite(hi) and clipped == hi)
         return MleEstimate(clipped, boundary)

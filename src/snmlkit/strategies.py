@@ -16,6 +16,12 @@ Fixed-horizon joints:
 Bernoulli values on the maximal domain are exact ``fractions.Fraction``;
 everything else is float, with quadrature behind the normalizers.
 
+A history enters every value through n and x-bar alone, x-bar the correctly
+rounded mean of the exact sum of its statistics (``families.exact_mean``),
+so all orderings of one multiset give one value.  A joint walks one running
+exact sum, O(n) in time and memory, and the normalizer caches key on
+(family, n, x-bar).
+
 Every float value is one numerator over one normalizer.  The numerator is
 the SNML gain of each new observation, the sup-likelihood of the history
 extended by it over that of the history (``_snml_log_gain``); a joint
@@ -44,11 +50,12 @@ k times the clipped mean.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from . import quadrature
 from .errors import (
@@ -57,7 +64,7 @@ from .errors import (
     ImproperPosterior,
     NonConvergence,
 )
-from .families import Bernoulli, Family, Interval, ObservationSequence, TransformedFamily
+from .families import Bernoulli, Family, Interval, ObservationSequence, TransformedFamily, exact_mean
 
 STRATEGIES = ("snml", "bayes", "cnml", "nml")
 
@@ -112,15 +119,6 @@ def _coerce_values(family: Family, values: Iterable[float]) -> tuple[float, ...]
     return out
 
 
-def _sorted_history(family: Family, history: Iterable[float]) -> tuple[float, ...]:
-    """The validated history in ascending order.
-
-    A one-step predictive depends on the history only through n and x-bar, so
-    every ordering of one multiset shares the cached normalizers.
-    """
-    return tuple(sorted(_coerce_values(family, history)))
-
-
 def _strategy_name(strategy: str) -> str:
     name = str(strategy).lower()
     if name not in STRATEGIES:
@@ -132,22 +130,18 @@ def _is_exact_bernoulli(family: Family) -> bool:
     return type(family) is Bernoulli and family.mean_domain == Interval(0.0, 1.0, True, True)
 
 
-def _bernoulli_sup_fraction(values: Sequence[float]) -> Fraction:
-    """sup_mu of the Bernoulli likelihood as an exact rational, 0^0 = 1."""
-    n = len(values)
-    if n == 0:
-        return Fraction(1)
-    s = sum(1 for v in values if v == 1.0)
+def _bernoulli_sup_fraction(n: int, ones: int) -> Fraction:
+    """sup_mu of the Bernoulli likelihood of n draws with this many ones, as
+    an exact rational, 0^0 = 1."""
     out = Fraction(1)
-    if s:
-        out *= Fraction(s, n) ** s
-    if n - s:
-        out *= Fraction(n - s, n) ** (n - s)
+    for count in (ones, n - ones):
+        if count:
+            out *= Fraction(count, n) ** count
     return out
 
 
-def _history_mean(family: Family, hist: tuple[float, ...]) -> float:
-    """x-bar, the mean of the history's sufficient statistic (0 for no history).
+def _history_mean(family: Family, n: int, total: int) -> float:
+    """x-bar of n observations whose exact statistics sum to total (0 for none).
 
     By the deviance identity
     sum_i log p_mu(x_i) = sum_i log p_xbar(x_i) - n * D(xbar || mu),
@@ -156,12 +150,17 @@ def _history_mean(family: Family, hist: tuple[float, ...]) -> float:
     (an all-zero history under Gamma, on any mean domain) raises DomainError
     here, before any quadrature.
     """
-    if not hist:
+    if not n:
         return 0.0
-    mean = family._sample_mean(hist)
+    mean = exact_mean(n, total)
     if not family._full_mean_domain().contains(mean):
-        raise DomainError(f"history {hist!r} has sample mean {mean!r}, and kind {family.kind} has no member with it")
+        raise DomainError(f"n={n} observations have mean {mean!r}, and kind {family.kind} has no member with it")
     return mean
+
+
+def _reference_mean(family: Family, n: int, mean: float) -> float:
+    """The base point of the charts: clip(x-bar), or the default reference for no history."""
+    return family.mean_domain.clip(mean) if n else family.default_reference()
 
 
 def _relative_log_likelihood(family: Family, n: int, mean: float) -> Callable[[float], float]:
@@ -256,7 +255,7 @@ def _log_shtarkov(family: Family, n: int, mean: float, k: int) -> float:
     integral does not settle, and DivergentNormalizer when it is 0 or inf.
     """
     log_weight = _snml_log_gain(family, n, mean, k)
-    center = family.mean_domain.clip(mean) if n else family.default_reference()
+    center = _reference_mean(family, n, mean)
     if family.finite_support is not None:
         # the sums of k draws from {0, 1}
         total = math.fsum(math.exp(log_weight(float(t))) for t in range(k + 1))
@@ -296,12 +295,13 @@ def _log_shtarkov(family: Family, n: int, mean: float, k: int) -> float:
 
 
 @lru_cache(maxsize=8192)
-def _snml_log_normalizer(family: Family, history: tuple[float, ...]) -> float:
-    """log integral (or sum) over y of sup_mu p_mu(history, y) / sup_mu p_mu(history)."""
+def _snml_log_normalizer(family: Family, n: int, mean: float) -> float:
+    """log integral (or sum) over y of sup_mu p_mu(history, y) / sup_mu p_mu(history)
+    for a history of n observations with mean x-bar."""
     try:
-        return _log_shtarkov(family, len(history), _history_mean(family, history), 1)
+        return _log_shtarkov(family, n, mean, 1)
     except NonConvergence as exc:
-        raise DivergentNormalizer(f"snml normalizer for history {history!r}: {exc}") from exc
+        raise DivergentNormalizer(f"snml normalizer after n={n} observations of mean {mean!r}: {exc}") from exc
 
 
 _UNNORMALIZABLE = "the maximum-likelihood envelope is not normalizable"
@@ -347,14 +347,14 @@ def _concentration_integral(
 
 
 @lru_cache(maxsize=4096)
-def _jeffreys_posterior(family: Family, hist: tuple[float, ...]) -> float:
-    """log C(n, x-bar), the Jeffreys posterior normalizer of a sorted history
-    relative to its sup-likelihood."""
-    anchor = _interior_anchor(family, family._mle_or_reference(hist))
+def _jeffreys_posterior(family: Family, n: int, mean: float) -> float:
+    """log C(n, x-bar), the Jeffreys posterior normalizer of a history of n
+    observations with mean x-bar, relative to its sup-likelihood."""
+    anchor = _interior_anchor(family, _reference_mean(family, n, mean))
     try:
-        total = _concentration_integral(family, len(hist), _history_mean(family, hist), anchor, 1e-13, 1e-11)
+        total = _concentration_integral(family, n, mean, anchor, 1e-13, 1e-11)
     except NonConvergence as exc:
-        raise ImproperPosterior(f"Jeffreys posterior does not normalize for history {hist!r}: {exc}") from exc
+        raise ImproperPosterior(f"Jeffreys posterior after n={n} observations of mean {mean!r}: {exc}") from exc
     if not total > 0 or math.isinf(total):
         raise ImproperPosterior(f"Jeffreys posterior normalizer evaluated to {total!r}")
     return math.log(total)
@@ -362,45 +362,46 @@ def _jeffreys_posterior(family: Family, hist: tuple[float, ...]) -> float:
 
 def _one_step(family: Family, name: str, hist: tuple[float, ...]) -> tuple[Callable[[float], float], float]:
     """(log weight, log normalizer) of the snml or bayes predictive after a
-    sorted history.  A transformed family's is the base family's on the
-    pulled-back history, with log |d pullback / dy| added off the atoms."""
+    history.  A transformed family's is the base family's on the pulled-back
+    history, with log |d pullback / dy| added off the atoms."""
     if isinstance(family, TransformedFamily):
-        base_weight, log_norm = _one_step(family.base, name, tuple(sorted(family.pullback(y) for y in hist)))
+        base_weight, log_norm = _one_step(family.base, name, tuple(map(family.pullback, hist)))
 
         def pulled_weight(y: float) -> float:
             return base_weight(family.pullback(y)) + family._density_log_jacobian(y)
 
         return pulled_weight, log_norm
-    gain = _snml_log_gain(family, len(hist), _history_mean(family, hist))
+    n, total = len(hist), sum(map(family._exact_statistic, hist))
+    mean = _history_mean(family, n, total)
+    gain = _snml_log_gain(family, n, mean)
     if name == "snml":
-        return gain, _snml_log_normalizer(family, hist)
+        return gain, _snml_log_normalizer(family, n, mean)
 
     def log_weight(y: float) -> float:
-        return gain(y) + _jeffreys_posterior(family, tuple(sorted(hist + (y,))))
+        extended = _history_mean(family, n + 1, total + family._exact_statistic(y))
+        return gain(y) + _jeffreys_posterior(family, n + 1, extended)
 
-    return log_weight, _jeffreys_posterior(family, hist)
+    return log_weight, _jeffreys_posterior(family, n, mean)
 
 
 def snml_predictive(family: Family, history: Iterable[float] = ()) -> PredictiveDistribution:
     """Last-step NML predictive given the history."""
-    hist = _sorted_history(family, history)
+    hist = _coerce_values(family, history)
     _require_conditioning(family, len(hist), DivergentNormalizer, _UNNORMALIZABLE)
     return PredictiveDistribution(family, *_one_step(family, "snml", hist), horizon="one-step")
 
 
 def bayes_jeffreys_predictive(family: Family, history: Iterable[float] = ()) -> PredictiveDistribution:
     """Jeffreys-prior posterior predictive given the history."""
-    hist = _sorted_history(family, history)
+    hist = _coerce_values(family, history)
     _require_conditioning(family, len(hist), ImproperPosterior, _IMPROPER)
     return PredictiveDistribution(family, *_one_step(family, "bayes", hist), horizon="posterior-predictive")
 
 
-def _bernoulli_shtarkov_fraction(history: tuple[float, ...], k: int) -> Fraction:
-    """Exact sum over the 2^k binary continuations of history of their
-    sup-likelihood; the C(k, s) continuations with s ones share one value."""
-    return sum(
-        math.comb(k, s) * _bernoulli_sup_fraction(history + (1.0,) * s + (0.0,) * (k - s)) for s in range(k + 1)
-    )
+def _bernoulli_shtarkov_fraction(n: int, ones: int, k: int) -> Fraction:
+    """Exact sum of the sup-likelihood over the 2^k binary continuations of n draws with
+    this many ones; the C(k, s) continuations with s ones share one value."""
+    return sum(math.comb(k, s) * _bernoulli_sup_fraction(n + k, ones + s) for s in range(k + 1))
 
 
 def _log_joint(
@@ -411,8 +412,8 @@ def _log_joint(
     The exact joint is the Fraction of exact Bernoulli SNML, CNML and NML.
     Everything else is a log, which stays finite where a joint of many or
     far-out observations over- or underflows: the chained SNML gains, each
-    relative to its sorted prefix (finite where both sup-likelihoods are 0, a
-    0 under Gamma with shape > 1), minus the strategy's log normalizer.
+    relative to its prefix (finite where both sup-likelihoods are 0, a 0
+    under Gamma with shape > 1), minus the strategy's log normalizer.
     """
     name = _strategy_name(strategy)
     if not isinstance(seq, ObservationSequence):
@@ -432,8 +433,9 @@ def _log_joint(
         # sum: one block for CNML, one per step for SNML.  The log is taken from
         # the integer parts, so it does not underflow.
         cuts = range(seq.m, seq.n + 1) if name == "snml" else (seq.m, seq.n)
+        ones = list(itertools.accumulate((v == 1.0 for v in seq.values), initial=0))
         ratios = (
-            _bernoulli_sup_fraction(seq.values[:b]) / _bernoulli_shtarkov_fraction(seq.values[:a], b - a)
+            _bernoulli_sup_fraction(b, ones[b]) / _bernoulli_shtarkov_fraction(a, ones[a], b - a)
             for a, b in zip(cuts, cuts[1:])
         )
         joint = math.prod(ratios, start=Fraction(1))
@@ -449,18 +451,17 @@ def _log_joint(
         log_jacobian = math.fsum(family._density_log_jacobian(y) for y in seq.continuation)
         return _log_joint(family.base, name, pulled)[0] + log_jacobian, None
 
-    # the sorted prefixes x_1..x_t for t = m..n
-    prefixes = [tuple(sorted(seq.values[:t])) for t in range(seq.m, seq.n + 1)]
-    log_numerator = sum(
-        _snml_log_gain(family, len(prefix), _history_mean(family, prefix))(y)
-        for prefix, y in zip(prefixes, seq.continuation)
-    )
+    # x-bar of x_1..x_t for t = m..n, from one running exact sum
+    totals = itertools.accumulate(map(family._exact_statistic, seq.values), initial=0)
+    means = [_history_mean(family, t, total) for t, total in enumerate(totals) if t >= seq.m]
+    steps = list(zip(range(seq.m, seq.n), means, seq.continuation))
+    log_numerator = sum(_snml_log_gain(family, t, mean)(y) for t, mean, y in steps)
     if name == "snml":
-        log_normalizer = sum(_snml_log_normalizer(family, prefix) for prefix in prefixes[:-1])
+        log_normalizer = sum(_snml_log_normalizer(family, t, mean) for t, mean, _ in steps)
     elif name == "bayes":
-        log_normalizer = _jeffreys_posterior(family, prefixes[0]) - _jeffreys_posterior(family, prefixes[-1])
+        log_normalizer = _jeffreys_posterior(family, seq.m, means[0]) - _jeffreys_posterior(family, seq.n, means[-1])
     else:
-        log_normalizer = _log_shtarkov(family, seq.m, _history_mean(family, prefixes[0]), free)
+        log_normalizer = _log_shtarkov(family, seq.m, means[0], free)
     return log_numerator - log_normalizer, None
 
 
@@ -492,7 +493,7 @@ def shtarkov_sum(family: Family, n: int) -> Fraction:
         raise DivergentNormalizer("exact Shtarkov sums are available for the maximal Bernoulli family only")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _bernoulli_shtarkov_fraction((), n)
+    return _bernoulli_shtarkov_fraction(0, 0, n)
 
 
 def strategy_joint(family: Family, strategy: str, seq: ObservationSequence) -> float | Fraction:

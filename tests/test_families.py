@@ -150,6 +150,39 @@ def test_variance_rejects_degenerate_boundary():
         FAMILIES["bernoulli"].variance(1.0)
 
 
+# the benchmark families with their closed-form V(mu) and three interior means
+FISHER_CASES = {
+    "gaussian": (sk.GaussianLocation(1.0), lambda mu: 1.0, (-2.0, 0.3, 5.0)),
+    "gamma0.5": (sk.GammaShape(0.5), lambda mu: 2.0 * mu * mu, (0.25, 1.0, 4.0)),
+    "gamma1": (sk.GammaShape(1.0), lambda mu: mu * mu, (0.25, 1.0, 4.0)),
+    "gamma2": (sk.GammaShape(2.0), lambda mu: 0.5 * mu * mu, (0.25, 1.0, 4.0)),
+    "tweedie": (sk.Tweedie32(), lambda mu: 2.0 * mu**1.5, (0.25, 1.0, 4.0)),
+    "poisson": (sk.Poisson(), lambda mu: mu, (0.25, 1.0, 4.0)),
+    "bernoulli": (sk.Bernoulli(), lambda mu: mu * (1.0 - mu), (0.1, 0.5, 0.9)),
+    # the Levy law: the reciprocal of Gamma(0.5), on the base family's means
+    "levy": (
+        sk.transform_family(sk.GammaShape(0.5), lambda x: 1.0 / x, lambda y: 1.0 / y, lambda y: -1.0 / (y * y)),
+        lambda mu: 2.0 * mu * mu,
+        (0.25, 1.0, 4.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FISHER_CASES)
+def test_fisher_information_in_each_chart(name):
+    """1/V(mu) per unit of mean, V(mu) per unit of natural parameter, and 1 in
+    the unit-Fisher chart, whatever its base point."""
+    family, variance, means = FISHER_CASES[name]
+    for mu in means:
+        assert family.fisher_information(mu) == pytest.approx(1.0 / variance(mu), rel=1e-12)
+        assert family.fisher_information(sk.ParamValue.mean(mu)) == pytest.approx(1.0 / variance(mu), rel=1e-12)
+        theta = family.natural_from_mean(mu)
+        assert family.fisher_information(sk.ParamValue.natural(theta)) == pytest.approx(variance(mu), rel=1e-12)
+        for reference in means:
+            beta = family.geodesic_from_mean(mu, reference)
+            assert family.fisher_information(sk.ParamValue.geodesic(beta, reference)) == pytest.approx(1.0, rel=1e-12)
+
+
 # ---- MLE --------------------------------------------------------------------
 
 

@@ -158,6 +158,10 @@ def per_observation_sup_log_likelihood(family, values):
     return math.fsum(family.log_density_mean(mu_hat, v) for v in values)
 
 
+def history_mean(family, values):
+    return strategies._history_mean(family, len(values), sum(map(family._exact_statistic, values)))
+
+
 def per_observation_log_likelihood(family, values, mu):
     return math.fsum(family.log_density_mean(mu, v) for v in values)
 
@@ -182,7 +186,7 @@ def test_snml_integrand_matches_per_observation_sums(name):
     rng = np.random.default_rng(7)
     for n in (1, 2, 5, 16):
         hist = raw_draws(name, family, mean, n, rng)
-        gain = strategies._snml_log_gain(family, n, strategies._history_mean(family, hist))
+        gain = strategies._snml_log_gain(family, n, history_mean(family, hist))
         base = per_observation_sup_log_likelihood(family, hist)
         for y in raw_draws(name, family, mean, 6, rng):
             want = per_observation_sup_log_likelihood(family, hist + (y,)) - base
@@ -197,8 +201,9 @@ def test_jeffreys_integrand_matches_per_observation_sums(name):
     lo, hi = family.mean_interior()
     for n in (1, 2, 5, 16):
         hist = raw_draws(name, family, mean, n, rng)
-        anchor = strategies._interior_anchor(family, family._mle_or_reference(hist))
-        relative = strategies._relative_log_likelihood(family, n, strategies._history_mean(family, hist))
+        xbar = history_mean(family, hist)
+        anchor = strategies._interior_anchor(family, strategies._reference_mean(family, n, xbar))
+        relative = strategies._relative_log_likelihood(family, n, xbar)
         base = per_observation_sup_log_likelihood(family, hist)
         y = raw_draws(name, family, mean, 1, rng)[0]
         for beta in (-2.0, -0.5, 0.0, 0.3, 1.7):
@@ -227,7 +232,7 @@ def test_gaussian_snml_log_weight_far_from_origin(center, offsets):
     family = sk.GaussianLocation(1.0)
     hist = tuple(center + o for o in offsets)
     n = len(hist)
-    gain = strategies._snml_log_gain(family, n, strategies._history_mean(family, hist))
+    gain = strategies._snml_log_gain(family, n, history_mean(family, hist))
     xbar = sum(Fraction(v) for v in hist) / n
     for shift in (-0.8, 0.05, 0.7):
         y = float(xbar) + shift

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from math import lgamma
 
+from hypothesis import given, strategies as hs
 import mpmath
 import pytest
 import scipy.integrate
@@ -839,7 +841,7 @@ def test_levy_closure_point_without_finite_pullback_is_unsupported(call):
 
 
 @pytest.mark.parametrize("shape", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("history", [(0.0,), (0.0, 0.0)])
+@pytest.mark.parametrize("history", [(0.0,), (0.0, 0.0), (0.0,) * 10_000])
 def test_degenerate_mle_raises_one_domain_error_before_quadrature(shape, history, monkeypatch):
     def no_quadrature(*args, **kwargs):
         raise AssertionError("quadrature ran for a degenerate history")
@@ -851,7 +853,74 @@ def test_degenerate_mle_raises_one_domain_error_before_quadrature(shape, history
         with pytest.raises(sk.DomainError) as info:
             predictive(family, history)
         messages.add(str(info.value))
-    assert len(messages) == 1
+    (message,) = messages
+    # the message names n and x-bar, not the history, so it does not grow with n
+    assert f"n={len(history)}" in message and len(message) < 200
+
+
+# ---- x-bar, the correctly rounded mean of the exact sum --------------------------
+
+# a float sum, about the first value or in any order, loses the mean of each
+CANCELLING_HISTORIES = [(1e16, 1.0, -1e16, 3.0), (-1e308, 1e308, 1e308), (1.7e308, 1.7e308, -1.7e308)]
+
+
+def fraction_mean(values):
+    return float(sum(map(Fraction, values)) / len(values))
+
+
+@pytest.mark.parametrize("history", CANCELLING_HISTORIES)
+def test_sample_mean_is_the_exact_mean_in_every_order(history):
+    family = sk.GaussianLocation(1.0)
+    want = fraction_mean(history)
+    for order in itertools.permutations(history):
+        assert family.mle_mean(order).value == want, order
+        assert strategies._history_mean(family, len(order), sum(map(family._exact_statistic, order))) == want, order
+
+
+def test_gaussian_snml_after_a_cancelling_history_is_centred_at_its_mean():
+    """After (1e16, 1, -1e16, 3), x-bar = 1 and the SNML predictive is N(1, 5/4)."""
+    want = -0.5 * math.log(2.0 * math.pi * 1.25) - (2.5 - 1.0) ** 2 / 2.5
+    for order in itertools.permutations(CANCELLING_HISTORIES[0]):
+        pred = sk.snml_predictive(sk.GaussianLocation(1.0), order)
+        assert pred.log_density(2.5) == pytest.approx(want, rel=1e-12), order
+
+
+@given(
+    hs.lists(hs.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8).flatmap(
+        lambda values: hs.tuples(hs.just(values), hs.permutations(values))
+    )
+)
+def test_sample_mean_does_not_depend_on_the_order(pair):
+    values, order = pair
+    family = sk.GaussianLocation(1.0)
+    assert family.mle_mean(order).value == family.mle_mean(values).value == fraction_mean(values)
+
+
+def test_long_joints_leave_linear_cache_memory(monkeypatch):
+    """The normalizer caches key on (family, n, x-bar), so the SNML, Bayes and
+    CNML joints of n observations leave O(n) bytes in them, not the n^2 / 2
+    floats of their prefixes.  The integrals are stubbed out: only the keys
+    and the walk are measured."""
+    monkeypatch.setattr(strategies, "_log_shtarkov", lambda *args: 0.0)
+    monkeypatch.setattr(strategies, "_concentration_integral", lambda *args: 1.0)
+    family = sk.GammaShape(1.0)
+    retained = {}
+    for n in (2000, 4000):
+        seq = ObservationSequence(tuple(0.5 + (0.618034 * i) % 1.0 for i in range(n)), 1)
+        strategies._snml_log_normalizer.cache_clear()
+        strategies._jeffreys_posterior.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for strategy in ("snml", "bayes", "cnml"):
+                strategies._log_joint(family, strategy, seq)
+            retained[n] = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            strategies._snml_log_normalizer.cache_clear()
+            strategies._jeffreys_posterior.cache_clear()
+    assert retained[4000] <= 2.5 * retained[2000], retained
+    assert retained[4000] < 1_000_000, retained
 
 
 # ---- observation integrals in the unit-Fisher chart ------------------------------
