@@ -7,8 +7,8 @@ means the deviation stays within tolerance relative to max(1, |reference|);
 ``Inconclusive``.
 
 The variance-function checks work on a VarianceFunctionSpec: either a closed
-form (differentiated symbolically) or a table (quintic spline interpolant,
-fourth-order central differences with one Richardson step).
+form (differentiated symbolically) or a table (not-a-knot quintic spline
+interpolant, fourth-order central differences with one Richardson step).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 
 from . import _json, quadrature
 from ._expression import derivative_functions
+from ._spline import QuinticSpline
 from .errors import (
     DifferentiationError,
     DivergentIntegral,
@@ -462,8 +463,9 @@ class VarianceFunctionSpec:
     ``closed`` takes an expression in ``mu`` (numbers, + - * / ** or ^,
     parentheses, exp, log and sqrt; anything else raises DomainError before
     it is evaluated) and differentiates its tree exactly; ``from_table``
-    interpolates (mu, V) samples with a quintic spline and differentiates it
-    by fourth-order central differences with one Richardson step, step
+    interpolates sigma = sqrt(V) through (mu, V) samples with a not-a-knot
+    quintic spline (``_spline.QuinticSpline``) and differentiates it by
+    fourth-order central differences with one Richardson step, step
     h = 1e-3 * width.  A table's profiles for a whole grid take one spline
     evaluation, on every stencil node of every grid point.
 
@@ -529,8 +531,9 @@ class VarianceFunctionSpec:
 
     @classmethod
     def from_table(cls, mu_values, v_values, label: str | None = None) -> "VarianceFunctionSpec":
-        from scipy.interpolate import make_interp_spline
-
+        """The spec of a (mu, V) table: sigma = sqrt(V) is interpolated by the
+        not-a-knot quintic spline on the knots of scipy's
+        ``make_interp_spline(mu, sigma, k=5)``, at least 12 rows."""
         mu_arr = np.asarray(mu_values, dtype=float)
         v_arr = np.asarray(v_values, dtype=float)
         if mu_arr.ndim != 1 or mu_arr.shape != v_arr.shape:
@@ -541,7 +544,7 @@ class VarianceFunctionSpec:
             raise DomainError("mu table must be strictly increasing")
         if not np.all(v_arr > 0):
             raise DomainError("V table must be positive")
-        spline = make_interp_spline(mu_arr, np.sqrt(v_arr), k=5)
+        spline = QuinticSpline(mu_arr, np.sqrt(v_arr))
         lo, hi = float(mu_arr[0]), float(mu_arr[-1])
         h = 1e-3 * (hi - lo)
         offsets = (-3, -2, -1, 0, 1, 2, 3)

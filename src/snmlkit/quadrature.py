@@ -81,7 +81,10 @@ def _truncate_side(
             run = 0
         step *= 2.0
     side = "right" if direction > 0 else "left"
-    raise NonConvergence(f"integrand does not decay on the {side} tail (no cutoff below |x|={x:.3g})")
+    raise NonConvergence(
+        f"integrand does not decay on the {side} tail (last probe x={x:.3g}, "
+        f"{abs(x - anchor):.3g} from the anchor {anchor:.3g})"
+    )
 
 
 def _tail_bound(weights: Sequence[float]) -> float:

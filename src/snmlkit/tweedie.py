@@ -33,11 +33,11 @@ Reference: Jorgensen (1997), The Theory of Dispersion Models, ch. 4.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 
@@ -62,12 +62,26 @@ def log_ive1_large(x: float) -> float:
     return -0.5 * math.log(2.0 * math.pi * x) + math.log1p(-3.0 / (8.0 * x) - 15.0 / (128.0 * x * x))
 
 
+def _ive1(x: float) -> float:
+    """I_1(x) exp(-x).
+
+    The first call imports scipy.special, which would otherwise be about half
+    of ``import snmlkit``, and rebinds this name to
+    ``partial(scipy.special.ive, 1)``, so later calls go straight to the ufunc.
+    """
+    global _ive1
+    import scipy.special
+
+    _ive1 = functools.partial(scipy.special.ive, 1)
+    return _ive1(x)
+
+
 def saturated_log_likelihood(z: float, k: int = 1) -> float:
     """l*_k(z) for a sum z >= 0 of k observations; k = 1 gives l*(z) = log p_z(z)."""
     if z == 0.0:
         return 0.0
     x = 2.0 * math.sqrt(k * z)
-    log_ive = log_ive1_large(x) if x > IVE_LAST_FINITE else math.log(special.ive(1, x))
+    log_ive = log_ive1_large(x) if x > IVE_LAST_FINITE else math.log(_ive1(x))
     return log_ive - 0.5 * math.log(z / k)
 
 

@@ -18,6 +18,7 @@ from snmlkit import (
     Verdict,
     parse_report_csv,
 )
+from snmlkit._spline import QuinticSpline
 from snmlkit.errors import DomainError
 
 
@@ -596,11 +597,9 @@ class TestVarianceFunctionSpec:
 
     @pytest.mark.parametrize("variance", [lambda mu: mu**2 / 2, lambda mu: (1.3 * mu + 0.4) ** 1.5, np.exp])
     def test_grid_profiles_equal_per_point_stencils(self, variance):
-        from scipy.interpolate import make_interp_spline
-
         mu = np.linspace(0.5, 4.0, 41)
         vf = VarianceFunctionSpec.from_table(mu, variance(mu))
-        spline = make_interp_spline(mu, np.sqrt(variance(mu)), k=5)
+        spline = QuinticSpline(mu, np.sqrt(variance(mu)))
 
         def sigma(x: float) -> float:
             return float(spline(x))
@@ -610,6 +609,28 @@ class TestVarianceFunctionSpec:
         want = [(sigma(x),) + _difference_derivatives(sigma, x, h) for x in grid]
         assert vf.sigma_profiles(grid) == want
         assert [vf.sigma_at(x) for x in grid] == [p[0] for p in want]
+
+    @pytest.mark.parametrize("rows", [12, 13, 41, 64, 200])
+    @pytest.mark.parametrize(
+        "sigma",
+        [lambda mu: mu / math.sqrt(2), lambda mu: (1.3 * mu + 0.4) ** 0.75, lambda mu: np.exp(mu / 2), np.sin],
+    )
+    def test_quintic_spline_matches_scipy(self, rows, sigma):
+        from scipy.interpolate import make_interp_spline
+
+        mu = np.linspace(0.5, 4.0, rows)
+        points = np.concatenate(
+            [mu, np.random.default_rng(rows).uniform(0.5, 4.0, 200), [0.5, 4.0, np.nextafter(4.0, 0.0)]]
+        )
+        got = QuinticSpline(mu, sigma(mu))(points)
+        want = make_interp_spline(mu, sigma(mu), k=5)(points)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_quintic_spline_reproduces_affine_sigma(self):
+        mu = np.linspace(0.5, 4.0, 41)
+        points = np.concatenate([mu, np.random.default_rng(0).uniform(0.5, 4.0, 500)])
+        got = QuinticSpline(mu, 0.8 * mu + 0.3)(points)
+        np.testing.assert_allclose(got, 0.8 * points + 0.3, rtol=4 * np.finfo(float).eps, atol=0.0)
 
     def test_table_stencil_must_fit(self):
         mu = np.linspace(0.5, 4.0, 41)

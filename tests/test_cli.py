@@ -510,12 +510,60 @@ class TestUsage:
         assert "kl" in out and "sample-tweedie" in out
 
 
-def test_import_loads_no_heavy_modules():
-    """scipy.integrate, scipy.interpolate and sympy load on first use only."""
-    code = (
-        "import sys, snmlkit; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate', 'sympy') if m in sys.modules))"
-    )
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run the interpreter with snmlkit's source tree on the path."""
     env = dict(os.environ, PYTHONPATH=str(Path(snmlkit.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, check=True, env=env)
+
+
+_LAZY_IMPORTS = """
+import json, math, sys
+import numpy as np
+import snmlkit
+
+def loaded(prefix):
+    return sorted(m for m in sys.modules if m == prefix or m.startswith(prefix + "."))
+
+out = {"import": loaded("scipy") + loaded("sympy")}
+mu = np.linspace(0.5, 4.0, 41)
+spec = snmlkit.VarianceFunctionSpec.from_table(mu, (0.8 * mu + 0.3) ** 2)
+snmlkit.sigma_ode_check(spec)
+snmlkit.classify_family(spec)
+out["table"] = loaded("scipy.interpolate")
+out["special_before_tweedie"] = loaded("scipy.special")
+from snmlkit import tweedie
+cases = [(z, k) for z in (1e-300, 1e-3, 0.7, 2.5, 40.0, 1e6, 1e12) for k in (1, 3)]
+lazy = [tweedie.saturated_log_likelihood(z, k) for z, k in cases]
+from scipy import special
+eager = [math.log(special.ive(1, 2.0 * math.sqrt(k * z))) - 0.5 * math.log(z / k) for z, k in cases]
+out["tweedie_bit_identical"] = lazy == eager
+print(json.dumps(out))
+"""
+
+
+def test_import_loads_no_heavy_modules():
+    """No scipy or sympy module loads on import, scipy.interpolate on no table
+    analysis, and scipy.special only on the first Tweedie l* evaluation, with
+    the same bits as calling it directly."""
+    out = json.loads(_fresh_python("-c", _LAZY_IMPORTS).stdout)
+    assert out == {"import": [], "table": [], "special_before_tweedie": [], "tweedie_bit_identical": True}
+
+
+def test_table_commands_in_a_subprocess(tmp_path):
+    """check-ode and classify on a Gamma-line table: the verdict, c and class
+    read before the spline moved into the library, and no scipy.interpolate."""
+    table = tmp_path / "gamma_line.csv"
+    rows = [f"{0.5 + 3.5 * i / 63},{(0.8 * (0.5 + 3.5 * i / 63) + 0.3) ** 2}" for i in range(64)]
+    table.write_text("mu,V\n" + "\n".join(rows) + "\n")
+
+    ode = _fresh_python("-X", "importtime", "-m", "snmlkit.cli", "check-ode", "--table", str(table))
+    classify = _fresh_python("-X", "importtime", "-m", "snmlkit.cli", "classify", "--table", str(table))
+    report = json.loads(ode.stdout)
+    assert report["verdict"] == "Constant"
+    assert report["details"]["c"] == pytest.approx(0.6399999996883605, abs=1e-8)
+    result = json.loads(classify.stdout)
+    assert result["family_class"] == "GammaLinearSigma"
+    assert result["coefficients"]["k"] == pytest.approx(0.8, rel=1e-12)
+    assert result["coefficients"]["ell"] == pytest.approx(0.3, rel=1e-12)
+    for run in (ode, classify):
+        assert "scipy.interpolate" not in run.stderr

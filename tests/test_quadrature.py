@@ -1,6 +1,7 @@
 """Tests for the quadrature wrapper: closed forms, tails, and counting sums."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as hs
@@ -154,6 +155,19 @@ def test_nan_integrand_reported():
 def test_non_decaying_integrand_rejected():
     with pytest.raises(NonConvergence):
         quadrature.integrate(lambda x: 1.0, (0.0, math.inf))
+
+
+@pytest.mark.parametrize("peak_hint", [None, -5.0, 7.0])
+def test_non_decaying_left_tail_names_side_probe_and_distance(peak_hint):
+    with pytest.raises(NonConvergence) as err:
+        quadrature.integrate(lambda x: 1.0 if x < 0.0 else math.exp(-x), (-math.inf, math.inf), peak_hint=peak_hint)
+    message = str(err.value)
+    assert "left tail" in message
+    match = re.search(r"last probe x=(\S+), (\S+) from the anchor (\S+)\)", message)
+    probe, distance, anchor = (float(g) for g in match.groups())
+    assert probe < 0.0 < distance
+    assert distance == pytest.approx(anchor - probe, rel=1e-2)
+    assert "|x|=-" not in message
 
 
 def test_empty_domain_rejected():
