@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -46,8 +46,6 @@ def _fmt(x: float) -> str:
 
 
 def _jsonable(obj):
-    if isinstance(obj, Verdict):
-        return obj.value
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, Fraction):
@@ -439,7 +437,7 @@ class DerivativeBundle:
     c: float | None = None
 
 
-def _bundle_from_profile(mu: float, profile: tuple[float, float, float, float, float]) -> DerivativeBundle:
+def _bundle_from_profile(mu: float, profile: tuple[float, float, float, float, float], c: float | None) -> DerivativeBundle:
     s, s1, s2, s3, s4 = profile
     d3 = -s1
     d4 = s1 * s1 - 2.0 * s * s2
@@ -454,6 +452,7 @@ def _bundle_from_profile(mu: float, profile: tuple[float, float, float, float, f
         d4=d4,
         d5=d5,
         d6=d6,
+        c=c,
     )
 
 
@@ -628,31 +627,8 @@ def sigma_ode_check(
     g_values = [p[1] * p[1] + 3.0 * p[0] * p[2] for p in profiles]
     report = AnalysisReport.from_values(grid, g_values, tol, fail_threshold)
     c = report.reference_value if report.verdict is Verdict.CONSTANT else None
-    bundles = tuple(
-        DerivativeBundle(
-            mu=b.mu,
-            sigma=b.sigma,
-            sigma_derivs=b.sigma_derivs,
-            d2=b.d2,
-            d3=b.d3,
-            d4=b.d4,
-            d5=b.d5,
-            d6=b.d6,
-            c=c,
-        )
-        for b in (_bundle_from_profile(mu, p) for mu, p in zip(grid, profiles))
-    )
-    details = dict(report.details)
-    details.update({"c": c, "bundles": bundles, "label": vf.label})
-    return AnalysisReport(
-        grid=report.grid,
-        values=report.values,
-        max_abs_deviation=report.max_abs_deviation,
-        reference_value=report.reference_value,
-        verdict=report.verdict,
-        tolerance_used=report.tolerance_used,
-        details=details,
-    )
+    bundles = tuple(_bundle_from_profile(mu, p, c) for mu, p in zip(grid, profiles))
+    return replace(report, details={**report.details, "c": c, "bundles": bundles, "label": vf.label})
 
 
 def higher_order_check(
@@ -820,13 +796,12 @@ def classify_family(vf: VarianceFunctionSpec, grid_size: int = 33) -> Classifica
             coefficients={"a": a, "b": b, "c": c0, "discriminant": disc},
         )
 
-    ode = sigma_ode_check(vf)
-    if ode.verdict is not Verdict.CONSTANT:
+    higher = higher_order_check(vf)
+    if higher.details["ode_constant"] is None:
         return Classification(
             FamilyClass.NOT_EXCHANGEABLE,
             reason="(sigma')^2 + 3*sigma*sigma'' varies across the grid (second-order condition fails)",
         )
-    higher = higher_order_check(vf)
     if higher.verdict is not Verdict.CONSTANT:
         return Classification(
             FamilyClass.NOT_EXCHANGEABLE,

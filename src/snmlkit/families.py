@@ -27,10 +27,12 @@ Tweedie 0) act as degenerate point masses; mean domains may be restricted to a
 closed sub-interval, in which case maximum-likelihood means are clipped into
 it.
 
-Serialization keys (``to_json``/``from_json``): ``kind`` is one of
-``gaussian_location`` (extra key ``sigma2``), ``gamma_shape`` (``shape``),
-``tweedie32``, ``bernoulli``, ``poisson``; ``mean_domain`` is a two-element
-array whose entries may be the strings ``"inf"``/``"-inf"``.
+The built-in families are frozen values: equal fields make equal, equally
+hashed families, which share the strategy caches keyed on (family, n, x-bar).
+``to_json`` writes the fields and ``kind``, one of ``gaussian_location``
+(field ``sigma2``), ``gamma_shape`` (``shape``), ``tweedie32``,
+``bernoulli``, ``poisson``; ``mean_domain`` is a two-element array whose
+entries may be the strings ``"inf"``/``"-inf"``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
@@ -176,6 +178,10 @@ class Family(ABC):
     ``kl_divergence``) validates against the possibly restricted mean domain;
     integrals over the observation space need the unchecked one, because
     observations range over the whole support.
+
+    A built-in family is a frozen dataclass whose fields are its positive
+    finite parameters, then ``mean_domain`` (None, a pair or an Interval,
+    made the restricted Interval).  Transformed families compare by identity.
     """
 
     kind: str = "abstract"
@@ -194,24 +200,32 @@ class Family(ABC):
     # exists exactly where the support has an atom (the degenerate point mass).
     _support: Interval
 
-    def __init__(self, mean_domain: tuple[float, float] | Interval | None = None):
+    def __post_init__(self):
+        for f in fields(self):
+            if f.name != "mean_domain":
+                value = getattr(self, f.name)
+                if not value > 0 or math.isinf(value):
+                    raise DomainError(f"{f.name} must be positive and finite, got {value!r}")
+                object.__setattr__(self, f.name, float(value))
+        object.__setattr__(self, "mean_domain", self._restricted_domain(self.mean_domain))
+
+    def _restricted_domain(self, mean_domain: tuple[float, float] | Interval | None) -> Interval:
         full = self._full_mean_domain()
         if mean_domain is None:
-            self.mean_domain = full
+            return full
+        if isinstance(mean_domain, Interval):
+            lo, hi = mean_domain.lower, mean_domain.upper
         else:
-            if isinstance(mean_domain, Interval):
-                lo, hi = mean_domain.lower, mean_domain.upper
-            else:
-                lo, hi = float(mean_domain[0]), float(mean_domain[1])
-            if lo < full.lower or hi > full.upper:
-                raise DomainError(
-                    f"mean domain [{lo}, {hi}] exceeds the maximal domain "
-                    f"[{full.lower}, {full.upper}] of kind {self.kind}"
-                )
-            # restriction endpoints are closed so clipped maxima are attained
-            lo_inc = full.lower_included if lo == full.lower else not math.isinf(lo)
-            hi_inc = full.upper_included if hi == full.upper else not math.isinf(hi)
-            self.mean_domain = Interval(lo, hi, lo_inc, hi_inc)
+            lo, hi = float(mean_domain[0]), float(mean_domain[1])
+        if lo < full.lower or hi > full.upper:
+            raise DomainError(
+                f"mean domain [{lo}, {hi}] exceeds the maximal domain "
+                f"[{full.lower}, {full.upper}] of kind {self.kind}"
+            )
+        # restriction endpoints are closed so clipped maxima are attained
+        lo_inc = full.lower_included if lo == full.lower else not math.isinf(lo)
+        hi_inc = full.upper_included if hi == full.upper else not math.isinf(hi)
+        return Interval(lo, hi, lo_inc, hi_inc)
 
     # ---- per-family surface -------------------------------------------------
 
@@ -261,9 +275,6 @@ class Family(ABC):
     @abstractmethod
     def sample(self, mu: float, size: int, rng: np.random.Generator) -> np.ndarray: ...
 
-    def _hyper_json(self) -> dict:
-        return {}
-
     # ---- shared machinery ---------------------------------------------------
 
     def _log_density(self, mu: float, x: float) -> float:
@@ -287,7 +298,8 @@ class Family(ABC):
         return self._observation_atoms
 
     def sigma(self, mu: float) -> float:
-        return math.sqrt(self.variance(mu))
+        """sigma(mu) = sqrt(V(mu)) for an interior mean of the mean domain."""
+        return self._sigma(self._check_mean(mu, interior=True))
 
     def _sigma(self, mu: float) -> float:
         """sigma(mu) on the interior of the full mean domain, unchecked."""
@@ -406,19 +418,12 @@ class Family(ABC):
     # ---- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
-        return _json.dumps(self._json_dict(), sort_keys=True)
-
-    def _json_dict(self) -> dict:
-        payload = {"kind": self.kind}
-        payload.update(self._hyper_json())
-        payload["mean_domain"] = [self.mean_domain.lower, self.mean_domain.upper]
-        return payload
-
-    def __repr__(self) -> str:
-        hyper = ", ".join(f"{k}={v}" for k, v in self._hyper_json().items())
-        return f"{type(self).__name__}({hyper})"
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload.update(kind=self.kind, mean_domain=list(self.mean_domain.bounds()))
+        return _json.dumps(payload, sort_keys=True)
 
 
+@dataclass(frozen=True)
 class GaussianLocation(Family):
     """Gaussian with known variance sigma2, indexed by its mean.
 
@@ -432,13 +437,13 @@ class GaussianLocation(Family):
     _preferred_reference = 0.0
     _support = Interval(-math.inf, math.inf)
 
-    def __init__(self, sigma2: float = 1.0, mean_domain=None):
-        if not sigma2 > 0 or math.isinf(sigma2):
-            raise DomainError(f"sigma2 must be positive and finite, got {sigma2!r}")
-        self.sigma2 = float(sigma2)
-        self._scale = math.sqrt(self.sigma2)
-        self._log_peak = -0.5 * math.log(2.0 * math.pi * self.sigma2)
-        super().__init__(mean_domain)
+    sigma2: float = 1.0
+    mean_domain: Interval | tuple[float, float] | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "_scale", math.sqrt(self.sigma2))
+        object.__setattr__(self, "_log_peak", -0.5 * math.log(2.0 * math.pi * self.sigma2))
 
     def _variance(self, mu: float) -> float:
         return self.sigma2
@@ -474,10 +479,8 @@ class GaussianLocation(Family):
         mu = self._check_mean(mu)
         return rng.normal(mu, math.sqrt(self.sigma2), size=size)
 
-    def _hyper_json(self) -> dict:
-        return {"sigma2": self.sigma2}
 
-
+@dataclass(frozen=True)
 class GammaShape(Family):
     """Gamma with fixed shape k, indexed by its mean mu = k * scale.
 
@@ -491,11 +494,8 @@ class GammaShape(Family):
     _preferred_reference = 1.0
     _support = Interval(0.0, math.inf)
 
-    def __init__(self, shape: float = 1.0, mean_domain=None):
-        if not shape > 0 or math.isinf(shape):
-            raise DomainError(f"shape must be positive and finite, got {shape!r}")
-        self.shape = float(shape)
-        super().__init__(mean_domain)
+    shape: float = 1.0
+    mean_domain: Interval | tuple[float, float] | None = None
 
     def _variance(self, mu: float) -> float:
         return mu * mu / self.shape
@@ -546,10 +546,8 @@ class GammaShape(Family):
         mu = self._check_mean(mu, interior=True)
         return rng.gamma(self.shape, mu / self.shape, size=size)
 
-    def _hyper_json(self) -> dict:
-        return {"shape": self.shape}
 
-
+@dataclass(frozen=True)
 class Tweedie32(Family):
     """Tweedie family with V(mu) = 2*mu^(3/2) in compound-Poisson form.
 
@@ -565,8 +563,11 @@ class Tweedie32(Family):
     _preferred_reference = 1.0
     _support = Interval(0.0, math.inf, lower_included=True)
 
+    mean_domain: Interval | tuple[float, float] | None = None
+
     def _variance(self, mu: float) -> float:
-        return 2.0 * mu ** 1.5
+        # mu ** 1.5 raises OverflowError past 3.2e205, where V is already inf
+        return 2.0 * mu ** 1.5 if mu < 3e205 else math.inf
 
     def _sigma(self, mu: float) -> float:
         return math.sqrt(2.0) * mu ** 0.75
@@ -603,6 +604,7 @@ class Tweedie32(Family):
         return tweedie_ops.draw(self._check_mean(mu, interior=True), size, rng)
 
 
+@dataclass(frozen=True)
 class Bernoulli(Family):
     """Bernoulli on {0, 1}, indexed by the success probability mu; V = mu(1-mu)."""
 
@@ -613,6 +615,8 @@ class Bernoulli(Family):
     finite_support = (0.0, 1.0)
     _preferred_reference = 0.5
     _support = Interval(0.0, 1.0, lower_included=True, upper_included=True)
+
+    mean_domain: Interval | tuple[float, float] | None = None
 
     def _variance(self, mu: float) -> float:
         return mu * (1.0 - mu)
@@ -663,6 +667,7 @@ class Bernoulli(Family):
         return (rng.random(size) < mu).astype(float)
 
 
+@dataclass(frozen=True)
 class Poisson(Family):
     """Poisson on the nonnegative integers, indexed by its mean; V(mu) = mu."""
 
@@ -673,6 +678,8 @@ class Poisson(Family):
     finite_support = None
     _preferred_reference = 1.0
     _support = Interval(0.0, math.inf, lower_included=True)
+
+    mean_domain: Interval | tuple[float, float] | None = None
 
     def _variance(self, mu: float) -> float:
         return mu
@@ -821,7 +828,7 @@ class TransformedFamily(Family):
         if base.finite_support is not None:
             self.finite_support = tuple(float(forward(v)) for v in base.finite_support)
         self._preferred_reference = base._preferred_reference
-        super().__init__(base.mean_domain)
+        self.mean_domain = base.mean_domain
 
     # parameter-side structure is the base family's
     def _full_mean_domain(self) -> Interval:
@@ -901,9 +908,6 @@ class TransformedFamily(Family):
         base_draws = self.base.sample(mu, size, rng)
         return np.array([float(self._forward(float(v))) for v in base_draws])
 
-    def _hyper_json(self) -> dict:
-        raise DomainError("transformed families hold arbitrary callables and do not serialize")
-
     def to_json(self) -> str:
         raise DomainError("transformed families hold arbitrary callables and do not serialize")
 
@@ -928,23 +932,21 @@ def transform_family(
     return TransformedFamily(family, forward, inverse, inverse_derivative, support=support, label=label)
 
 
-_KIND_BUILDERS = {
-    "gaussian_location": lambda d, dom: GaussianLocation(sigma2=float(d.get("sigma2", 1.0)), mean_domain=dom),
-    "gamma_shape": lambda d, dom: GammaShape(shape=float(d.get("shape", 1.0)), mean_domain=dom),
-    "tweedie32": lambda d, dom: Tweedie32(mean_domain=dom),
-    "bernoulli": lambda d, dom: Bernoulli(mean_domain=dom),
-    "poisson": lambda d, dom: Poisson(mean_domain=dom),
-}
+_KINDS = {cls.kind: cls for cls in (GaussianLocation, GammaShape, Tweedie32, Bernoulli, Poisson)}
 
 
 def from_json(payload: str | dict) -> Family:
-    """Rebuild a family from its to_json payload (or an equivalent dict)."""
+    """Rebuild a family from its to_json payload (or an equivalent dict).
+
+    Keys that are not fields of the kind are ignored."""
     data = json.loads(payload) if isinstance(payload, str) else dict(payload)
     kind = data.get("kind")
-    if kind not in _KIND_BUILDERS:
+    if kind not in _KINDS:
         raise DomainError(f"unknown family kind {kind!r}")
+    cls = _KINDS[kind]
     domain = None
-    if "mean_domain" in data and data["mean_domain"] is not None:
+    if data.get("mean_domain") is not None:
         lo, hi = data["mean_domain"]
         domain = (float(lo), float(hi))
-    return _KIND_BUILDERS[kind](data, domain)
+    parameters = {f.name: float(data[f.name]) for f in fields(cls) if f.name != "mean_domain" and f.name in data}
+    return cls(**parameters, mean_domain=domain)

@@ -26,6 +26,10 @@ from .errors import NanIntegrand, NonConvergence
 DECAY_FACTOR = 1e-16
 _DECAY_RUN = 4
 _TAIL_SKIP_FRACTION = 1e-3
+_MAX_SUBDIVISIONS = 400
+_SERIES_REL_TOL = 1e-15
+_SERIES_PATIENCE = 25
+_MAX_SERIES_TERMS = 200_000
 
 
 @dataclass(frozen=True)
@@ -136,7 +140,6 @@ def integrate(
     tol_abs: float = 1e-10,
     tol_rel: float = 1e-8,
     peak_hint: float | None = None,
-    max_subdivisions: int = 400,
     breaks: Sequence[float] = (),
 ) -> QuadratureResult:
     """Integrate f over an interval, handling unbounded endpoints.
@@ -196,7 +199,7 @@ def integrate(
         hi,
         epsabs=tol_abs,
         epsrel=tol_rel,
-        limit=max_subdivisions,
+        limit=_MAX_SUBDIVISIONS,
         points=points,
         full_output=1,
     )
@@ -236,7 +239,7 @@ def integrate(
             args=(edge,),
             epsabs=tol_abs,
             epsrel=tol_rel,
-            limit=max_subdivisions,
+            limit=_MAX_SUBDIVISIONS,
             full_output=1,
         )
         value += tail[0]
@@ -262,9 +265,6 @@ def integrate(
 def sum_counting(
     f: Callable[[int], float],
     start: int = 0,
-    rel_tol: float = 1e-15,
-    patience: int = 25,
-    max_terms: int = 200_000,
     peak: int | None = None,
 ) -> float:
     """Sum f(k) over the integers k >= start, outward from peak (default start).
@@ -281,15 +281,15 @@ def sum_counting(
     used = 0
     for k, step in ((first, 1), (first - 1, -1)):
         run = 0
-        while k >= start and run < patience:
-            if used >= max_terms:
-                raise NonConvergence(f"series did not settle within {max_terms} terms")
+        while k >= start and run < _SERIES_PATIENCE:
+            if used >= _MAX_SERIES_TERMS:
+                raise NonConvergence(f"series did not settle within {_MAX_SERIES_TERMS} terms")
             term = f(k)
             used += 1
             if math.isnan(term):
                 raise NanIntegrand(f"series term is NaN at k={k}")
             total += term
-            run = run + 1 if term <= rel_tol * max(total, 1e-300) else 0
+            run = run + 1 if term <= _SERIES_REL_TOL * max(total, 1e-300) else 0
             k += step
     return total
 

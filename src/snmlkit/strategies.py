@@ -64,7 +64,7 @@ from .errors import (
     ImproperPosterior,
     NonConvergence,
 )
-from .families import Bernoulli, Family, Interval, ObservationSequence, TransformedFamily, exact_mean
+from .families import Bernoulli, Family, ObservationSequence, TransformedFamily, exact_mean
 
 STRATEGIES = ("snml", "bayes", "cnml", "nml")
 
@@ -126,8 +126,11 @@ def _strategy_name(strategy: str) -> str:
     return name
 
 
+_EXACT_BERNOULLI = Bernoulli()
+
+
 def _is_exact_bernoulli(family: Family) -> bool:
-    return type(family) is Bernoulli and family.mean_domain == Interval(0.0, 1.0, True, True)
+    return family == _EXACT_BERNOULLI
 
 
 def _bernoulli_sup_fraction(n: int, ones: int) -> Fraction:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import snmlkit
-from snmlkit import cli, parse_report_csv, tweedie
+from snmlkit import cli, families, parse_report_csv, tweedie
 
 
 def run(capsys, *argv):
@@ -493,6 +493,13 @@ class TestFamilySelection:
         code, _, err = run(capsys, "kl", "--mu0", "0", "--mu1", "1")
         assert code == 2
         assert "error:" in err
+
+    def test_flags_build_the_equal_family_value(self):
+        args = cli.build_parser().parse_args(["kl", "--family", "gamma", "--shape", "2", "--mu0", "1", "--mu1", "2"])
+        assert cli._family_from_args(args) == snmlkit.GammaShape(2.0)
+
+    def test_family_names_cover_the_serialization_kinds(self):
+        assert sorted(cli._FAMILY_KINDS.values()) == sorted(families._KINDS)
 
 
 class TestUsage:

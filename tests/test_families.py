@@ -1,5 +1,6 @@
 """Tests for the exponential-family abstraction and the five built-ins."""
 
+import dataclasses
 import math
 
 import pytest
@@ -148,6 +149,18 @@ def test_variance_closed_forms(name, mu, expected):
 def test_variance_rejects_degenerate_boundary():
     with pytest.raises(DomainError):
         FAMILIES["bernoulli"].variance(1.0)
+
+
+def test_sigma_far_out_is_the_unchecked_sigma():
+    """sqrt(V) overflows where sigma itself is finite: Gamma's mu^2 past
+    1e154, and Tweedie's mu^1.5 raises OverflowError past 3.2e205."""
+    assert sk.GammaShape(1.0).sigma(1e200) == 1e200
+    assert sk.GammaShape(4.0).sigma(1e200) == 5e199
+    assert sk.Tweedie32().sigma(1e250) == pytest.approx(math.sqrt(2.0) * 1e250**0.75, rel=1e-15)
+    assert sk.Tweedie32().variance(1e250) == math.inf
+    assert sk.Tweedie32().variance(1e205) == pytest.approx(2.0 * 1e205**1.5, rel=1e-15)
+    with pytest.raises(DomainError):
+        sk.Tweedie32().sigma(0.0)
 
 
 # the benchmark families with their closed-form V(mu) and three interior means
@@ -355,6 +368,8 @@ class TestTransforms:
 def test_json_round_trip(fam):
     clone = sk.from_json(fam.to_json())
     assert type(clone) is type(fam)
+    assert clone == fam
+    assert hash(clone) == hash(fam)
     core = fam.convex_core()
     lo = max(core.lower, -4.0)
     hi = min(core.upper, 4.0)
@@ -368,6 +383,53 @@ def test_json_round_trip(fam):
 def test_from_json_rejects_unknown_kind():
     with pytest.raises(DomainError):
         sk.from_json('{"kind": "cauchy"}')
+
+
+# ---- value semantics --------------------------------------------------------
+
+
+RESTRICTED = [
+    sk.GaussianLocation(2.5, mean_domain=(-1.0, math.inf)),
+    sk.GammaShape(2.0, mean_domain=(0.5, 4.0)),
+    sk.Tweedie32(mean_domain=(0.0, 3.0)),
+    sk.Bernoulli(mean_domain=(0.1, 0.9)),
+    sk.Poisson(mean_domain=sk.Interval(0.5, 10.0)),
+]
+
+
+@pytest.mark.parametrize("fam", RESTRICTED, ids=lambda f: type(f).__name__)
+def test_restricted_family_is_a_value(fam):
+    clone = sk.from_json(fam.to_json())
+    assert clone == fam
+    assert hash(clone) == hash(fam)
+    assert clone != type(fam)()
+    assert clone.to_json() == fam.to_json()
+
+
+def test_mean_domain_given_as_the_full_domain_is_the_default():
+    assert sk.Bernoulli(mean_domain=(0.1, 0.9)) != sk.Bernoulli()
+    assert sk.Bernoulli(mean_domain=(0, 1)) == sk.Bernoulli()
+    assert hash(sk.Bernoulli(mean_domain=(0, 1))) == hash(sk.Bernoulli())
+    assert sk.GammaShape(2) == sk.GammaShape(2.0, mean_domain=sk.Interval(0.0, math.inf))
+    assert sk.GammaShape(2.0) != sk.GammaShape(2.5)
+    assert sk.GaussianLocation() != sk.GammaShape()
+
+
+@pytest.mark.parametrize("fam", list(FAMILIES.values()) + RESTRICTED, ids=list(FAMILIES) + ["restricted"] * len(RESTRICTED))
+def test_every_field_is_frozen(fam):
+    for field in dataclasses.fields(fam):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fam, field.name, getattr(fam, field.name))
+
+
+def test_transformed_families_compare_by_identity():
+    def make():
+        return sk.transform_family(sk.GammaShape(0.5), lambda x: 1.0 / x, lambda y: 1.0 / y, lambda y: -1.0 / (y * y))
+
+    first, second = make(), make()
+    assert first == first
+    assert first != second
+    assert first != sk.GammaShape(0.5)
 
 
 # ---- hyperparameter validation ----------------------------------------------

@@ -750,6 +750,17 @@ def test_permuted_histories_share_one_normalizer(maker):
     assert len({p.density(1.3) for p in preds}) == 1
 
 
+@pytest.mark.parametrize("maker", [sk.snml_predictive, sk.bayes_jeffreys_predictive], ids=["snml", "bayes"])
+def test_equal_families_share_cache_entries(maker):
+    cache = strategies._snml_log_normalizer if maker is sk.snml_predictive else strategies._jeffreys_posterior
+    family = sk.GammaShape(2.0)
+    cache.cache_clear()
+    maker(family, (0.7, 2.5))
+    maker(sk.from_json(family.to_json()), (2.5, 0.7))
+    info = cache.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_tweedie_predictive_has_zero_atom():
     pred = sk.snml_predictive(sk.Tweedie32(), (1.0,))
     atoms = dict(pred.atoms)
@@ -800,18 +811,18 @@ def test_unconditioned_gaussian_joints_raise_before_any_integral(strategy, error
     assert integrand_calls.count == 0
 
 
-BUILT_IN = [
-    sk.GaussianLocation(1.0),
-    sk.GammaShape(0.5),
-    sk.GammaShape(2.0),
-    sk.Tweedie32(),
-    sk.Bernoulli(),
-    sk.Poisson(),
-    sk.transform_family(sk.GammaShape(0.5), lambda x: 1.0 / x, lambda y: 1.0 / y, lambda y: -1.0 / (y * y)),
-]
+BUILT_IN = {
+    "GaussianLocation(sigma2=1.0)": sk.GaussianLocation(1.0),
+    "GammaShape(shape=0.5)": sk.GammaShape(0.5),
+    "GammaShape(shape=2.0)": sk.GammaShape(2.0),
+    "Tweedie32()": sk.Tweedie32(),
+    "Bernoulli()": sk.Bernoulli(),
+    "Poisson()": sk.Poisson(),
+    "TransformedFamily(transformed(gamma_shape))": LEVY,
+}
 
 
-@pytest.mark.parametrize("family", BUILT_IN, ids=repr)
+@pytest.mark.parametrize("family", BUILT_IN.values(), ids=BUILT_IN)
 @pytest.mark.parametrize("entry", ["snml_predictive", "bayes_jeffreys_predictive", "log_density"])
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
 def test_non_finite_observations_are_unsupported(family, entry, x):
@@ -835,9 +846,8 @@ LEVY_AT_ZERO = {
 @pytest.mark.parametrize("call", LEVY_AT_ZERO.values(), ids=LEVY_AT_ZERO.keys())
 def test_levy_closure_point_without_finite_pullback_is_unsupported(call):
     """0 closes the Levy support, but the reciprocal map sends it to infinity."""
-    levy = BUILT_IN[-1]
     with pytest.raises(sk.UnsupportedPoint):
-        call(levy)
+        call(LEVY)
 
 
 @pytest.mark.parametrize("shape", [0.5, 1.0, 2.0])
