@@ -32,7 +32,7 @@ from .errors import (
     NonConvergence,
 )
 from .families import Family, ObservationSequence
-from .strategies import _concentration_integral, _joint_value, _log_joint
+from .strategies import _concentration_integral, _joint_value, _log_joint, _snml_ordering_extremes
 
 
 class Verdict(str, Enum):
@@ -168,10 +168,12 @@ def parse_report_csv(text: str) -> tuple[tuple, tuple, tuple]:
 # ---- concentration integrals ------------------------------------------------
 
 
-def _positive_integer(n) -> int:
-    if not (n >= 1 and float(n).is_integer()):
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    return int(n)
+def _integer(name: str, value, least: int) -> int:
+    """value as an int; DomainError naming the argument unless it is an
+    integer of at least least (0 or 1)."""
+    if not (value >= least and float(value).is_integer()):
+        raise DomainError(f"{name} must be a {'positive' if least else 'nonnegative'} integer, got {value!r}")
+    return int(value)
 
 
 def condition_integral(
@@ -188,7 +190,7 @@ def condition_integral(
     the mean domain.  This is the Jeffreys posterior normalizer of n
     observations with mean mu0, computed by the same code.
     """
-    n = _positive_integer(n)
+    n = _integer("n", n, 1)
     mu0 = family._check_mean(mu0, interior=True)
     try:
         return _concentration_integral(family, n, mu0, mu0, tol_abs, tol_rel)
@@ -232,7 +234,7 @@ def laplace_asymptotics_check(
     if pos not in ("interior", "boundary"):
         raise DomainError(f"position must be 'interior' or 'boundary', got {position!r}")
     boundary = pos == "boundary"
-    n_list = tuple(_positive_integer(n) for n in n_list)
+    n_list = tuple(_integer("n", n, 1) for n in n_list)
     if not n_list:
         raise DomainError("n_list must hold positive integers")
     lo, hi = family.mean_interior()
@@ -299,12 +301,25 @@ def exchangeability_test(
     through the multiset, so each ordering of a history gives the same
     spread); ``random`` draws ``count``
     continuations (and the history, unless given) at ``sample_mean``;
-    explicit ``continuations`` override the test set.  The worst witness pair
-    is recorded in details, with its joints and their logs: the joints may
-    underflow to 0 where the logs still show the spread.
+    explicit ``continuations`` override the test set.
+
+    Every ordering of a continuation has the same SNML numerator, so the
+    normalizers alone decide which orderings have the largest and the
+    smallest joint.  The prefixes of all orderings are the proper
+    sub-multisets of the continuation, so a case costs 2^k - 1 one-step
+    normalizers for k distinct values (fewer where values repeat), and
+    dynamic programming over them finds both orderings without a walk over
+    the k! orderings.  Among orderings with equal normalizers the
+    lexicographically first is taken.  A continuation with at most two
+    orderings has both as its witnesses.  The spread is that of the two
+    witness joints, each computed once: exact for exact Bernoulli, else
+    -expm1 of their log difference, and 0 where both joints are 0.  The
+    worst witness pair is recorded in details, with its joints and their
+    logs: the joints may underflow to 0 where the logs still show the
+    spread.
     """
-    m, n = int(m), int(n)
-    if not 0 <= m < n:
+    m, n, count = _integer("m", m, 0), _integer("n", n, 0), _integer("count", count, 1)
+    if not m < n:
         raise DomainError(f"need 0 <= m < n, got m={m}, n={n}")
     free = n - m
     mode = str(test_set).strip().lower().replace("_", "-")
@@ -320,6 +335,8 @@ def exchangeability_test(
                 raise DomainError(f"continuation {cont!r} does not have length n-m={free}")
             cases.append((hist, cont))
     elif mode in ("all-discrete", "alldiscrete"):
+        if history is not None:
+            raise DomainError("all-discrete enumerates every history; give a history with explicit continuations")
         support = family.finite_support
         if support is None:
             raise DomainError(f"kind {family.kind} has no finite support; use the random test set")
@@ -337,7 +354,7 @@ def exchangeability_test(
                 raise DomainError(f"history must have length m={m}")
         else:
             hist = tuple(float(v) for v in family.sample(mean, m, rng))
-        for _ in range(int(count)):
+        for _ in range(count):
             cases.append((hist, tuple(float(v) for v in family.sample(mean, free, rng))))
     else:
         raise DomainError(f"unknown test set {test_set!r}; expected 'all-discrete' or 'random'")
@@ -347,7 +364,11 @@ def exchangeability_test(
     witness: dict | None = None
     worst = -1.0
     for hist, cont in cases:
-        orderings = sorted(set(itertools.permutations(cont)))
+        if len(cont) <= 2 or len(set(cont)) == 1:
+            # at most two orderings, and both are witnesses
+            orderings = sorted(set(itertools.permutations(cont)))
+        else:
+            orderings = sorted(set(_snml_ordering_extremes(family, hist, cont)))
         joints = [_log_joint(family, "snml", ObservationSequence(hist + p, m)) for p in orderings]
         spread, hi_i, lo_i = _spread(joints)
         grid.append(cont)
@@ -380,7 +401,7 @@ def bayes_cnml_agreement(
     details holds both joints of each sequence and their logs (``log_cnml``,
     ``log_bayes``), which still show the gap where the joints underflow.
     """
-    m, n = int(m), int(n)
+    m, n = _integer("m", m, 0), _integer("n", n, 0)
     seqs: list[ObservationSequence] = []
     for s in sequences:
         if not isinstance(s, ObservationSequence):

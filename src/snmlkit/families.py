@@ -130,6 +130,9 @@ class ObservationSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if not float(self.m).is_integer():
+            raise ValueError(f"m must be an integer, got {self.m!r}")
+        object.__setattr__(self, "m", int(self.m))
         if not 0 <= self.m <= len(self.values):
             raise ValueError(f"m={self.m} outside 0..{len(self.values)}")
 
@@ -385,15 +388,6 @@ class Family(ABC):
         reference = self._check_mean(reference, interior=True)
         return ParamValue(self.geodesic_from_mean(mu, reference), Chart.GEODESIC, reference)
 
-    def fisher_information(self, param: ParamValue | float) -> float:
-        chart = param.chart if isinstance(param, ParamValue) else Chart.MEAN
-        mu = self._check_mean(self.mean_value(param), interior=True)
-        if chart is Chart.MEAN:
-            return 1.0 / self.variance(mu)
-        if chart is Chart.NATURAL:
-            return self.variance(mu)
-        return 1.0
-
     def mle_mean(self, values: Sequence[float], window=None) -> MleEstimate:
         """Maximum-likelihood mean, clipped into the closure of the mean domain."""
         values = tuple(float(v) for v in values)
@@ -497,12 +491,19 @@ class GammaShape(Family):
     shape: float = 1.0
     mean_domain: Interval | tuple[float, float] | None = None
 
+    def __post_init__(self):
+        super().__post_init__()
+        a = self.shape
+        object.__setattr__(self, "_root_shape", math.sqrt(a))
+        # l*(x) + log x, the constant of the saturated log-likelihood
+        object.__setattr__(self, "_saturated_constant", a * math.log(a) - a - math.lgamma(a))
+
     def _variance(self, mu: float) -> float:
         return mu * mu / self.shape
 
     def _sigma(self, mu: float) -> float:
         # not sqrt(V): mu * mu overflows above 1e154
-        return mu / math.sqrt(self.shape)
+        return mu / self._root_shape
 
     def natural_from_mean(self, mu: float) -> float:
         return -self.shape / mu
@@ -519,6 +520,8 @@ class GammaShape(Family):
 
     def _saturated_log_likelihood(self, x: float, k: int = 1) -> float:
         # the sum of k members is Gamma with shape k * shape
+        if k == 1:
+            return self._saturated_constant - math.log(x)
         a = k * self.shape
         return a * math.log(a) - a - math.lgamma(a) - math.log(x)
 
@@ -534,13 +537,13 @@ class GammaShape(Family):
             if k < 1.0:
                 return math.inf
             return -math.log(mu) if k == 1.0 else -math.inf
-        return super()._log_density(mu, x)
+        return self._saturated_constant - math.log(x) - self._divergence(x, mu)
 
     def geodesic_from_mean(self, mu: float, reference: float) -> float:
-        return math.sqrt(self.shape) * math.log(mu / reference)
+        return self._root_shape * math.log(mu / reference)
 
     def mean_from_geodesic(self, beta: float, reference: float) -> float:
-        return reference * math.exp(beta / math.sqrt(self.shape))
+        return reference * math.exp(beta / self._root_shape)
 
     def sample(self, mu: float, size: int, rng: np.random.Generator) -> np.ndarray:
         mu = self._check_mean(mu, interior=True)

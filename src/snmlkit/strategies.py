@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -188,21 +189,26 @@ def _snml_log_gain(family: Family, n: int, mean: float, k: int = 1) -> Callable[
     continuations with sum t the saturated values integrate to the law of a
     sum of k members at its own mean, l*_k(t).  The weight is therefore
     l*_k(t) - k D(t / k || mu') + n D(x-bar || clip x-bar) - n D(x-bar || mu').
-    A transformed family is taken to its base family before it gets here.
+    Per call only the family's kernel hooks run; the offset
+    n D(x-bar || clip x-bar), the shift and the bounds of the mean domain are
+    bound once.  The statistic of t is t itself: a transformed family's gain
+    of one observation is its base family's at the pulled-back value, plus
+    the density's log-Jacobian.
     """
-    relative = _relative_log_likelihood(family, n, mean)
+    if isinstance(family, TransformedFamily):
+        base_gain = _snml_log_gain(family.base, n, mean)
+        return lambda y: base_gain(family.pullback(y)) + family._density_log_jacobian(y)
+    lo, hi = family.mean_domain.bounds()
+    offset = n * family._divergence(mean, family.mean_domain.clip(mean)) if n else 0.0
     shift, size = k * mean, n + k
-    if k == 1:
-        # the family's own kernel, with its boundary cases (Gamma at 0)
-        log_density = family._log_density
-    else:
-
-        def log_density(mu: float, t: float) -> float:
-            return family._saturated_log_likelihood(t, k) - k * family._divergence(t / k, mu)
+    log_density, saturated, divergence = family._log_density, family._saturated_log_likelihood, family._divergence
 
     def log_gain(t: float) -> float:
-        mu = family.mean_domain.clip(mean + (family._statistic(t) - shift) / size)
-        return log_density(mu, t) + relative(mu)
+        mu = mean + (t - shift) / size
+        mu = lo if mu < lo else hi if mu > hi else mu
+        # at k = 1 the family's own kernel, with its boundary cases (Gamma at 0)
+        head = log_density(mu, t) if k == 1 else saturated(t, k) - k * divergence(t / k, mu)
+        return head + (offset - n * divergence(mean, mu)) if n else head
 
     return log_gain
 
@@ -466,6 +472,78 @@ def _log_joint(
     else:
         log_normalizer = _log_shtarkov(family, seq.m, means[0], free)
     return log_numerator - log_normalizer, None
+
+
+def _snml_ordering_extremes(
+    family: Family, history: tuple[float, ...], continuation: tuple[float, ...]
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The orderings of a continuation after a history with the largest and
+    the smallest SNML joint, found from their normalizers alone.
+
+    Every ordering has the same numerator, the sup-likelihood of history and
+    continuation over that of the history, so its joint is that over the
+    product of its one-step normalizers Z, one per proper prefix.  A prefix
+    enters Z only as a sub-multiset of the continuation, so F, the sum of
+    log Z along an ordering, is a path sum on the lattice of sub-multisets
+    (count vectors) from the empty one to the whole: each Z is taken once,
+    2^k - 1 of them for k distinct values, and dynamic programming gives an
+    ordering with the smallest F (the largest joint) and one with the
+    largest F.  Exact Bernoulli takes the product of its exact Z ratios in
+    place of F.  Among orderings with equal F the lexicographically first is
+    returned.  A transformed family's Z are its base family's on the
+    pulled-back values.
+    """
+    _coerce_values(family, history + continuation)
+    _require_conditioning(family, len(history), DivergentNormalizer, _UNNORMALIZABLE)
+    values = sorted(set(continuation))
+    counts = tuple(continuation.count(v) for v in values)
+    base, pulled_history, pulled_values = family, history, values
+    while isinstance(base, TransformedFamily):
+        pulled_history = tuple(map(base.pullback, pulled_history))
+        pulled_values = list(map(base.pullback, pulled_values))
+        base = base.base
+    statistics = [base._exact_statistic(v) for v in pulled_values]
+    m, history_total = len(pulled_history), sum(map(base._exact_statistic, pulled_history))
+    exact = _is_exact_bernoulli(base)
+    combine = operator.mul if exact else operator.add
+
+    # predecessors come first in the product order
+    nodes = list(itertools.product(*(range(c + 1) for c in counts)))
+    full = nodes[-1]
+    weight = {}
+    for node in nodes[:-1]:
+        n, total = m + sum(node), history_total + sum(map(operator.mul, node, statistics))
+        if exact:
+            # total counts units of 2^-1074 (Family._exact_statistic)
+            ones = total >> 1074
+            weight[node] = _bernoulli_shtarkov_fraction(n, ones, 1) / _bernoulli_sup_fraction(n, ones)
+        else:
+            weight[node] = _snml_log_normalizer(base, n, _history_mean(base, n, total))
+
+    def predecessors(node):
+        return [node[:i] + (j - 1,) + node[i + 1 :] for i, j in enumerate(node) if j]
+
+    def extreme(pick) -> tuple[float, ...]:
+        start = Fraction(1) if exact else 0.0
+        best = {nodes[0]: start}
+        for node in nodes[1:]:
+            best[node] = pick(combine(best[p], weight[p]) for p in predecessors(node))
+        # nodes with an optimal chain of steps to the full one
+        reaches = {full}
+        for node in reversed(nodes):
+            if node in reaches:
+                reaches.update(p for p in predecessors(node) if combine(best[p], weight[p]) == best[node])
+        node, ordering = nodes[0], []
+        while node != full:
+            for i, j in enumerate(node):
+                step = node[:i] + (j + 1,) + node[i + 1 :]
+                if j < counts[i] and step in reaches and combine(best[node], weight[node]) == best[step]:
+                    break
+            ordering.append(values[i])
+            node = step
+        return tuple(ordering)
+
+    return extreme(min), extreme(max)
 
 
 def _joint_value(log_joint: float, exact: Fraction | None) -> float | Fraction:

@@ -1,6 +1,7 @@
 """Tests for the grid analyses: constancy, exchangeability, Laplace ratios,
 variance-function checks, and classification."""
 
+import itertools
 import math
 from fractions import Fraction
 from math import gamma as gamma_fn
@@ -18,6 +19,7 @@ from snmlkit import (
     Verdict,
     parse_report_csv,
 )
+from snmlkit import ObservationSequence, analysis, strategies
 from snmlkit._spline import QuinticSpline
 from snmlkit.errors import DomainError
 
@@ -345,6 +347,129 @@ class TestExchangeability:
         with pytest.raises(DomainError):
             sk.exchangeability_test(ber, 0, 2, "exhaustive")
 
+    @pytest.mark.parametrize(
+        "m,n,count,message",
+        [
+            (1.5, 3, 2, "m must be a nonnegative integer, got 1.5"),
+            (1, 3.7, 2, "n must be a nonnegative integer, got 3.7"),
+            (1, 3, 2.5, "count must be a positive integer, got 2.5"),
+            (1, 3, 0, "count must be a positive integer, got 0"),
+            (1, 3, -2, "count must be a positive integer, got -2"),
+        ],
+        ids=["m", "n", "count", "count_zero", "count_negative"],
+    )
+    def test_non_integral_arguments_are_named(self, m, n, count, message):
+        """1.5, 3.7 and 2.5 used to run as 1, 3 and 2; count 0 failed for an empty grid."""
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            sk.exchangeability_test(sk.GaussianLocation(1.0), m, n, count=count)
+
+    def test_all_discrete_rejects_a_history(self):
+        """all-discrete enumerates the histories; a given one was ignored, 5.0 unchecked."""
+        with pytest.raises(DomainError, match="history"):
+            sk.exchangeability_test(sk.Bernoulli(), 1, 3, "all-discrete", history=(5.0,))
+
+
+def _log_normalizer_sum(family, history, ordering):
+    """F: the sum of the log one-step SNML normalizers over the prefixes of an
+    ordering, or for exact Bernoulli the product of the exact Shtarkov ratios."""
+    while isinstance(family, sk.TransformedFamily):
+        history, ordering = tuple(map(family.pullback, history)), tuple(map(family.pullback, ordering))
+        family = family.base
+    values = history + ordering
+    if family == sk.Bernoulli():
+        out = Fraction(1)
+        for t in range(len(history), len(values)):
+            ones = int(sum(values[:t]))
+            out *= strategies._bernoulli_shtarkov_fraction(t, ones, 1) / strategies._bernoulli_sup_fraction(t, ones)
+        return out
+    out = 0.0
+    for t in range(len(history), len(values)):
+        total = sum(map(family._exact_statistic, values[:t]))
+        out += strategies._snml_log_normalizer(family, t, strategies._history_mean(family, t, total))
+    return out
+
+
+def _brute_force(family, history, continuation):
+    """Every distinct ordering, its log joint and its F, lexicographically."""
+    orderings = sorted(set(itertools.permutations(continuation)))
+    joints = [strategies._log_joint(family, "snml", ObservationSequence(history + p, len(history))) for p in orderings]
+    return orderings, joints, [_log_normalizer_sum(family, history, p) for p in orderings]
+
+
+LATTICE_CASES = {
+    "gaussian": (sk.GaussianLocation(1.0), (0.5,), (-1.3, 0.2, 0.9, 2.4, 3.1)),
+    "gamma1": (sk.GammaShape(1.0), (1.0,), (0.1, 0.7, 1.9, 4.2, 0.35)),
+    "tweedie": (sk.Tweedie32(), (1.2,), (0.0, 0.0, 0.8, 2.5, 5.0)),
+    "levy": (reciprocal_gamma_half(), (1.0,), (0.3, 1.7, 4.0, 12.0)),
+    "poisson_repeats": (sk.Poisson(), (3.0,), (0.0, 0.0, 2.0, 2.0, 9.0)),
+    "poisson_far": (sk.Poisson(), (1.0,), (0.0, 1000.0, 4.0)),
+    "gamma2_restricted": (sk.GammaShape(2.0, mean_domain=(0.5, 3.0)), (1.0,), (0.05, 0.3, 2.0, 6.0, 11.0)),
+    "bernoulli": (sk.Bernoulli(), (1.0,), (0.0, 1.0, 1.0, 0.0, 1.0)),
+    "bernoulli_no_history": (sk.Bernoulli(), (), (1.0, 0.0, 0.0, 1.0)),
+}
+
+
+class TestOrderingLattice:
+    """The sub-multiset lattice against a walk over every distinct ordering."""
+
+    @pytest.mark.parametrize("name", LATTICE_CASES)
+    def test_extremes_of_the_normalizer_sum(self, name):
+        """The lattice's orderings are the lexicographically first ones with
+        the smallest and the largest F."""
+        family, history, continuation = LATTICE_CASES[name]
+        orderings, _, sums = _brute_force(family, history, continuation)
+        lowest = orderings[min(range(len(sums)), key=sums.__getitem__)]
+        highest = orderings[max(range(len(sums)), key=sums.__getitem__)]
+        assert strategies._snml_ordering_extremes(family, history, continuation) == (lowest, highest)
+
+    @pytest.mark.parametrize("name", LATTICE_CASES)
+    def test_report_matches_every_ordering(self, name):
+        """Same verdict and spread as the maximum and minimum over all the
+        joints: exact for Fractions, to 1e-14 for floats; the same witness
+        wherever the extreme joints are exact or stand apart."""
+        family, history, continuation = LATTICE_CASES[name]
+        report = sk.exchangeability_test(
+            family, len(history), len(history) + len(continuation), history=history, continuations=[continuation]
+        )
+        orderings, joints, _ = _brute_force(family, history, continuation)
+        exact = joints[0][1] is not None
+        keys = [j[1] if exact else j[0] for j in joints]
+        top, low = max(keys), min(keys)
+        spread = float((top - low) / top) if exact else -math.expm1(low - top)
+        if exact:
+            assert report.values == (spread,)
+        else:
+            assert abs(report.values[0] - spread) <= 1e-14
+        brute = AnalysisReport.from_values([continuation], [spread], 1e-6, 1e-3, reference=0.0)
+        assert report.verdict is brute.verdict
+        witness = report.details["witness"]
+        for extreme, label in ((top, "max_ordering"), (low, "min_ordering")):
+            others = [k for k in keys if k != extreme]
+            if exact or all(abs(k - extreme) > 1e-9 for k in others):
+                assert tuple(witness[label]) == orderings[keys.index(extreme)]
+
+    def test_free_horizon_eight_takes_each_normalizer_once(self, monkeypatch):
+        """k = 8 values whose sub-multisets all have distinct sums: 2^8 - 1
+        normalizers, not 8! orderings of 8 gains each, and the numerator only
+        for the two witness joints."""
+        calls = []
+        log_joint = strategies._log_joint
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return log_joint(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "_log_joint", counted)
+        strategies._snml_log_normalizer.cache_clear()
+        continuation = tuple(0.15 * 2.0**i for i in range(8))
+        report = sk.exchangeability_test(sk.GammaShape(1.0), 1, 9, history=(1.0,), continuations=[continuation])
+        assert strategies._snml_log_normalizer.cache_info().misses == 255
+        witness = report.details["witness"]
+        orderings = {tuple(witness["max_ordering"]), tuple(witness["min_ordering"])}
+        assert len(calls) == len(orderings)
+        assert {args[2].continuation for args in calls} == orderings
+        assert report.verdict is Verdict.CONSTANT
+
 
 class TestBayesCnmlAgreement:
     def test_bernoulli_block_disagrees(self):
@@ -385,6 +510,10 @@ class TestBayesCnmlAgreement:
             sk.bayes_cnml_agreement(sk.Bernoulli(), 1, 2, [(1.0, 1.0, 0.0)])
         with pytest.raises(DomainError):
             sk.bayes_cnml_agreement(sk.Bernoulli(), 1, 2, [])
+        with pytest.raises(DomainError, match="^m must be"):
+            sk.bayes_cnml_agreement(sk.Bernoulli(), 1.5, 2, [(1.0, 1.0)])
+        with pytest.raises(DomainError, match="^n must be"):
+            sk.bayes_cnml_agreement(sk.Bernoulli(), 1, 2.5, [(1.0, 1.0)])
 
 
 # ---- Laplace ----------------------------------------------------------------------

@@ -128,7 +128,7 @@ class TestKl:
             FAMILIES["bernoulli"].kl_divergence(0.5, 1.5)
 
 
-# ---- variance and Fisher scale ----------------------------------------------
+# ---- variance and sigma ------------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -161,39 +161,6 @@ def test_sigma_far_out_is_the_unchecked_sigma():
     assert sk.Tweedie32().variance(1e205) == pytest.approx(2.0 * 1e205**1.5, rel=1e-15)
     with pytest.raises(DomainError):
         sk.Tweedie32().sigma(0.0)
-
-
-# the benchmark families with their closed-form V(mu) and three interior means
-FISHER_CASES = {
-    "gaussian": (sk.GaussianLocation(1.0), lambda mu: 1.0, (-2.0, 0.3, 5.0)),
-    "gamma0.5": (sk.GammaShape(0.5), lambda mu: 2.0 * mu * mu, (0.25, 1.0, 4.0)),
-    "gamma1": (sk.GammaShape(1.0), lambda mu: mu * mu, (0.25, 1.0, 4.0)),
-    "gamma2": (sk.GammaShape(2.0), lambda mu: 0.5 * mu * mu, (0.25, 1.0, 4.0)),
-    "tweedie": (sk.Tweedie32(), lambda mu: 2.0 * mu**1.5, (0.25, 1.0, 4.0)),
-    "poisson": (sk.Poisson(), lambda mu: mu, (0.25, 1.0, 4.0)),
-    "bernoulli": (sk.Bernoulli(), lambda mu: mu * (1.0 - mu), (0.1, 0.5, 0.9)),
-    # the Levy law: the reciprocal of Gamma(0.5), on the base family's means
-    "levy": (
-        sk.transform_family(sk.GammaShape(0.5), lambda x: 1.0 / x, lambda y: 1.0 / y, lambda y: -1.0 / (y * y)),
-        lambda mu: 2.0 * mu * mu,
-        (0.25, 1.0, 4.0),
-    ),
-}
-
-
-@pytest.mark.parametrize("name", FISHER_CASES)
-def test_fisher_information_in_each_chart(name):
-    """1/V(mu) per unit of mean, V(mu) per unit of natural parameter, and 1 in
-    the unit-Fisher chart, whatever its base point."""
-    family, variance, means = FISHER_CASES[name]
-    for mu in means:
-        assert family.fisher_information(mu) == pytest.approx(1.0 / variance(mu), rel=1e-12)
-        assert family.fisher_information(sk.ParamValue.mean(mu)) == pytest.approx(1.0 / variance(mu), rel=1e-12)
-        theta = family.natural_from_mean(mu)
-        assert family.fisher_information(sk.ParamValue.natural(theta)) == pytest.approx(variance(mu), rel=1e-12)
-        for reference in means:
-            beta = family.geodesic_from_mean(mu, reference)
-            assert family.fisher_information(sk.ParamValue.geodesic(beta, reference)) == pytest.approx(1.0, rel=1e-12)
 
 
 # ---- MLE --------------------------------------------------------------------
@@ -447,3 +414,21 @@ def test_transformed_families_compare_by_identity():
 def test_invalid_hyperparameters_rejected(ctor):
     with pytest.raises(DomainError):
         ctor()
+
+
+# ---- observation sequences --------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [1.5, math.nan, math.inf])
+def test_observation_sequence_rejects_a_non_integral_m(m):
+    """m = 1.5 used to pass construction and fail at the first slice with a TypeError."""
+    with pytest.raises(ValueError, match="m must be an integer"):
+        sk.ObservationSequence((1.0, 2.0, 3.0), m=m)
+
+
+def test_observation_sequence_keeps_an_integral_m():
+    seq = sk.ObservationSequence((1.0, 2.0, 3.0), m=2.0)
+    assert seq.m == 2 and type(seq.m) is int
+    assert seq.history == (1.0, 2.0) and seq.continuation == (3.0,)
+    with pytest.raises(ValueError):
+        sk.ObservationSequence((1.0,), m=2)
