@@ -7,7 +7,8 @@ That is the knot vector of scipy's ``make_interp_spline(x, y, k=5)``.  The
 n x n collocation system is solved once, densely (a 1000-row table takes
 8 MB and about 40 ms on a 2-CPU x86 host); the spline is then
 converted once to Taylor coefficients about the left end of each of its
-n - 5 pieces and evaluated by ``searchsorted`` plus Horner's rule.
+n - 5 pieces and evaluated, with its derivatives, by ``searchsorted`` plus
+Horner's rule.
 """
 
 from __future__ import annotations
@@ -71,10 +72,22 @@ class QuinticSpline:
 
     def __call__(self, x) -> np.ndarray:
         """Spline values at x (any shape); beyond the ends, the end pieces extended."""
+        return self.derivatives(x, 1)[0]
+
+    def derivatives(self, x, count: int) -> list[np.ndarray]:
+        """The spline and its first count - 1 derivatives at x, each shaped like x.
+
+        Horner's rule on the differentiated Taylor coefficients of each point's
+        piece: derivative d of sum_j t_j dx^j is sum_{j >= d} t_j j!/(j - d)! dx^(j - d).
+        """
         x = np.asarray(x, dtype=float)
         piece = np.clip(np.searchsorted(self._breaks, x, side="right") - 1, 0, len(self._breaks) - 2)
         dx = x - self._breaks[piece]
-        out = self._taylor[DEGREE][piece]
-        for c in reversed(self._taylor[:DEGREE]):
-            out = out * dx + c[piece]
+        t = [c[piece] for c in self._taylor]
+        out = []
+        for d in range(count):
+            value = t[DEGREE] * math.perm(DEGREE, d)
+            for j in range(DEGREE - 1, d - 1, -1):
+                value = value * dx + t[j] * math.perm(j, d)
+            out.append(value)
         return out

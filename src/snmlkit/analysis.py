@@ -8,7 +8,7 @@ means the deviation stays within tolerance relative to max(1, |reference|);
 
 The variance-function checks work on a VarianceFunctionSpec: either a closed
 form (differentiated symbolically) or a table (not-a-knot quintic spline
-interpolant, fourth-order central differences with one Richardson step).
+interpolant, differentiated exactly as the piecewise polynomial it is).
 """
 
 from __future__ import annotations
@@ -484,16 +484,15 @@ class VarianceFunctionSpec:
     parentheses, exp, log and sqrt; anything else raises DomainError before
     it is evaluated) and differentiates its tree exactly; ``from_table``
     interpolates sigma = sqrt(V) through (mu, V) samples with a not-a-knot
-    quintic spline (``_spline.QuinticSpline``) and differentiates it by
-    fourth-order central differences with one Richardson step, step
-    h = 1e-3 * width.  A table's profiles for a whole grid take one spline
-    evaluation, on every stencil node of every grid point.
+    quintic spline (``_spline.QuinticSpline``), whose derivatives are those of
+    its own polynomial pieces.  A table's profiles for a whole grid take one
+    spline evaluation, and are defined on the whole table, its ends included.
 
     ``sigma_fn`` maps a mean to sigma; ``profiles_fn`` maps a list of means
-    to their profiles; ``reach`` is how far the profiles look beyond a mean.
+    to their profiles.
     """
 
-    def __init__(self, label, domain, sigma_fn, profiles_fn, kind, default_tolerance, reach=0.0):
+    def __init__(self, label, domain, sigma_fn, profiles_fn, kind, default_tolerance):
         lo, hi = float(domain[0]), float(domain[1])
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise DomainError(f"variance domain must be a bounded interval, got {domain!r}")
@@ -503,7 +502,6 @@ class VarianceFunctionSpec:
         self.default_tolerance = default_tolerance
         self._sigma_fn = sigma_fn
         self._profiles_fn = profiles_fn
-        self._reach = reach
         grid = self.default_grid(7)
         try:
             profiles = self.sigma_profiles(grid)
@@ -553,7 +551,8 @@ class VarianceFunctionSpec:
     def from_table(cls, mu_values, v_values, label: str | None = None) -> "VarianceFunctionSpec":
         """The spec of a (mu, V) table: sigma = sqrt(V) is interpolated by the
         not-a-knot quintic spline on the knots of scipy's
-        ``make_interp_spline(mu, sigma, k=5)``, at least 12 rows."""
+        ``make_interp_spline(mu, sigma, k=5)``, at least 12 rows, and its
+        profiles are the spline's own derivatives."""
         mu_arr = np.asarray(mu_values, dtype=float)
         v_arr = np.asarray(v_values, dtype=float)
         if mu_arr.ndim != 1 or mu_arr.shape != v_arr.shape:
@@ -565,23 +564,15 @@ class VarianceFunctionSpec:
         if not np.all(v_arr > 0):
             raise DomainError("V table must be positive")
         spline = QuinticSpline(mu_arr, np.sqrt(v_arr))
-        lo, hi = float(mu_arr[0]), float(mu_arr[-1])
-        h = 1e-3 * (hi - lo)
-        offsets = (-3, -2, -1, 0, 1, 2, 3)
 
         def sigma(mu: float) -> float:
             return float(spline(mu))
 
         def profiles(mus: list[float]) -> list[tuple[float, float, float, float, float]]:
-            x = np.array(mus)
-            steps = (h, h / 2)
-            # one spline call: row (i, j) is the stencil node x + offsets[j] * steps[i]
-            nodes = spline(np.array([[x + j * step for j in offsets] for step in steps]))
-            coarse, fine = (_stencil_derivatives(rows, step) for rows, step in zip(nodes, steps))
-            derivs = [(16.0 * fi - ci) / 15.0 for fi, ci in zip(fine, coarse)]
-            return list(zip(*(row.tolist() for row in (nodes[0][3], *derivs))))
+            return list(zip(*(row.tolist() for row in spline.derivatives(np.array(mus), 5))))
 
-        return cls(label or "tabulated", (lo, hi), sigma, profiles, "tabulated", default_tolerance=1e-3, reach=3 * h)
+        domain = (float(mu_arr[0]), float(mu_arr[-1]))
+        return cls(label or "tabulated", domain, sigma, profiles, "tabulated", default_tolerance=1e-3)
 
     def sigma_profiles(self, grid: Sequence[float]) -> list[tuple[float, float, float, float, float]]:
         """(sigma, sigma', sigma'', sigma''', sigma'''') at every point of a grid."""
@@ -590,10 +581,6 @@ class VarianceFunctionSpec:
         for mu in mus:
             if not lo <= mu <= hi:
                 raise DomainError(f"mu={mu} outside the variance domain {self.domain}")
-            if mu - self._reach < lo or mu + self._reach > hi:
-                raise DifferentiationError(
-                    f"mu={mu} is within 3h={self._reach:.3g} of the table edge; the difference stencil does not fit"
-                )
         return self._profiles_fn(mus)
 
     def sigma_profile(self, mu: float) -> tuple[float, float, float, float, float]:
@@ -616,19 +603,6 @@ class VarianceFunctionSpec:
 
     def __repr__(self) -> str:
         return f"VarianceFunctionSpec({self.label!r}, domain={self.domain}, kind={self.kind})"
-
-
-def _stencil_derivatives(values: np.ndarray, step: float) -> tuple[np.ndarray, ...]:
-    """First four derivatives by fourth-order central stencils.
-
-    Row j of values holds f at x + (j - 3) * step over a grid of x.
-    """
-    fm3, fm2, fm1, f0, fp1, fp2, fp3 = values
-    d1 = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * step)
-    d2 = (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12 * step**2)
-    d3 = (-fp3 + 8 * fp2 - 13 * fp1 + 13 * fm1 - 8 * fm2 + fm3) / (8 * step**3)
-    d4 = (-fp3 + 12 * fp2 - 39 * fp1 + 56 * f0 - 39 * fm1 + 12 * fm2 - fm3) / (6 * step**4)
-    return d1, d2, d3, d4
 
 
 def sigma_ode_check(
@@ -776,9 +750,8 @@ def classify_family(vf: VarianceFunctionSpec, grid_size: int = 33) -> Classifica
     combination.
     """
     mu = np.asarray(vf.default_grid(grid_size), dtype=float)
-    s = np.array([profile[0] for profile in vf.sigma_profiles(mu)])
-    v = s * s
-    sigma = np.sqrt(v)
+    sigma = np.array([profile[0] for profile in vf.sigma_profiles(mu)])
+    v = sigma * sigma
     v_scale = float(np.max(np.abs(v)))
     width = vf.domain[1] - vf.domain[0]
 

@@ -46,4 +46,5 @@ class ImproperPosterior(DivergentIntegral):
 
 
 class DifferentiationError(SnmlkitError, ValueError):
-    """A tabulated variance function is too coarse to differentiate."""
+    """A closed-form variance function or one of its derivatives is undefined
+    (or the variance not positive) at a mean."""

@@ -137,11 +137,8 @@ def _is_exact_bernoulli(family: Family) -> bool:
 def _bernoulli_sup_fraction(n: int, ones: int) -> Fraction:
     """sup_mu of the Bernoulli likelihood of n draws with this many ones, as
     an exact rational, 0^0 = 1."""
-    out = Fraction(1)
-    for count in (ones, n - ones):
-        if count:
-            out *= Fraction(count, n) ** count
-    return out
+    zeros = n - ones
+    return Fraction(ones**ones * zeros**zeros, n**n)
 
 
 def _history_mean(family: Family, n: int, total: int) -> float:
@@ -407,10 +404,26 @@ def bayes_jeffreys_predictive(family: Family, history: Iterable[float] = ()) -> 
     return PredictiveDistribution(family, *_one_step(family, "bayes", hist), horizon="posterior-predictive")
 
 
+def _bernoulli_shtarkov_terms(n: int, ones: int, k: int) -> list[Fraction]:
+    """The terms of the exact sum of the sup-likelihood over the 2^k binary
+    continuations of n draws with this many ones: term s is the value the
+    C(k, s) continuations with s ones share, times C(k, s)."""
+    return [math.comb(k, s) * _bernoulli_sup_fraction(n + k, ones + s) for s in range(k + 1)]
+
+
 def _bernoulli_shtarkov_fraction(n: int, ones: int, k: int) -> Fraction:
     """Exact sum of the sup-likelihood over the 2^k binary continuations of n draws with
-    this many ones; the C(k, s) continuations with s ones share one value."""
-    return sum(math.comb(k, s) * _bernoulli_sup_fraction(n + k, ones + s) for s in range(k + 1))
+    this many ones."""
+    return sum(_bernoulli_shtarkov_terms(n, ones, k))
+
+
+def _bernoulli_block_fraction(n: int, ones: int, k: int, added: int) -> Fraction:
+    """The sup-likelihood of n + k draws with ones + added ones over the Shtarkov
+    sum of the k draws after the first n: that numerator is the term of its
+    own sum for the continuations with added ones, so the sum's k + 1 terms
+    are built once."""
+    terms = _bernoulli_shtarkov_terms(n, ones, k)
+    return terms[added] / (math.comb(k, added) * sum(terms))
 
 
 def _log_joint(
@@ -443,10 +456,7 @@ def _log_joint(
         # the integer parts, so it does not underflow.
         cuts = range(seq.m, seq.n + 1) if name == "snml" else (seq.m, seq.n)
         ones = list(itertools.accumulate((v == 1.0 for v in seq.values), initial=0))
-        ratios = (
-            _bernoulli_sup_fraction(b, ones[b]) / _bernoulli_shtarkov_fraction(a, ones[a], b - a)
-            for a, b in zip(cuts, cuts[1:])
-        )
+        ratios = (_bernoulli_block_fraction(a, ones[a], b - a, ones[b] - ones[a]) for a, b in zip(cuts, cuts[1:]))
         joint = math.prod(ratios, start=Fraction(1))
         return math.log(joint.numerator) - math.log(joint.denominator), joint
     free = seq.n - seq.m
@@ -470,7 +480,12 @@ def _log_joint(
     elif name == "bayes":
         log_normalizer = _jeffreys_posterior(family, seq.m, means[0]) - _jeffreys_posterior(family, seq.n, means[-1])
     else:
-        log_normalizer = _log_shtarkov(family, seq.m, means[0], free)
+        try:
+            log_normalizer = _log_shtarkov(family, seq.m, means[0], free)
+        except NonConvergence as exc:
+            raise DivergentNormalizer(
+                f"{name} normalizer over k={free} free observation(s) after n={seq.m} of mean {means[0]!r}: {exc}"
+            ) from exc
     return log_numerator - log_normalizer, None
 
 
@@ -520,30 +535,19 @@ def _snml_ordering_extremes(
         else:
             weight[node] = _snml_log_normalizer(base, n, _history_mean(base, n, total))
 
-    def predecessors(node):
-        return [node[:i] + (j - 1,) + node[i + 1 :] for i, j in enumerate(node) if j]
-
-    def extreme(pick) -> tuple[float, ...]:
-        start = Fraction(1) if exact else 0.0
-        best = {nodes[0]: start}
+    def extreme(sign: int) -> tuple[float, ...]:
+        # per node, the best F of a path to it and the lexicographically first
+        # ordering that attains it
+        best = {nodes[0]: (Fraction(1) if exact else 0.0, ())}
         for node in nodes[1:]:
-            best[node] = pick(combine(best[p], weight[p]) for p in predecessors(node))
-        # nodes with an optimal chain of steps to the full one
-        reaches = {full}
-        for node in reversed(nodes):
-            if node in reaches:
-                reaches.update(p for p in predecessors(node) if combine(best[p], weight[p]) == best[node])
-        node, ordering = nodes[0], []
-        while node != full:
-            for i, j in enumerate(node):
-                step = node[:i] + (j + 1,) + node[i + 1 :]
-                if j < counts[i] and step in reaches and combine(best[node], weight[node]) == best[step]:
-                    break
-            ordering.append(values[i])
-            node = step
-        return tuple(ordering)
+            steps = ((node[:i] + (j - 1,) + node[i + 1 :], values[i]) for i, j in enumerate(node) if j)
+            best[node] = min(
+                ((combine(best[p][0], weight[p]), best[p][1] + (v,)) for p, v in steps),
+                key=lambda pair: (sign * pair[0], pair[1]),
+            )
+        return best[full][1]
 
-    return extreme(min), extreme(max)
+    return extreme(1), extreme(-1)
 
 
 def _joint_value(log_joint: float, exact: Fraction | None) -> float | Fraction:

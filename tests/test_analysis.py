@@ -725,17 +725,11 @@ class TestVarianceFunctionSpec:
             VarianceFunctionSpec.closed(expr, domain)
 
     @pytest.mark.parametrize("variance", [lambda mu: mu**2 / 2, lambda mu: (1.3 * mu + 0.4) ** 1.5, np.exp])
-    def test_grid_profiles_equal_per_point_stencils(self, variance):
+    def test_grid_profiles_equal_per_point_profiles(self, variance):
         mu = np.linspace(0.5, 4.0, 41)
         vf = VarianceFunctionSpec.from_table(mu, variance(mu))
-        spline = QuinticSpline(mu, np.sqrt(variance(mu)))
-
-        def sigma(x: float) -> float:
-            return float(spline(x))
-
-        h = 1e-3 * (4.0 - 0.5)
-        grid = vf.default_grid(33) + (0.5 + 4 * h, 2.0, 4.0 - 4 * h)
-        want = [(sigma(x),) + _difference_derivatives(sigma, x, h) for x in grid]
+        grid = vf.default_grid(33) + (0.5, 0.501, 2.0, 3.999, 4.0)
+        want = [vf.sigma_profile(x) for x in grid]
         assert vf.sigma_profiles(grid) == want
         assert [vf.sigma_at(x) for x in grid] == [p[0] for p in want]
 
@@ -751,23 +745,34 @@ class TestVarianceFunctionSpec:
         points = np.concatenate(
             [mu, np.random.default_rng(rows).uniform(0.5, 4.0, 200), [0.5, 4.0, np.nextafter(4.0, 0.0)]]
         )
-        got = QuinticSpline(mu, sigma(mu))(points)
-        want = make_interp_spline(mu, sigma(mu), k=5)(points)
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        spline = QuinticSpline(mu, sigma(mu))
+        reference = make_interp_spline(mu, sigma(mu), k=5)
+        np.testing.assert_allclose(spline(points), reference(points), rtol=1e-13, atol=0.0)
+        # derivatives relative to max(1, max |want|); each bound about 10x the worst case of this grid
+        got = spline.derivatives(points, 5)
+        for d, bound in enumerate((5e-15, 2e-12, 5e-10, 6e-8, 4e-6)):
+            want = reference(points, nu=d)
+            assert np.max(np.abs(got[d] - want)) <= bound * max(1.0, np.max(np.abs(want))), d
 
     def test_quintic_spline_reproduces_affine_sigma(self):
         mu = np.linspace(0.5, 4.0, 41)
         points = np.concatenate([mu, np.random.default_rng(0).uniform(0.5, 4.0, 500)])
-        got = QuinticSpline(mu, 0.8 * mu + 0.3)(points)
-        np.testing.assert_allclose(got, 0.8 * points + 0.3, rtol=4 * np.finfo(float).eps, atol=0.0)
+        value, slope, *higher = QuinticSpline(mu, 0.8 * mu + 0.3).derivatives(points, 5)
+        np.testing.assert_allclose(value, 0.8 * points + 0.3, rtol=4 * np.finfo(float).eps, atol=0.0)
+        np.testing.assert_allclose(slope, 0.8, rtol=1e-12, atol=0.0)
+        assert max(np.max(np.abs(d)) for d in higher) <= 1e-8
 
-    def test_table_stencil_must_fit(self):
+    def test_table_profiles_reach_both_ends(self):
         mu = np.linspace(0.5, 4.0, 41)
         vf = VarianceFunctionSpec.from_table(mu, mu**2)
-        with pytest.raises(sk.DifferentiationError):
-            vf.sigma_profiles((2.0, 0.501))
+        lo, hi = vf.sigma_profiles((0.5, 4.0))
+        assert lo[:2] == pytest.approx((0.5, 1.0), rel=1e-12)
+        assert hi[:2] == pytest.approx((4.0, 1.0), rel=1e-12)
+        assert max(abs(d) for d in lo[2:] + hi[2:]) < 1e-8
         with pytest.raises(DomainError):
             vf.sigma_profiles((2.0, 4.5))
+        with pytest.raises(DomainError):
+            vf.sigma_profiles((np.nextafter(0.5, 0.0),))
         assert vf.variance_at(0.501) == pytest.approx(0.501**2, rel=1e-6)
 
     def test_invalid_tables(self):
@@ -831,23 +836,3 @@ class TestClassifyFamily:
         result = sk.classify_family(VarianceFunctionSpec.closed("3", (0.5, 4.0)))
         payload = json.loads(json.dumps(result.to_dict()))
         assert payload["family_class"] == "GaussianLocation"
-
-
-def _difference_derivatives(f, x: float, h: float) -> tuple[float, float, float, float]:
-    """First four derivatives by fourth-order stencils plus one Richardson step,
-    one scalar evaluation of f per stencil node: the reference for the grid
-    profiles of a tabulated spec."""
-
-    def stencils(step: float) -> tuple[float, float, float, float]:
-        fm3, fm2, fm1 = f(x - 3 * step), f(x - 2 * step), f(x - step)
-        f0 = f(x)
-        fp1, fp2, fp3 = f(x + step), f(x + 2 * step), f(x + 3 * step)
-        d1 = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * step)
-        d2 = (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12 * step**2)
-        d3 = (-fp3 + 8 * fp2 - 13 * fp1 + 13 * fm1 - 8 * fm2 + fm3) / (8 * step**3)
-        d4 = (-fp3 + 12 * fp2 - 39 * fp1 + 56 * f0 - 39 * fm1 + 12 * fm2 - fm3) / (6 * step**4)
-        return d1, d2, d3, d4
-
-    coarse = stencils(h)
-    fine = stencils(h / 2)
-    return tuple((16.0 * fi - ci) / 15.0 for fi, ci in zip(fine, coarse))

@@ -811,6 +811,29 @@ def test_unconditioned_gaussian_joints_raise_before_any_integral(strategy, error
     assert integrand_calls.count == 0
 
 
+
+@pytest.mark.parametrize(
+    "strategy,error,free",
+    [
+        ("snml", DivergentNormalizer, 1),
+        ("bayes", ImproperPosterior, 1),
+        ("cnml", DivergentNormalizer, 1),
+        ("cnml", DivergentNormalizer, 2),
+    ],
+)
+def test_unsettled_normalizers_raise_typed_errors(strategy, error, free):
+    """After (-1e308, 1e308, 1e308), x-bar = 3.3e307, the Gaussian chart point
+    cannot move off the anchor, so no normalizer settles.  Every strategy
+    raises its own typed error, not the integrator's NonConvergence, and
+    names the prefix length."""
+    seq = ObservationSequence((-1e308, 1e308, 1e308) + (0.0,) * free, 3)
+    with pytest.raises(error, match="n=3") as caught:
+        sk.strategy_joint(sk.GaussianLocation(1.0), strategy, seq)
+    assert not isinstance(caught.value, sk.NonConvergence)
+    if strategy == "cnml":
+        assert f"k={free} " in str(caught.value)
+
+
 BUILT_IN = {
     "GaussianLocation(sigma2=1.0)": sk.GaussianLocation(1.0),
     "GammaShape(shape=0.5)": sk.GammaShape(0.5),
