@@ -176,13 +176,11 @@ def _integer(name: str, value, least: int) -> int:
     return int(value)
 
 
-def condition_integral(
-    family: Family,
-    mu0: float,
-    n: int,
-    tol_abs: float = 1e-12,
-    tol_rel: float = 1e-10,
-) -> float:
+_CONDITION_TOL_ABS = 1e-12
+_CONDITION_TOL_REL = 1e-10
+
+
+def condition_integral(family: Family, mu0: float, n: int) -> float:
     """Integral of exp(-n KL(mu0 || mu)) / sigma(mu) over the mean domain.
 
     It is taken in the unit-Fisher chart based at mu0, where 1/sigma(mu) d mu
@@ -193,7 +191,7 @@ def condition_integral(
     n = _integer("n", n, 1)
     mu0 = family._check_mean(mu0, interior=True)
     try:
-        return _concentration_integral(family, n, mu0, mu0, tol_abs, tol_rel)
+        return _concentration_integral(family, n, mu0, mu0, _CONDITION_TOL_ABS, _CONDITION_TOL_REL)
     except NonConvergence as exc:
         raise DivergentIntegral(f"concentration integral for kind {family.kind}, mu0={mu0}, n={n}: {exc}") from exc
 

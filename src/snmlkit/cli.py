@@ -71,16 +71,20 @@ def _family_from_args(args) -> families.Family:
 
 def _variance_from_args(args) -> analysis.VarianceFunctionSpec:
     if getattr(args, "table", None):
-        rows = []
-        for line in Path(args.table).read_text().splitlines():
+        # blank lines and #-comments are skipped, and the first other line may
+        # be a header; every other line starts with the two numbers mu,V
+        rows, header_allowed = [], True
+        for number, line in enumerate(Path(args.table).read_text().splitlines(), start=1):
             line = line.strip()
-            if not line:
+            if not line or line.startswith("#"):
                 continue
-            cells = line.split(",")
             try:
-                rows.append((float(cells[0]), float(cells[1])))
-            except (ValueError, IndexError):
-                continue  # header or comment line
+                mu, v = map(float, line.split(",")[:2])
+                rows.append((mu, v))
+            except ValueError:
+                if not header_allowed:
+                    raise SnmlkitError(f"{args.table}, line {number}: expected mu,V numbers, got {line!r}") from None
+            header_allowed = False
         if not rows:
             raise SnmlkitError(f"no numeric mu,V rows found in {args.table}")
         mu, v = zip(*rows)

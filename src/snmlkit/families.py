@@ -291,6 +291,11 @@ class Family(ABC):
         """The sufficient statistic of an observation, on the mean scale."""
         return x
 
+    def _untransformed(self, values: tuple[float, ...]) -> tuple[Family, tuple[float, ...], tuple[float, ...]]:
+        """(the family under every transform, the values pulled back to it,
+        each value's summed density log-Jacobian): the identity here."""
+        return self, values, (0.0,) * len(values)
+
     def _exact_statistic(self, x: float) -> int:
         """The sufficient statistic of a validated observation as the integer
         multiple of 2^-1074 that every finite float is, so sums are exact."""
@@ -520,8 +525,6 @@ class GammaShape(Family):
 
     def _saturated_log_likelihood(self, x: float, k: int = 1) -> float:
         # the sum of k members is Gamma with shape k * shape
-        if k == 1:
-            return self._saturated_constant - math.log(x)
         a = k * self.shape
         return a * math.log(a) - a - math.lgamma(a) - math.log(x)
 
@@ -887,8 +890,13 @@ class TransformedFamily(Family):
         return self.base._log_density(mu, self.pullback(y)) + self._density_log_jacobian(y)
 
     def _saturated_log_likelihood(self, y: float, k: int = 1) -> float:
-        # k is 1: cnml_joint and the predictives take a transformed family through its base
+        # k is 1: every strategy unwraps a transformed family (_untransformed) and
+        # takes its k-fold sums in the base
         return self._log_density(self.pullback(y), y)
+
+    def _untransformed(self, values: tuple[float, ...]) -> tuple[Family, tuple[float, ...], tuple[float, ...]]:
+        base, pulled, log_jacobians = self.base._untransformed(tuple(map(self.pullback, values)))
+        return base, pulled, tuple(j + self._density_log_jacobian(y) for j, y in zip(log_jacobians, values))
 
     def _check_observation(self, x: float) -> float:
         x = float(x)

@@ -36,16 +36,19 @@ chains the gains over its continuation.  Only the normalizers differ:
   They enter only through the sum t of their sufficient statistics, so it
   is one integral, or one sum, over t, and SNML's Z is its k = 1 case.
 
-A transformed family's values are its base family's on the pulled-back
-observations, times the Jacobian of the continuation.
+A transformed family's values are those of the family under all its
+transforms on the pulled-back observations, times the Jacobian of the
+continuation: each entry point unwraps it once (``Family._untransformed``),
+and everything below sees untransformed families only.  So a transformed
+Bernoulli's SNML, CNML and NML joints are exact too.
 
 Every integral is taken in a unit-Fisher chart based at the clipped
-maximum-likelihood mean, where the Fisher information is 1: of the mean for
-C, of the continuation's mean t / k for Z (``_log_shtarkov``).  The bump of
-each integrand is about one unit wide at beta = 0 there, whatever the scale
-of the history, and no endpoint singularity (sigma -> 0, or t^(a-1) under
-Gamma(a)) reaches the integrator.  Counting supports are summed outward from
-k times the clipped mean.
+maximum-likelihood mean (``_chart_anchor``), where the Fisher information is
+1: of the mean for C, of the continuation's mean t / k for Z
+(``_log_shtarkov``).  The bump of each integrand is about one unit wide at
+beta = 0 there, whatever the scale of the history, and no endpoint
+singularity (sigma -> 0, or t^(a-1) under Gamma(a)) reaches the integrator.
+Counting supports are summed outward from k times the clipped mean.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from .errors import (
     ImproperPosterior,
     NonConvergence,
 )
-from .families import Bernoulli, Family, ObservationSequence, TransformedFamily, exact_mean
+from .families import Bernoulli, Family, ObservationSequence, exact_mean
 
 STRATEGIES = ("snml", "bayes", "cnml", "nml")
 
@@ -90,7 +93,9 @@ class PredictiveDistribution:
     families, and at the locations listed in ``atoms`` the point mass itself.
     ``normalizer`` is the denominator actually computed (Shtarkov integral or
     posterior-predictive normalizer), relative to the history's own
-    sup-likelihood sup_mu p_mu(history).
+    sup-likelihood sup_mu p_mu(history).  The log weight is that of the
+    untransformed family at the pulled-back point; ``log_density`` adds the
+    point's log-Jacobian.
     """
 
     def __init__(self, family: Family, log_weight: Callable[[float], float], log_normalizer: float, horizon: str):
@@ -101,7 +106,8 @@ class PredictiveDistribution:
         self.horizon = horizon
 
     def log_density(self, x: float) -> float:
-        return self._log_weight(self.family._check_observation(x)) - self.log_normalizer
+        _, (y,), (log_jacobian,) = self.family._untransformed((self.family._check_observation(x),))
+        return self._log_weight(y) + log_jacobian - self.log_normalizer
 
     def density(self, x: float) -> float:
         return math.exp(self.log_density(x))
@@ -159,11 +165,6 @@ def _history_mean(family: Family, n: int, total: int) -> float:
     return mean
 
 
-def _reference_mean(family: Family, n: int, mean: float) -> float:
-    """The base point of the charts: clip(x-bar), or the default reference for no history."""
-    return family.mean_domain.clip(mean) if n else family.default_reference()
-
-
 def _relative_log_likelihood(family: Family, n: int, mean: float) -> Callable[[float], float]:
     """mu -> sum_i log p_mu(x_i) - sup_nu sum_i log p_nu(x_i) for a history of
     length n with mean x-bar: n D(x-bar || clip(x-bar)) - n D(x-bar || mu)."""
@@ -188,13 +189,9 @@ def _snml_log_gain(family: Family, n: int, mean: float, k: int = 1) -> Callable[
     l*_k(t) - k D(t / k || mu') + n D(x-bar || clip x-bar) - n D(x-bar || mu').
     Per call only the family's kernel hooks run; the offset
     n D(x-bar || clip x-bar), the shift and the bounds of the mean domain are
-    bound once.  The statistic of t is t itself: a transformed family's gain
-    of one observation is its base family's at the pulled-back value, plus
-    the density's log-Jacobian.
+    bound once.  The family is untransformed, so the statistic of t is t
+    itself.
     """
-    if isinstance(family, TransformedFamily):
-        base_gain = _snml_log_gain(family.base, n, mean)
-        return lambda y: base_gain(family.pullback(y)) + family._density_log_jacobian(y)
     lo, hi = family.mean_domain.bounds()
     offset = n * family._divergence(mean, family.mean_domain.clip(mean)) if n else 0.0
     shift, size = k * mean, n + k
@@ -210,9 +207,12 @@ def _snml_log_gain(family: Family, n: int, mean: float, k: int = 1) -> Callable[
     return log_gain
 
 
-def _interior_anchor(family: Family, est: float) -> float:
-    """est, moved 1e-6 of the scale inside the mean domain where it sits on or
-    beyond an endpoint: a base point for the unit-Fisher chart."""
+def _chart_anchor(family: Family, n: int, mean: float) -> float:
+    """The base point of the unit-Fisher charts after n observations of mean
+    x-bar: clip(x-bar), or the default reference for no history, moved 1e-6
+    of the scale inside the mean domain where it sits on or beyond an
+    endpoint."""
+    est = family.mean_domain.clip(mean) if n else family.default_reference()
     lo, hi = family.mean_interior()
     if math.isfinite(lo) and math.isfinite(hi):
         pad = 1e-6 * (hi - lo)
@@ -257,46 +257,50 @@ def _log_shtarkov(family: Family, n: int, mean: float, k: int) -> float:
     smooth with exponential tails, the Tweedie left edge is finite, and the
     bump of the weight is about one unit wide around beta = 0.  sigma is the
     unchecked one: s ranges over the whole support, also where a restricted
-    mean domain has no member.  Raises NonConvergence when the sum or the
-    integral does not settle, and DivergentNormalizer when it is 0 or inf.
+    mean domain has no member.  Raises DivergentNormalizer, naming k, n and
+    x-bar, when the sum or the integral does not settle or is 0 or inf.
     """
     log_weight = _snml_log_gain(family, n, mean, k)
-    center = _reference_mean(family, n, mean)
-    if family.finite_support is not None:
-        # the sums of k draws from {0, 1}
-        total = math.fsum(math.exp(log_weight(float(t))) for t in range(k + 1))
-    elif family.is_discrete:
-        total = quadrature.sum_counting(lambda t: math.exp(log_weight(float(t))), peak=round(k * center))
-    else:
-        lo, hi = family.convex_core().bounds()
-        anchor = _interior_anchor(family, center)
-        to_observation = family.mean_from_geodesic
-        sigma = family._sigma
+    where = f"Shtarkov normalizer over k={k} observation(s) after n={n} of mean {mean!r}"
+    try:
+        if family.finite_support is not None:
+            # the sums of k draws from {0, 1}
+            total = math.fsum(math.exp(log_weight(float(t))) for t in range(k + 1))
+        elif family.is_discrete:
+            peak = round(k * family.mean_domain.clip(mean))
+            total = quadrature.sum_counting(lambda t: math.exp(log_weight(float(t))), peak=peak)
+        else:
+            lo, hi = family.convex_core().bounds()
+            anchor = _chart_anchor(family, n, mean)
+            to_observation = family.mean_from_geodesic
+            sigma = family._sigma
 
-        def integrand(beta: float) -> float:
-            s = to_observation(beta, anchor)
-            # far out, s rounds onto an endpoint, where the weight may be infinite
-            if not lo < s < hi:
-                return 0.0
-            w = math.exp(log_weight(k * s))
-            # sigma may overflow where the weight has underflowed
-            return w * sigma(s) if w else 0.0
+            def integrand(beta: float) -> float:
+                s = to_observation(beta, anchor)
+                # far out, s rounds onto an endpoint, where the weight may be infinite
+                if not lo < s < hi:
+                    return 0.0
+                w = math.exp(log_weight(k * s))
+                # sigma may overflow where the weight has underflowed
+                return w * sigma(s) if w else 0.0
 
-        # the weight has a kink where the maximum-likelihood mean of the n + k
-        # observations reaches a bound b of a restricted mean domain, at
-        # t = (n + k) b - n x-bar
-        kinks = (mean + (n + k) * (b - mean) / k for b in family.mean_domain.bounds() if math.isfinite(b))
-        res = quadrature.integrate(
-            quadrature.guarded(integrand),
-            _chart_window(family, (lo, hi), anchor),
-            tol_abs=_NORMALIZER_TOL_ABS,
-            tol_rel=_NORMALIZER_TOL_REL,
-            peak_hint=0.0,
-            breaks=[family.geodesic_from_mean(s, anchor) for s in kinks if lo < s < hi],
-        )
-        total = k * res.value + math.fsum(math.exp(log_weight(k * a)) for a in family.observation_atoms())
+            # the weight has a kink where the maximum-likelihood mean of the n + k
+            # observations reaches a bound b of a restricted mean domain, at
+            # t = (n + k) b - n x-bar
+            kinks = (mean + (n + k) * (b - mean) / k for b in family.mean_domain.bounds() if math.isfinite(b))
+            res = quadrature.integrate(
+                quadrature.guarded(integrand),
+                _chart_window(family, (lo, hi), anchor),
+                tol_abs=_NORMALIZER_TOL_ABS,
+                tol_rel=_NORMALIZER_TOL_REL,
+                peak_hint=0.0,
+                breaks=[family.geodesic_from_mean(s, anchor) for s in kinks if lo < s < hi],
+            )
+            total = k * res.value + math.fsum(math.exp(log_weight(k * a)) for a in family.observation_atoms())
+    except NonConvergence as exc:
+        raise DivergentNormalizer(f"{where}: {exc}") from exc
     if not 0.0 < total < math.inf:
-        raise DivergentNormalizer(f"Shtarkov normalizer over {k} observation(s) after n={n} evaluated to {total!r}")
+        raise DivergentNormalizer(f"{where} evaluated to {total!r}")
     return math.log(total)
 
 
@@ -304,20 +308,18 @@ def _log_shtarkov(family: Family, n: int, mean: float, k: int) -> float:
 def _snml_log_normalizer(family: Family, n: int, mean: float) -> float:
     """log integral (or sum) over y of sup_mu p_mu(history, y) / sup_mu p_mu(history)
     for a history of n observations with mean x-bar."""
-    try:
-        return _log_shtarkov(family, n, mean, 1)
-    except NonConvergence as exc:
-        raise DivergentNormalizer(f"snml normalizer after n={n} observations of mean {mean!r}: {exc}") from exc
+    return _log_shtarkov(family, n, mean, 1)
 
 
-_UNNORMALIZABLE = "the maximum-likelihood envelope is not normalizable"
-_IMPROPER = "the Jeffreys posterior is improper"
-
-
-def _require_conditioning(family: Family, m: int, error: type[Exception], reason: str) -> None:
-    """Raise error, before any integral, where m conditioning observations
-    are fewer than the family needs."""
+def _require_conditioning(family: Family, m: int, strategy: str) -> None:
+    """Raise, before any integral, where m conditioning observations are fewer
+    than the family needs: ImproperPosterior for bayes, DivergentNormalizer
+    for the maximum-likelihood strategies."""
     if m < family.min_conditioning:
+        if strategy == "bayes":
+            error, reason = ImproperPosterior, "the Jeffreys posterior is improper"
+        else:
+            error, reason = DivergentNormalizer, "the maximum-likelihood envelope is not normalizable"
         raise error(
             f"kind {family.kind} needs at least m={family.min_conditioning} conditioning "
             f"observations; got {m} ({reason})"
@@ -356,9 +358,8 @@ def _concentration_integral(
 def _jeffreys_posterior(family: Family, n: int, mean: float) -> float:
     """log C(n, x-bar), the Jeffreys posterior normalizer of a history of n
     observations with mean x-bar, relative to its sup-likelihood."""
-    anchor = _interior_anchor(family, _reference_mean(family, n, mean))
     try:
-        total = _concentration_integral(family, n, mean, anchor, 1e-13, 1e-11)
+        total = _concentration_integral(family, n, mean, _chart_anchor(family, n, mean), 1e-13, 1e-11)
     except NonConvergence as exc:
         raise ImproperPosterior(f"Jeffreys posterior after n={n} observations of mean {mean!r}: {exc}") from exc
     if not total > 0 or math.isinf(total):
@@ -366,42 +367,33 @@ def _jeffreys_posterior(family: Family, n: int, mean: float) -> float:
     return math.log(total)
 
 
-def _one_step(family: Family, name: str, hist: tuple[float, ...]) -> tuple[Callable[[float], float], float]:
-    """(log weight, log normalizer) of the snml or bayes predictive after a
-    history.  A transformed family's is the base family's on the pulled-back
-    history, with log |d pullback / dy| added off the atoms."""
-    if isinstance(family, TransformedFamily):
-        base_weight, log_norm = _one_step(family.base, name, tuple(map(family.pullback, hist)))
-
-        def pulled_weight(y: float) -> float:
-            return base_weight(family.pullback(y)) + family._density_log_jacobian(y)
-
-        return pulled_weight, log_norm
-    n, total = len(hist), sum(map(family._exact_statistic, hist))
-    mean = _history_mean(family, n, total)
-    gain = _snml_log_gain(family, n, mean)
-    if name == "snml":
-        return gain, _snml_log_normalizer(family, n, mean)
+def _predictive(family: Family, strategy: str, history: Iterable[float]) -> PredictiveDistribution:
+    """The snml or bayes predictive after a history, its weight and normalizer
+    taken in the untransformed family on the pulled-back history."""
+    hist = _coerce_values(family, history)
+    _require_conditioning(family, len(hist), strategy)
+    base, hist, _ = family._untransformed(hist)
+    n, total = len(hist), sum(map(base._exact_statistic, hist))
+    mean = _history_mean(base, n, total)
+    gain = _snml_log_gain(base, n, mean)
+    if strategy == "snml":
+        return PredictiveDistribution(family, gain, _snml_log_normalizer(base, n, mean), "one-step")
 
     def log_weight(y: float) -> float:
-        extended = _history_mean(family, n + 1, total + family._exact_statistic(y))
-        return gain(y) + _jeffreys_posterior(family, n + 1, extended)
+        extended = _history_mean(base, n + 1, total + base._exact_statistic(y))
+        return gain(y) + _jeffreys_posterior(base, n + 1, extended)
 
-    return log_weight, _jeffreys_posterior(family, n, mean)
+    return PredictiveDistribution(family, log_weight, _jeffreys_posterior(base, n, mean), "posterior-predictive")
 
 
 def snml_predictive(family: Family, history: Iterable[float] = ()) -> PredictiveDistribution:
     """Last-step NML predictive given the history."""
-    hist = _coerce_values(family, history)
-    _require_conditioning(family, len(hist), DivergentNormalizer, _UNNORMALIZABLE)
-    return PredictiveDistribution(family, *_one_step(family, "snml", hist), horizon="one-step")
+    return _predictive(family, "snml", history)
 
 
 def bayes_jeffreys_predictive(family: Family, history: Iterable[float] = ()) -> PredictiveDistribution:
     """Jeffreys-prior posterior predictive given the history."""
-    hist = _coerce_values(family, history)
-    _require_conditioning(family, len(hist), ImproperPosterior, _IMPROPER)
-    return PredictiveDistribution(family, *_one_step(family, "bayes", hist), horizon="posterior-predictive")
+    return _predictive(family, "bayes", history)
 
 
 def _bernoulli_shtarkov_terms(n: int, ones: int, k: int) -> list[Fraction]:
@@ -431,11 +423,13 @@ def _log_joint(
 ) -> tuple[float, Fraction | None]:
     """(log joint, exact joint or None) of the continuation x_{m+1}..x_n given x_1..x_m.
 
-    The exact joint is the Fraction of exact Bernoulli SNML, CNML and NML.
-    Everything else is a log, which stays finite where a joint of many or
-    far-out observations over- or underflows: the chained SNML gains, each
-    relative to its prefix (finite where both sup-likelihoods are 0, a 0
-    under Gamma with shape > 1), minus the strategy's log normalizer.
+    The exact joint is the Fraction of exact Bernoulli SNML, CNML and NML,
+    transformed or not.  Everything else is a log, which stays finite where a
+    joint of many or far-out observations over- or underflows: the chained
+    SNML gains, each relative to its prefix (finite where both
+    sup-likelihoods are 0, a 0 under Gamma with shape > 1), minus the
+    strategy's log normalizer, all in the untransformed family, plus the
+    continuation's log-Jacobians.
     """
     name = _strategy_name(strategy)
     if not isinstance(seq, ObservationSequence):
@@ -450,43 +444,34 @@ def _log_joint(
             f"the maximum-likelihood envelope of kind {family.kind} has a divergent "
             f"integral on the {family.shtarkov_divergent_tails} tail(s); no NML distribution exists"
         )
-    if _is_exact_bernoulli(family) and name != "bayes":
+    base, values, log_jacobians = family._untransformed(seq.values)
+    if _is_exact_bernoulli(base) and name != "bayes":
         # the product over blocks a..b of their sup-likelihood over its Shtarkov
         # sum: one block for CNML, one per step for SNML.  The log is taken from
-        # the integer parts, so it does not underflow.
+        # the integer parts, so it does not underflow.  A counting support has
+        # no Jacobian.
         cuts = range(seq.m, seq.n + 1) if name == "snml" else (seq.m, seq.n)
-        ones = list(itertools.accumulate((v == 1.0 for v in seq.values), initial=0))
+        ones = list(itertools.accumulate((v == 1.0 for v in values), initial=0))
         ratios = (_bernoulli_block_fraction(a, ones[a], b - a, ones[b] - ones[a]) for a, b in zip(cuts, cuts[1:]))
         joint = math.prod(ratios, start=Fraction(1))
         return math.log(joint.numerator) - math.log(joint.denominator), joint
     free = seq.n - seq.m
     if free == 0:
         return 0.0, None
-    error, reason = (ImproperPosterior, _IMPROPER) if name == "bayes" else (DivergentNormalizer, _UNNORMALIZABLE)
-    _require_conditioning(family, seq.m, error, reason)
-    if isinstance(family, TransformedFamily):
-        # no normalizer changes under the map; the gains pick up the Jacobian
-        pulled = ObservationSequence(tuple(family.pullback(v) for v in seq.values), seq.m)
-        log_jacobian = math.fsum(family._density_log_jacobian(y) for y in seq.continuation)
-        return _log_joint(family.base, name, pulled)[0] + log_jacobian, None
+    _require_conditioning(family, seq.m, name)
 
     # x-bar of x_1..x_t for t = m..n, from one running exact sum
-    totals = itertools.accumulate(map(family._exact_statistic, seq.values), initial=0)
-    means = [_history_mean(family, t, total) for t, total in enumerate(totals) if t >= seq.m]
-    steps = list(zip(range(seq.m, seq.n), means, seq.continuation))
-    log_numerator = sum(_snml_log_gain(family, t, mean)(y) for t, mean, y in steps)
+    totals = itertools.accumulate(map(base._exact_statistic, values), initial=0)
+    means = [_history_mean(base, t, total) for t, total in enumerate(totals) if t >= seq.m]
+    steps = list(zip(range(seq.m, seq.n), means, values[seq.m :]))
+    log_numerator = sum(_snml_log_gain(base, t, mean)(y) for t, mean, y in steps)
     if name == "snml":
-        log_normalizer = sum(_snml_log_normalizer(family, t, mean) for t, mean, _ in steps)
+        log_normalizer = sum(_snml_log_normalizer(base, t, mean) for t, mean, _ in steps)
     elif name == "bayes":
-        log_normalizer = _jeffreys_posterior(family, seq.m, means[0]) - _jeffreys_posterior(family, seq.n, means[-1])
+        log_normalizer = _jeffreys_posterior(base, seq.m, means[0]) - _jeffreys_posterior(base, seq.n, means[-1])
     else:
-        try:
-            log_normalizer = _log_shtarkov(family, seq.m, means[0], free)
-        except NonConvergence as exc:
-            raise DivergentNormalizer(
-                f"{name} normalizer over k={free} free observation(s) after n={seq.m} of mean {means[0]!r}: {exc}"
-            ) from exc
-    return log_numerator - log_normalizer, None
+        log_normalizer = _log_shtarkov(base, seq.m, means[0], free)
+    return log_numerator - log_normalizer + math.fsum(log_jacobians[seq.m :]), None
 
 
 def _snml_ordering_extremes(
@@ -505,20 +490,17 @@ def _snml_ordering_extremes(
     ordering with the smallest F (the largest joint) and one with the
     largest F.  Exact Bernoulli takes the product of its exact Z ratios in
     place of F.  Among orderings with equal F the lexicographically first is
-    returned.  A transformed family's Z are its base family's on the
-    pulled-back values.
+    returned.  The Z are taken in the untransformed family on the pulled-back
+    values.
     """
     _coerce_values(family, history + continuation)
-    _require_conditioning(family, len(history), DivergentNormalizer, _UNNORMALIZABLE)
+    _require_conditioning(family, len(history), "snml")
     values = sorted(set(continuation))
     counts = tuple(continuation.count(v) for v in values)
-    base, pulled_history, pulled_values = family, history, values
-    while isinstance(base, TransformedFamily):
-        pulled_history = tuple(map(base.pullback, pulled_history))
-        pulled_values = list(map(base.pullback, pulled_values))
-        base = base.base
-    statistics = [base._exact_statistic(v) for v in pulled_values]
-    m, history_total = len(pulled_history), sum(map(base._exact_statistic, pulled_history))
+    m = len(history)
+    base, pulled, _ = family._untransformed(history + tuple(values))
+    history_total = sum(map(base._exact_statistic, pulled[:m]))
+    statistics = [base._exact_statistic(v) for v in pulled[m:]]
     exact = _is_exact_bernoulli(base)
     combine = operator.mul if exact else operator.add
 

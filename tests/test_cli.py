@@ -396,6 +396,43 @@ class TestClassify:
         assert payload["family_class"] == "NotExchangeable"
         assert "discriminant" in payload["reason"]
 
+    @staticmethod
+    def gamma_line_rows(count):
+        mus = [0.5 + 3.5 * i / (count - 1) for i in range(count)]
+        return [f"{mu},{(0.8 * mu + 0.3) ** 2}" for mu in mus]
+
+    def test_table_skips_blank_lines_comments_and_a_header(self, capsys, tmp_path):
+        table = tmp_path / "gamma_line.csv"
+        rows = self.gamma_line_rows(20)
+        lines = ["# V = (0.8 mu + 0.3)^2", "", "mu,V", *rows[:10], "# half way", "", *rows[10:]]
+        table.write_text("\n".join(lines))
+        code, out, _ = run(capsys, "classify", "--table", str(table))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["family_class"] == "GammaLinearSigma"
+        assert payload["coefficients"]["k"] == pytest.approx(0.8, rel=1e-6)
+
+    @pytest.mark.parametrize("bad_row", [8, 12])
+    def test_malformed_table_row_exits_2_with_its_line(self, capsys, tmp_path, bad_row):
+        """Row 8 separated by ';' and row 12 with V written 1.2.3: the first of
+        them present is reported by its line (the header is line 1)."""
+        table = tmp_path / "gamma_line.csv"
+        rows = self.gamma_line_rows(20)
+        mu, v = rows[bad_row - 1].split(",")
+        rows[bad_row - 1] = f"{mu};{v}" if bad_row == 8 else f"{mu},1.2.3"
+        table.write_text("mu,V\n" + "\n".join(rows) + "\n")
+        code, out, err = run(capsys, "classify", "--table", str(table))
+        assert code == 2
+        assert out == ""
+        assert f"{table}, line {bad_row + 1}:" in err
+
+    def test_second_header_line_exits_2(self, capsys, tmp_path):
+        table = tmp_path / "gamma_line.csv"
+        table.write_text("mu,V\nmean,variance\n" + "\n".join(self.gamma_line_rows(20)) + "\n")
+        code, _, err = run(capsys, "classify", "--table", str(table))
+        assert code == 2
+        assert "line 2:" in err
+
 
 class TestLaplace:
     def test_gamma_ratios(self, capsys):

@@ -186,7 +186,12 @@ def test_snml_integrand_matches_per_observation_sums(name):
     rng = np.random.default_rng(7)
     for n in (1, 2, 5, 16):
         hist = raw_draws(name, family, mean, n, rng)
-        gain = strategies._snml_log_gain(family, n, history_mean(family, hist))
+        if isinstance(family, sk.TransformedFamily):
+            # the strategies unwrap a transformed family; its gain is the predictive's weight
+            predictive = sk.snml_predictive(family, hist)
+            gain = lambda y: predictive.log_density(y) + predictive.log_normalizer
+        else:
+            gain = strategies._snml_log_gain(family, n, history_mean(family, hist))
         base = per_observation_sup_log_likelihood(family, hist)
         for y in raw_draws(name, family, mean, 6, rng):
             want = per_observation_sup_log_likelihood(family, hist + (y,)) - base
@@ -202,7 +207,7 @@ def test_jeffreys_integrand_matches_per_observation_sums(name):
     for n in (1, 2, 5, 16):
         hist = raw_draws(name, family, mean, n, rng)
         xbar = history_mean(family, hist)
-        anchor = strategies._interior_anchor(family, strategies._reference_mean(family, n, xbar))
+        anchor = strategies._chart_anchor(family, n, xbar)
         relative = strategies._relative_log_likelihood(family, n, xbar)
         base = per_observation_sup_log_likelihood(family, hist)
         y = raw_draws(name, family, mean, 1, rng)[0]

@@ -638,6 +638,81 @@ def test_levy_joint_is_the_pulled_back_gamma_joint(strategy):
     assert strategies._log_joint(LEVY, strategy, ObservationSequence(values, 1))[0] == pytest.approx(want, rel=1e-12)
 
 
+AFFINE_BERNOULLI = sk.transform_family(sk.Bernoulli(), lambda x: 2.0 * x + 1.0, lambda y: (y - 1.0) / 2.0, lambda y: 0.5)
+REFLECTED_LEVY = sk.transform_family(LEVY, lambda x: -x, lambda y: -y, lambda y: -1.0)
+
+
+def test_affine_bernoulli_maps_its_support():
+    assert AFFINE_BERNOULLI.finite_support == (1.0, 3.0)
+    assert AFFINE_BERNOULLI.convex_core() == sk.Interval(1.0, 3.0, True, True)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_affine_bernoulli_joints_are_the_base_joints(m):
+    """y = 2x + 1 of Bernoulli: a counting support has no Jacobian, so the
+    SNML, CNML and NML joints are the exact Bernoulli Fractions on the
+    pulled-back values, and the Bayes joints the Bernoulli floats."""
+    for xs in itertools.product((0.0, 1.0), repeat=4):
+        ys = tuple(2.0 * x + 1.0 for x in xs)
+        for strategy in STRATEGIES if m == 0 else ("snml", "bayes", "cnml"):
+            got = sk.strategy_joint(AFFINE_BERNOULLI, strategy, ObservationSequence(ys, m))
+            want = sk.strategy_joint(sk.Bernoulli(), strategy, ObservationSequence(xs, m))
+            assert got == want and type(got) is type(want), (strategy, xs)
+            assert isinstance(got, float if strategy == "bayes" else Fraction)
+
+
+@pytest.mark.parametrize("maker", [sk.snml_predictive, sk.bayes_jeffreys_predictive], ids=["snml", "bayes"])
+def test_affine_bernoulli_predictives_are_the_base_predictives(maker):
+    for k in range(4):
+        for xs in itertools.product((0.0, 1.0), repeat=k):
+            got = maker(AFFINE_BERNOULLI, tuple(2.0 * x + 1.0 for x in xs))
+            want = maker(sk.Bernoulli(), xs)
+            assert got.log_normalizer == want.log_normalizer
+            assert [got.log_density(y) for y in (1.0, 3.0)] == [want.log_density(x) for x in (0.0, 1.0)]
+
+
+def test_affine_bernoulli_exchangeability_is_the_base_report():
+    """Exact joints give the exact spread 1/32 at m = 1, n = 3, and the
+    increasing map keeps the lexicographically first witnesses."""
+    got = sk.exchangeability_test(AFFINE_BERNOULLI, 1, 3, "all-discrete")
+    want = sk.exchangeability_test(sk.Bernoulli(), 1, 3, "all-discrete")
+    assert got.max_abs_deviation == want.max_abs_deviation == 1 / 32
+    assert got.values == want.values
+    assert got.grid == tuple(tuple(2.0 * x + 1.0 for x in cont) for cont in want.grid)
+    mapped = {key: [2.0 * x + 1.0 for x in v] if isinstance(v, list) else v for key, v in want.details["witness"].items()}
+    assert got.details["witness"] == mapped
+
+
+def assert_relative(got, want, rel):
+    """|got - want| <= rel * max(1, |want|): relative error, absolute near 0."""
+    assert abs(got - want) <= rel * max(1.0, abs(want)), (got, want)
+
+
+def reflected_levy_pullback(values):
+    """(the Gamma(0.5) values under y -> -y then x -> 1 / x, and the summed
+    log-Jacobian, log 1 / y^2)."""
+    return tuple(-1.0 / v for v in values), math.fsum(-2.0 * math.log(-v) for v in values)
+
+
+@pytest.mark.parametrize("strategy", ["snml", "bayes", "cnml"])
+def test_reflected_levy_joint_is_the_doubly_pulled_back_gamma_joint(strategy):
+    values = (-0.3, -1.1, -2.6, -0.7)
+    pulled, _ = reflected_levy_pullback(values)
+    _, log_jacobian = reflected_levy_pullback(values[1:])
+    want = strategies._log_joint(sk.GammaShape(0.5), strategy, ObservationSequence(pulled, 1))[0] + log_jacobian
+    assert_relative(strategies._log_joint(REFLECTED_LEVY, strategy, ObservationSequence(values, 1))[0], want, 1e-14)
+
+
+@pytest.mark.parametrize("maker", [sk.snml_predictive, sk.bayes_jeffreys_predictive], ids=["snml", "bayes"])
+@pytest.mark.parametrize("history", [(-0.3,), (-2.0, -0.5), (-1.0, -4.0, -0.2)])
+def test_reflected_levy_predictive_is_the_doubly_pulled_back_gamma_predictive(maker, history):
+    got = maker(REFLECTED_LEVY, history)
+    want = maker(sk.GammaShape(0.5), reflected_levy_pullback(history)[0])
+    for y in (-0.01, -0.3, -1.0, -7.0, -200.0):
+        (x,), log_jacobian = reflected_levy_pullback((y,))
+        assert_relative(got.log_density(y), want.log_density(x) + log_jacobian, 1e-14)
+
+
 def test_bayes_density_at_a_seen_extended_multiset_is_a_cache_hit():
     family, cache = sk.GammaShape(2.0), strategies._jeffreys_posterior
     cache.cache_clear()
