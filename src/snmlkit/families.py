@@ -913,6 +913,8 @@ class TransformedFamily(Family):
             raise UnsupportedPoint(
                 f"observation {x!r} does not pull back to a finite point of the base support closure {base_core.bounds()}"
             )
+        # the base's own checks (a counting family's lattice) apply to the pulled-back point
+        self.base._check_observation(back)
         return x
 
     def sample(self, mu: float, size: int, rng: np.random.Generator) -> np.ndarray:

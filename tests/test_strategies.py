@@ -683,6 +683,21 @@ def test_affine_bernoulli_exchangeability_is_the_base_report():
     assert got.details["witness"] == mapped
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_affine_bernoulli_rejects_points_off_the_mapped_lattice(strategy):
+    """2.0 pulls back to 0.5, which is no Bernoulli outcome."""
+    with pytest.raises(sk.UnsupportedPoint):
+        sk.strategy_joint(AFFINE_BERNOULLI, strategy, ObservationSequence((1.0, 2.0), 0 if strategy == "nml" else 1))
+
+
+@pytest.mark.parametrize("maker", [sk.snml_predictive, sk.bayes_jeffreys_predictive], ids=["snml", "bayes"])
+def test_affine_bernoulli_predictives_reject_points_off_the_mapped_lattice(maker):
+    with pytest.raises(sk.UnsupportedPoint):
+        maker(AFFINE_BERNOULLI, (2.0,))
+    with pytest.raises(sk.UnsupportedPoint):
+        maker(AFFINE_BERNOULLI, (3.0,)).log_density(2.0)
+
+
 def assert_relative(got, want, rel):
     """|got - want| <= rel * max(1, |want|): relative error, absolute near 0."""
     assert abs(got - want) <= rel * max(1.0, abs(want)), (got, want)
