@@ -25,12 +25,7 @@ import numpy as np
 from . import _json, quadrature
 from ._expression import derivative_functions
 from ._spline import QuinticSpline
-from .errors import (
-    DifferentiationError,
-    DivergentIntegral,
-    DomainError,
-    NonConvergence,
-)
+from .errors import DifferentiationError, DomainError
 from .families import Family, ObservationSequence
 from .strategies import _concentration_integral, _joint_value, _log_joint, _snml_ordering_extremes
 
@@ -183,17 +178,16 @@ _CONDITION_TOL_REL = 1e-10
 def condition_integral(family: Family, mu0: float, n: int) -> float:
     """Integral of exp(-n KL(mu0 || mu)) / sigma(mu) over the mean domain.
 
-    It is taken in the unit-Fisher chart based at mu0, where 1/sigma(mu) d mu
-    is d beta: the integral of exp(-n KL(mu0 || mu(beta))) over the image of
-    the mean domain.  This is the Jeffreys posterior normalizer of n
-    observations with mean mu0, computed by the same code.
+    It is taken in the unit-Fisher chart based at mu0 (just inside, at an
+    endpoint), where 1/sigma(mu) d mu is d beta: the integral of
+    exp(-n KL(mu0 || mu(beta))) over the image of the mean domain.  This is
+    the Jeffreys posterior normalizer of n observations with mean mu0, taken
+    by the same code in the family under all its transforms, so it raises
+    ImproperPosterior where the integral does not settle or is 0 or inf.
     """
     n = _integer("n", n, 1)
     mu0 = family._check_mean(mu0, interior=True)
-    try:
-        return _concentration_integral(family, n, mu0, mu0, _CONDITION_TOL_ABS, _CONDITION_TOL_REL)
-    except NonConvergence as exc:
-        raise DivergentIntegral(f"concentration integral for kind {family.kind}, mu0={mu0}, n={n}: {exc}") from exc
+    return _concentration_integral(family._untransformed(())[0], n, mu0, _CONDITION_TOL_ABS, _CONDITION_TOL_REL)
 
 
 def check_constancy(
@@ -559,6 +553,9 @@ class VarianceFunctionSpec:
             raise DomainError(f"need at least 12 table rows for stable fourth derivatives, got {len(mu_arr)}")
         if not np.all(np.diff(mu_arr) > 0):
             raise DomainError("mu table must be strictly increasing")
+        if not np.all(np.isfinite(v_arr)):
+            i = int(np.argmin(np.isfinite(v_arr)))
+            raise DomainError(f"V table must be finite; row {i + 1} has V({float(mu_arr[i])!r}) = {float(v_arr[i])!r}")
         if not np.all(v_arr > 0):
             raise DomainError("V table must be positive")
         spline = QuinticSpline(mu_arr, np.sqrt(v_arr))
@@ -727,6 +724,7 @@ class Classification:
 
 
 _FIT_RTOL = 1e-8
+_CLASSIFY_GRID_SIZE = 33
 
 
 def _affine_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -737,7 +735,7 @@ def _affine_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), float(resid)
 
 
-def classify_family(vf: VarianceFunctionSpec, grid_size: int = 33) -> Classification:
+def classify_family(vf: VarianceFunctionSpec) -> Classification:
     """Match the variance function against the exchangeable solution forms.
 
     Constant V is a location-Gaussian; sigma affine in mu with nonzero slope
@@ -747,7 +745,7 @@ def classify_family(vf: VarianceFunctionSpec, grid_size: int = 33) -> Classifica
     non-constant second-order combination, or a non-constant higher-order
     combination.
     """
-    mu = np.asarray(vf.default_grid(grid_size), dtype=float)
+    mu = np.asarray(vf.default_grid(_CLASSIFY_GRID_SIZE), dtype=float)
     sigma = np.array([profile[0] for profile in vf.sigma_profiles(mu)])
     v = sigma * sigma
     v_scale = float(np.max(np.abs(v)))

@@ -287,19 +287,16 @@ class Family(ABC):
         mass at that boundary."""
         return self._saturated_log_likelihood(x) - self._divergence(x, mu)
 
-    def _statistic(self, x: float) -> float:
-        """The sufficient statistic of an observation, on the mean scale."""
-        return x
-
     def _untransformed(self, values: tuple[float, ...]) -> tuple[Family, tuple[float, ...], tuple[float, ...]]:
         """(the family under every transform, the values pulled back to it,
         each value's summed density log-Jacobian): the identity here."""
         return self, values, (0.0,) * len(values)
 
     def _exact_statistic(self, x: float) -> int:
-        """The sufficient statistic of a validated observation as the integer
-        multiple of 2^-1074 that every finite float is, so sums are exact."""
-        numerator, denominator = self._statistic(x).as_integer_ratio()
+        """The sufficient statistic of a validated observation of an
+        untransformed family, x itself, as the integer multiple of 2^-1074
+        that every finite float is, so sums are exact."""
+        numerator, denominator = x.as_integer_ratio()
         return numerator << (1075 - denominator.bit_length())
 
     def observation_atoms(self) -> tuple[float, ...]:
@@ -355,9 +352,11 @@ class Family(ABC):
         return self._divergence(self._check_mean(mu0), self._check_mean(mu1))
 
     def log_density_mean(self, mu: float, x: float) -> float:
-        """Log density (w.r.t. the family's base measure) at x under mean mu."""
-        x = self._check_observation(x)
-        return self._log_density(self._check_mean(mu), x)
+        """Log density (w.r.t. the family's base measure) at x under mean mu:
+        the untransformed family's at the pulled-back point, plus its
+        log-Jacobian."""
+        base, (x,), (log_jacobian,) = self._untransformed((self._check_observation(x),))
+        return base._log_density(self._check_mean(mu), x) + log_jacobian
 
     def log_density(self, param: ParamValue | float, x: float) -> float:
         return self.log_density_mean(self.mean_value(param), x)
@@ -401,7 +400,8 @@ class Family(ABC):
             raise EmptyWindow("estimation window selects no observations")
         for v in selected:
             self._check_observation(v)
-        clipped = self.mean_domain.clip(exact_mean(len(selected), sum(map(self._exact_statistic, selected))))
+        base, pulled, _ = self._untransformed(selected)
+        clipped = self.mean_domain.clip(exact_mean(len(pulled), sum(map(base._exact_statistic, pulled))))
         lo, hi = self.mean_domain.bounds()
         boundary = (math.isfinite(lo) and clipped == lo) or (math.isfinite(hi) and clipped == hi)
         return MleEstimate(clipped, boundary)
@@ -766,7 +766,8 @@ class TransformedFamily(Family):
 
     The parameter space is the base family's mean domain (the transform acts on
     observations, not parameters).  Densities pull back through the inverse with
-    the usual Jacobian factor; point masses map without one.
+    the usual Jacobian factor; point masses and counting supports map without
+    one.  Every entry point unwraps all transforms at once (``_untransformed``).
     """
 
     kind = "transformed"
@@ -825,7 +826,9 @@ class TransformedFamily(Family):
             if a == hi:
                 hi_inc = True
         self._core = Interval(lo, hi, lo_inc, hi_inc)
-        self._atom_pullback = {float(forward(a)): a for a in base.observation_atoms()}
+        # atoms and finite support points map back exactly, not through the inverse
+        exact_points = base.observation_atoms() + (base.finite_support or ())
+        self._exact_pullback = {float(forward(a)): a for a in exact_points}
 
         self.is_discrete = base.is_discrete
         self.min_conditioning = base.min_conditioning
@@ -867,32 +870,20 @@ class TransformedFamily(Family):
     def convex_core(self) -> Interval:
         return self._core
 
-    def log_jacobian(self, y: float) -> float:
-        """log |d inverse / dy| at a non-atomic observation."""
-        if y in self._atom_pullback:
+    def _density_log_jacobian(self, y: float) -> float:
+        """log |d inverse / dy|, the log-Jacobian a density picks up at y: none
+        at atoms or on a counting support."""
+        if self.is_discrete or y in self._exact_pullback:
             return 0.0
         return math.log(abs(self._inverse_derivative(float(y))))
 
-    def _density_log_jacobian(self, y: float) -> float:
-        """The log-Jacobian a density picks up at y: none at atoms or on a counting support."""
-        return 0.0 if self.is_discrete else self.log_jacobian(y)
-
     def pullback(self, y: float) -> float:
-        if y in self._atom_pullback:
-            return self._atom_pullback[y]
+        if y in self._exact_pullback:
+            return self._exact_pullback[y]
         return float(self._inverse(float(y)))
 
-    # the sufficient statistic is the base family's, read off the pulled-back observation
-    _statistic = pullback
-
-    def _log_density(self, mu: float, y: float) -> float:
-        # through the base kernel, which keeps its own boundary cases (Gamma at 0)
-        return self.base._log_density(mu, self.pullback(y)) + self._density_log_jacobian(y)
-
     def _saturated_log_likelihood(self, y: float, k: int = 1) -> float:
-        # k is 1: every strategy unwraps a transformed family (_untransformed) and
-        # takes its k-fold sums in the base
-        return self._log_density(self.pullback(y), y)
+        raise NotImplementedError("densities of a transformed family are taken after _untransformed")
 
     def _untransformed(self, values: tuple[float, ...]) -> tuple[Family, tuple[float, ...], tuple[float, ...]]:
         base, pulled, log_jacobians = self.base._untransformed(tuple(map(self.pullback, values)))

@@ -38,9 +38,12 @@ chains the gains over its continuation.  Only the normalizers differ:
 
 A transformed family's values are those of the family under all its
 transforms on the pulled-back observations, times the Jacobian of the
-continuation: each entry point unwraps it once (``Family._untransformed``),
-and everything below sees untransformed families only.  So a transformed
-Bernoulli's SNML, CNML and NML joints are exact too.
+continuation.  Each entry point unwraps it once (``Family._untransformed``):
+the predictives, the joints and the ordering extremes here, the family's
+density and maximum-likelihood surface (``log_density_mean``, ``mle_mean``)
+and ``analysis.condition_integral``.  Everything below sees untransformed
+families only.  So a transformed Bernoulli's SNML, CNML and NML joints are
+exact too.
 
 Every integral is taken in a unit-Fisher chart based at the clipped
 maximum-likelihood mean (``_chart_anchor``), where the Fisher information is
@@ -98,12 +101,11 @@ class PredictiveDistribution:
     point's log-Jacobian.
     """
 
-    def __init__(self, family: Family, log_weight: Callable[[float], float], log_normalizer: float, horizon: str):
+    def __init__(self, family: Family, log_weight: Callable[[float], float], log_normalizer: float):
         self.family = family
         self._log_weight = log_weight
         self.log_normalizer = float(log_normalizer)
         self.normalizer = math.exp(self.log_normalizer) if self.log_normalizer < 709 else math.inf
-        self.horizon = horizon
 
     def log_density(self, x: float) -> float:
         _, (y,), (log_jacobian,) = self.family._untransformed((self.family._check_observation(x),))
@@ -326,45 +328,45 @@ def _require_conditioning(family: Family, m: int, strategy: str) -> None:
         )
 
 
-def _concentration_integral(
-    family: Family, n: int, mean: float, anchor: float, tol_abs: float, tol_rel: float
-) -> float:
+def _concentration_integral(family: Family, n: int, mean: float, tol_abs: float, tol_rel: float) -> float:
     """Integral of exp(n D(x-bar || clip x-bar) - n D(x-bar || mu)) / sigma(mu) d mu.
 
     The weight 1/sigma(mu) d mu is arc length in the unit-Fisher chart, so the
     integral is taken there, over the image of the mean domain under the chart
-    based at anchor: no weight factor, and no endpoint singularity from
-    sigma -> 0.  It is the Jeffreys posterior normalizer of a history of n
-    observations with mean x-bar, relative to its sup-likelihood, and for
-    x-bar = anchor = mu0 the concentration integral of the constancy and Laplace
-    checks.  Raises NonConvergence when the integral does not settle.
+    based at ``_chart_anchor``: no weight factor, and no endpoint singularity
+    from sigma -> 0.  It is the Jeffreys posterior normalizer of a history of
+    n observations with mean x-bar, relative to its sup-likelihood, and for
+    x-bar = mu0 the concentration integral of the constancy and Laplace
+    checks.  Raises ImproperPosterior, naming the kind, n and x-bar, when the
+    integral does not settle or is 0 or inf.
     """
+    anchor = _chart_anchor(family, n, mean)
     relative = _relative_log_likelihood(family, n, mean)
+    where = f"Jeffreys posterior normalizer of kind {family.kind} after n={n} observations of mean {mean!r}"
 
     def integrand(beta: float) -> float:
         return math.exp(relative(family.mean_from_geodesic(beta, anchor)))
 
-    res = quadrature.integrate(
-        quadrature.guarded(integrand),
-        _chart_window(family, family.mean_interior(), anchor),
-        tol_abs=tol_abs,
-        tol_rel=tol_rel,
-        peak_hint=0.0,
-    )
-    return res.value
+    try:
+        total = quadrature.integrate(
+            quadrature.guarded(integrand),
+            _chart_window(family, family.mean_interior(), anchor),
+            tol_abs=tol_abs,
+            tol_rel=tol_rel,
+            peak_hint=0.0,
+        ).value
+    except NonConvergence as exc:
+        raise ImproperPosterior(f"{where}: {exc}") from exc
+    if not 0.0 < total < math.inf:
+        raise ImproperPosterior(f"{where} evaluated to {total!r}")
+    return total
 
 
 @lru_cache(maxsize=4096)
 def _jeffreys_posterior(family: Family, n: int, mean: float) -> float:
     """log C(n, x-bar), the Jeffreys posterior normalizer of a history of n
     observations with mean x-bar, relative to its sup-likelihood."""
-    try:
-        total = _concentration_integral(family, n, mean, _chart_anchor(family, n, mean), 1e-13, 1e-11)
-    except NonConvergence as exc:
-        raise ImproperPosterior(f"Jeffreys posterior after n={n} observations of mean {mean!r}: {exc}") from exc
-    if not total > 0 or math.isinf(total):
-        raise ImproperPosterior(f"Jeffreys posterior normalizer evaluated to {total!r}")
-    return math.log(total)
+    return math.log(_concentration_integral(family, n, mean, 1e-13, 1e-11))
 
 
 def _predictive(family: Family, strategy: str, history: Iterable[float]) -> PredictiveDistribution:
@@ -377,13 +379,13 @@ def _predictive(family: Family, strategy: str, history: Iterable[float]) -> Pred
     mean = _history_mean(base, n, total)
     gain = _snml_log_gain(base, n, mean)
     if strategy == "snml":
-        return PredictiveDistribution(family, gain, _snml_log_normalizer(base, n, mean), "one-step")
+        return PredictiveDistribution(family, gain, _snml_log_normalizer(base, n, mean))
 
     def log_weight(y: float) -> float:
         extended = _history_mean(base, n + 1, total + base._exact_statistic(y))
         return gain(y) + _jeffreys_posterior(base, n + 1, extended)
 
-    return PredictiveDistribution(family, log_weight, _jeffreys_posterior(base, n, mean), "posterior-predictive")
+    return PredictiveDistribution(family, log_weight, _jeffreys_posterior(base, n, mean))
 
 
 def snml_predictive(family: Family, history: Iterable[float] = ()) -> PredictiveDistribution:
@@ -418,9 +420,7 @@ def _bernoulli_block_fraction(n: int, ones: int, k: int, added: int) -> Fraction
     return terms[added] / (math.comb(k, added) * sum(terms))
 
 
-def _log_joint(
-    family: Family, strategy: str, seq: ObservationSequence, horizon: int | None = None
-) -> tuple[float, Fraction | None]:
+def _log_joint(family: Family, strategy: str, seq: ObservationSequence) -> tuple[float, Fraction | None]:
     """(log joint, exact joint or None) of the continuation x_{m+1}..x_n given x_1..x_m.
 
     The exact joint is the Fraction of exact Bernoulli SNML, CNML and NML,
@@ -435,8 +435,6 @@ def _log_joint(
     if not isinstance(seq, ObservationSequence):
         raise TypeError("expected an ObservationSequence (values plus conditioning length m)")
     _coerce_values(family, seq.values)
-    if horizon is not None and int(horizon) != seq.n:
-        raise ValueError(f"horizon {horizon} does not match the sequence length {seq.n}")
     if name == "nml" and seq.m != 0:
         raise ValueError("nml conditions on nothing; use cnml_joint when m > 0")
     if name == "nml" and family.shtarkov_divergent_tails is not None:
@@ -543,15 +541,15 @@ def _joint_value(log_joint: float, exact: Fraction | None) -> float | Fraction:
         return math.inf
 
 
-def cnml_joint(family: Family, seq: ObservationSequence, horizon: int | None = None) -> float | Fraction:
+def cnml_joint(family: Family, seq: ObservationSequence) -> float | Fraction:
     """Conditional NML joint of x_{m+1}..x_n given x_1..x_m; for continuous
     observations a joint density."""
-    return _joint_value(*_log_joint(family, "cnml", seq, horizon))
+    return _joint_value(*_log_joint(family, "cnml", seq))
 
 
-def nml_joint(family: Family, seq: ObservationSequence, horizon: int | None = None) -> float | Fraction:
+def nml_joint(family: Family, seq: ObservationSequence) -> float | Fraction:
     """Unconditioned NML joint; requires a finite Shtarkov normalizer."""
-    return _joint_value(*_log_joint(family, "nml", seq, horizon))
+    return _joint_value(*_log_joint(family, "nml", seq))
 
 
 def shtarkov_sum(family: Family, n: int) -> Fraction:

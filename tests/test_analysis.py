@@ -3,6 +3,7 @@ variance-function checks, and classification."""
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from math import gamma as gamma_fn
 
@@ -663,6 +664,14 @@ class TestVarianceFunctionSpec:
         report = sk.sigma_ode_check(vf)
         assert report.verdict is Verdict.CONSTANT
         assert report.details["c"] == pytest.approx(0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_from_table_rejects_a_non_finite_variance_by_its_row(self, bad):
+        mu = np.linspace(0.5, 4.0, 20)
+        v = (0.8 * mu + 0.3) ** 2
+        v[7] = bad
+        with pytest.raises(DomainError, match=re.escape(f"row 8 has V({float(mu[7])!r}) = {bad!r}")):
+            VarianceFunctionSpec.from_table(mu, v)
 
     def test_from_table_flags_nonconstant(self):
         mu = np.linspace(0.5, 4.0, 64)

@@ -426,6 +426,18 @@ class TestClassify:
         assert out == ""
         assert f"{table}, line {bad_row + 1}:" in err
 
+    @pytest.mark.parametrize("command", ["classify", "check-ode"])
+    def test_infinite_variance_row_exits_2_naming_it(self, capsys, tmp_path, command):
+        table = tmp_path / "gamma_line.csv"
+        rows = self.gamma_line_rows(20)
+        mu = rows[7].split(",")[0]
+        rows[7] = f"{mu},inf"
+        table.write_text("mu,V\n" + "\n".join(rows) + "\n")
+        code, out, err = run(capsys, command, "--table", str(table))
+        assert code == 2
+        assert out == ""
+        assert f"row 8 has V({float(mu)!r}) = inf" in err
+
     def test_second_header_line_exits_2(self, capsys, tmp_path):
         table = tmp_path / "gamma_line.csv"
         table.write_text("mu,V\nmean,variance\n" + "\n".join(self.gamma_line_rows(20)) + "\n")

@@ -197,6 +197,22 @@ def test_sigma_far_out_is_the_unchecked_sigma():
         sk.Tweedie32().sigma(0.0)
 
 
+@pytest.mark.parametrize(
+    "fam,want",
+    [
+        (sk.GammaShape(2.0, mean_domain=(2.0, 5.0)), 3.5),
+        (sk.GaussianLocation(1.0, mean_domain=(1.0, math.inf)), 2.0),
+        (sk.GaussianLocation(1.0, mean_domain=(-math.inf, -1.0)), -2.0),
+        (sk.Bernoulli(mean_domain=(0.6, 0.9)), 0.75),
+    ],
+    ids=["bounded-midpoint", "lower-end-plus-one", "upper-end-minus-one", "bernoulli-midpoint"],
+)
+def test_default_reference_outside_a_restricted_domain(fam, want):
+    """The preferred reference lies outside each domain: a bounded domain
+    takes its midpoint, a half-line the point 1 inside its finite end."""
+    assert fam.default_reference() == want
+
+
 # ---- MLE --------------------------------------------------------------------
 
 

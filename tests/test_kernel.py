@@ -159,7 +159,9 @@ def per_observation_sup_log_likelihood(family, values):
 
 
 def history_mean(family, values):
-    return strategies._history_mean(family, len(values), sum(map(family._exact_statistic, values)))
+    # x-bar is that of the values pulled back to the untransformed family
+    base, pulled, _ = family._untransformed(values)
+    return strategies._history_mean(base, len(pulled), sum(map(base._exact_statistic, pulled)))
 
 
 def per_observation_log_likelihood(family, values, mu):
@@ -221,7 +223,8 @@ def test_jeffreys_integrand_matches_per_observation_sums(name):
             want = per_observation_log_likelihood(family, hist, mu) - base
             assert_close(relative(mu), want, 1e-12)
             want_y = want + family.log_density_mean(mu, y)
-            assert_close(relative(mu) + family._log_density(mu, y), want_y, 1e-12)
+            untransformed, (x,), (log_jacobian,) = family._untransformed((y,))
+            assert_close(relative(mu) + untransformed._log_density(mu, x) + log_jacobian, want_y, 1e-12)
 
 
 # ---- the Gaussian SNML weight far from the origin ----------------------------

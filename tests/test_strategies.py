@@ -728,6 +728,96 @@ def test_reflected_levy_predictive_is_the_doubly_pulled_back_gamma_predictive(ma
         assert_relative(got.log_density(y), want.log_density(x) + log_jacobian, 1e-14)
 
 
+DOUBLED_LEVY = sk.transform_family(LEVY, lambda x: 2.0 * x, lambda y: 0.5 * y, lambda y: 0.5)
+# (a transform of the Levy law, the map from its observations back to Gamma(0.5)
+# draws, the log-Jacobian of that map)
+NESTED_TRANSFORMS = {
+    "reflected": (REFLECTED_LEVY, lambda y: 1.0 / -y, lambda y: -2.0 * math.log(-y)),
+    "doubled": (DOUBLED_LEVY, lambda y: 1.0 / (0.5 * y), lambda y: math.log(2.0) - 2.0 * math.log(y)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NESTED_TRANSFORMS))
+def test_nested_transform_mle_and_sup_likelihood_are_the_doubly_pulled_back_gamma_values(name):
+    """Gamma(0.5) draws (0.4, 1.3, 2.2) through both maps: the
+    maximum-likelihood mean is that of the draws pulled back through both
+    maps, not through the outer one alone, and the sup log-likelihood is the
+    Gamma(0.5) one plus the summed log-Jacobians."""
+    family, pullback, log_jacobian = NESTED_TRANSFORMS[name]
+    ys = tuple(family._forward(1.0 / g) for g in (0.4, 1.3, 2.2))
+    pulled = tuple(map(pullback, ys))
+    gamma = sk.GammaShape(0.5)
+    assert family.mle_mean(ys) == gamma.mle_mean(pulled)
+    want = gamma.sup_log_likelihood(pulled) + math.fsum(map(log_jacobian, ys))
+    assert_relative(family.sup_log_likelihood(ys), want, 1e-14)
+    for strategy in ("snml", "bayes", "cnml"):
+        record = sk.conditional_regret(family, strategy, ObservationSequence(ys, 1))
+        assert_relative(record.best_expert_loglik, want, 1e-14)
+
+
+SCALED_BERNOULLI = sk.transform_family(sk.Bernoulli(), lambda x: 0.1 * x + 0.7, lambda y: (y - 0.7) / 0.1, lambda y: 10.0)
+
+
+def test_scaled_bernoulli_support_points_pull_back_exactly():
+    """y = 0.1 x + 0.7 maps 1 to 0.7999999999999999, which the inverse takes
+    to 0.9999999999999998: the points of a finite support map back exactly,
+    as atoms do, so the family's own support points are Bernoulli outcomes."""
+    low, high = SCALED_BERNOULLI.finite_support
+    assert (low, high) == (0.7, 0.7999999999999999)
+    want = sk.strategy_joint(sk.Bernoulli(), "cnml", ObservationSequence((0.0, 1.0, 1.0, 0.0), 1))
+    assert want == Fraction(4, 103)
+    assert sk.strategy_joint(SCALED_BERNOULLI, "cnml", ObservationSequence((low, high, high, low), 1)) == want
+    got = sk.exchangeability_test(SCALED_BERNOULLI, 1, 3, "all-discrete")
+    base = sk.exchangeability_test(sk.Bernoulli(), 1, 3, "all-discrete")
+    assert (got.values, got.max_abs_deviation, got.verdict) == (base.values, base.max_abs_deviation, base.verdict)
+
+
+@pytest.mark.parametrize("family", [LEVY, REFLECTED_LEVY], ids=["levy", "reflected-levy"])
+def test_numerical_code_never_sees_a_transformed_family(family, monkeypatch):
+    """Every entry point unwraps a transformed family (Family._untransformed),
+    so with its parameter-side delegates made to raise, every strategy and
+    analysis still runs."""
+
+    def unreachable(self, *args):
+        raise AssertionError("numerical code was handed a transformed family")
+
+    for name in ("_divergence", "_variance", "_sigma", "geodesic_from_mean", "mean_from_geodesic"):
+        monkeypatch.setattr(sk.TransformedFamily, name, unreachable)
+    strategies._snml_log_normalizer.cache_clear()
+    strategies._jeffreys_posterior.cache_clear()
+    sign = -1.0 if family is REFLECTED_LEVY else 1.0
+    history, continuation = (sign * 1.0,), tuple(sign * v for v in (0.3, 2.0, 5.0))
+    for maker in (sk.snml_predictive, sk.bayes_jeffreys_predictive):
+        assert math.isfinite(maker(family, history).log_density(sign * 0.7))
+    seq = ObservationSequence(history + continuation, 1)
+    for strategy in ("snml", "bayes", "cnml"):
+        assert sk.strategy_joint(family, strategy, seq) > 0.0
+        assert math.isfinite(sk.conditional_regret(family, strategy, seq).regret)
+    report = sk.exchangeability_test(family, 1, 4, history=history, continuations=[continuation])
+    assert report.verdict is sk.Verdict.CONSTANT
+    assert sk.condition_integral(family, 1.0, 3) > 0.0
+    assert sk.check_constancy(family, 3, (0.5, 2.0)).verdict is sk.Verdict.CONSTANT
+    assert sk.laplace_asymptotics_check(family, 1.0, n_list=(2, 5)).values
+
+
+def gaussian_half_line_predictives(maker, upper):
+    """The predictive of GaussianLocation(1.0) on (-inf, 0] after (0.5,) when
+    upper, else on [0, inf) after (-0.5,): the history's mean lies beyond the
+    domain, so the chart is based just inside the endpoint 0."""
+    domain, history = ((-math.inf, 0.0), (0.5,)) if upper else ((0.0, math.inf), (-0.5,))
+    return maker(sk.GaussianLocation(1.0, mean_domain=domain), history)
+
+
+@pytest.mark.parametrize("maker", [sk.snml_predictive, sk.bayes_jeffreys_predictive], ids=["snml", "bayes"])
+def test_upper_endpoint_chart_anchor_mirrors_the_lower(maker):
+    """y -> -y maps one half-line problem onto the other, so the predictives
+    agree at mirrored points, whichever end of the domain anchors the chart."""
+    upper, lower = gaussian_half_line_predictives(maker, True), gaussian_half_line_predictives(maker, False)
+    assert_relative(upper.log_normalizer, lower.log_normalizer, 1e-13)
+    for y in (-3.0, -0.5, 0.0, 0.4, 2.5):
+        assert_relative(upper.log_density(y), lower.log_density(-y), 1e-13)
+
+
 def test_bayes_density_at_a_seen_extended_multiset_is_a_cache_hit():
     family, cache = sk.GammaShape(2.0), strategies._jeffreys_posterior
     cache.cache_clear()
