@@ -229,7 +229,7 @@ def laplace_asymptotics_check(
     n_list = tuple(_integer("n", n, 1) for n in n_list)
     if not n_list:
         raise DomainError("n_list must hold positive integers")
-    lo, hi = family.mean_interior()
+    lo, hi = family.mean_domain.bounds()
     if boundary:
         if not (mu0 == lo or mu0 == hi) or not math.isfinite(mu0):
             raise DomainError(f"mu0={mu0!r} is not a finite endpoint of the mean domain ({lo}, {hi})")
@@ -257,19 +257,21 @@ def laplace_asymptotics_check(
 
 def _spread(joints: Sequence[tuple[float, Fraction | None]]) -> tuple[float, int, int]:
     """(max - min) / max over joints given as (log joint, exact joint or None),
-    with the indices of the max and the min.
+    with the indices of the first max and the last min, so that tied joints
+    name two orderings.
 
     Exact joints give an exact spread.  Otherwise the spread is -expm1 of the
-    log difference, which holds where both joints underflow.
+    log difference, which holds where both joints underflow; a tie reads 0.0.
     """
     exact = all(e is not None for _, e in joints)
     key = (lambda i: joints[i][1]) if exact else (lambda i: joints[i][0])
     hi = max(range(len(joints)), key=key)
-    lo = min(range(len(joints)), key=key)
+    lo = min(reversed(range(len(joints))), key=key)
     (log_top, top), (log_low, low) = joints[hi], joints[lo]
     if exact:
         return float((top - low) / top), hi, lo
-    return (-math.expm1(log_low - log_top) if log_top > -math.inf else 0.0), hi, lo
+    # 0.0 - expm1(0.0) is 0.0, where -expm1(0.0) is -0.0
+    return (0.0 - math.expm1(log_low - log_top) if log_top > -math.inf else 0.0), hi, lo
 
 
 def exchangeability_test(

@@ -42,7 +42,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -191,8 +191,6 @@ class Family(ABC):
     is_discrete: bool = False
     # shortest history for which the one-step strategy normalizers converge
     min_conditioning: int = 1
-    # None when the unconditioned Shtarkov normalizer is finite
-    shtarkov_divergent_tails: str | None = "both"
     # point masses of the base measure inside a continuous support
     _observation_atoms: tuple[float, ...] = ()
     # full support enumerable for discrete families, else None
@@ -287,9 +285,18 @@ class Family(ABC):
         mass at that boundary."""
         return self._saturated_log_likelihood(x) - self._divergence(x, mu)
 
-    def _untransformed(self, values: tuple[float, ...]) -> tuple[Family, tuple[float, ...], tuple[float, ...]]:
+    def _untransformed(self, values: Iterable[float]) -> tuple[Family, tuple[float, ...], tuple[float, ...]]:
         """(the family under every transform, the values pulled back to it,
-        each value's summed density log-Jacobian): the identity here."""
+        each value's summed density log-Jacobian): the identity here, after the
+        only observation check.  UnsupportedPoint unless each value is a finite
+        point of the support closure, and a lattice point if counting."""
+        values = tuple(map(float, values))
+        core = self.convex_core()
+        for x in values:
+            if not math.isfinite(x) or not core.closure_contains(x):
+                raise UnsupportedPoint(f"observation {x!r} is not a finite point of the support closure {core.bounds()}")
+            if self.is_discrete and x != math.floor(x):
+                raise UnsupportedPoint(f"observation {x!r} is not a lattice point")
         return self, values, (0.0,) * len(values)
 
     def _exact_statistic(self, x: float) -> int:
@@ -309,9 +316,6 @@ class Family(ABC):
     def _sigma(self, mu: float) -> float:
         """sigma(mu) on the interior of the full mean domain, unchecked."""
         return math.sqrt(self._variance(mu))
-
-    def mean_interior(self) -> tuple[float, float]:
-        return self.mean_domain.lower, self.mean_domain.upper
 
     def default_reference(self) -> float:
         lo, hi = self.mean_domain.lower, self.mean_domain.upper
@@ -339,15 +343,6 @@ class Family(ABC):
             raise DomainError(f"mean {mu!r} is a degenerate boundary point of kind {self.kind}")
         return mu
 
-    def _check_observation(self, x: float) -> float:
-        x = float(x)
-        core = self.convex_core()
-        if not math.isfinite(x) or not core.closure_contains(x):
-            raise UnsupportedPoint(f"observation {x!r} is not a finite point of the support closure {core.bounds()}")
-        if self.is_discrete and x != math.floor(x):
-            raise UnsupportedPoint(f"observation {x!r} is not a lattice point")
-        return x
-
     def kl_divergence(self, mu0: float, mu1: float) -> float:
         return self._divergence(self._check_mean(mu0), self._check_mean(mu1))
 
@@ -355,7 +350,7 @@ class Family(ABC):
         """Log density (w.r.t. the family's base measure) at x under mean mu:
         the untransformed family's at the pulled-back point, plus its
         log-Jacobian."""
-        base, (x,), (log_jacobian,) = self._untransformed((self._check_observation(x),))
+        base, (x,), (log_jacobian,) = self._untransformed((x,))
         return base._log_density(self._check_mean(mu), x) + log_jacobian
 
     def log_density(self, param: ParamValue | float, x: float) -> float:
@@ -398,8 +393,6 @@ class Family(ABC):
         selected = _window_slice(values, window)
         if len(selected) == 0:
             raise EmptyWindow("estimation window selects no observations")
-        for v in selected:
-            self._check_observation(v)
         base, pulled, _ = self._untransformed(selected)
         clipped = self.mean_domain.clip(exact_mean(len(pulled), sum(map(base._exact_statistic, pulled))))
         lo, hi = self.mean_domain.bounds()
@@ -407,12 +400,15 @@ class Family(ABC):
         return MleEstimate(clipped, boundary)
 
     def sup_log_likelihood(self, values: Sequence[float]) -> float:
-        """log sup over the (clipped) mean domain of the joint density at values."""
-        values = tuple(float(v) for v in values)
-        if not values:
+        """log sup over the (clipped) mean domain of the joint density at values:
+        the untransformed family's at the pulled-back values, at their clipped
+        mean, plus their log-Jacobians."""
+        base, pulled, log_jacobians = self._untransformed(values)
+        if not pulled:
             return 0.0
-        mu_hat = self.mle_mean(values).value
-        return math.fsum(self.log_density_mean(mu_hat, v) for v in values)
+        mean = exact_mean(len(pulled), sum(map(base._exact_statistic, pulled)))
+        mu_hat = self._check_mean(self.mean_domain.clip(mean))
+        return math.fsum(base._log_density(mu_hat, x) + j for x, j in zip(pulled, log_jacobians))
 
     # ---- serialization ------------------------------------------------------
 
@@ -432,7 +428,6 @@ class GaussianLocation(Family):
 
     kind = "gaussian_location"
     min_conditioning = 1
-    shtarkov_divergent_tails = "both"
     _preferred_reference = 0.0
     _support = Interval(-math.inf, math.inf)
 
@@ -489,7 +484,6 @@ class GammaShape(Family):
 
     kind = "gamma_shape"
     min_conditioning = 1
-    shtarkov_divergent_tails = "both"
     _preferred_reference = 1.0
     _support = Interval(0.0, math.inf)
 
@@ -531,7 +525,10 @@ class GammaShape(Family):
     def _divergence(self, mu0: float, mu1: float) -> float:
         if math.isinf(mu0) or math.isinf(mu1):
             return math.inf
-        return self.shape * (mu0 / mu1 - 1.0 + math.log(mu1 / mu0))
+        # shape (r - 1 - log r) at one rounded ratio r, whose rounding cancels
+        # to first order, so n D stays accurate at large n
+        r = mu0 / mu1
+        return self.shape * (r - 1.0 - math.log(r)) if r and r != math.inf else math.inf
 
     def _log_density(self, mu: float, x: float) -> float:
         if x == 0.0:
@@ -564,7 +561,6 @@ class Tweedie32(Family):
 
     kind = "tweedie32"
     min_conditioning = 1
-    shtarkov_divergent_tails = "right"
     _observation_atoms = (0.0,)
     _preferred_reference = 1.0
     _support = Interval(0.0, math.inf, lower_included=True)
@@ -617,7 +613,6 @@ class Bernoulli(Family):
     kind = "bernoulli"
     is_discrete = True
     min_conditioning = 0
-    shtarkov_divergent_tails = None
     finite_support = (0.0, 1.0)
     _preferred_reference = 0.5
     _support = Interval(0.0, 1.0, lower_included=True, upper_included=True)
@@ -652,11 +647,12 @@ class Bernoulli(Family):
             return 0.0
         terms = 0.0
         for p, q in ((mu0, mu1), (1.0 - mu0, 1.0 - mu1)):
-            if p == 0.0:
-                continue
-            if q == 0.0:
+            # p log(p / q) + q - p (the q - p cancel over both terms) as
+            # p (r - 1 - log r) at one rounded ratio r = q / p; q as p -> 0
+            r = q / p if p else math.inf
+            if r == 0.0:
                 return math.inf
-            terms += p * math.log(p / q)
+            terms += p * (r - 1.0 - math.log(r)) if r < math.inf else q
         return terms
 
     def geodesic_from_mean(self, mu: float, reference: float) -> float:
@@ -680,7 +676,6 @@ class Poisson(Family):
     kind = "poisson"
     is_discrete = True
     min_conditioning = 1
-    shtarkov_divergent_tails = "right"
     finite_support = None
     _preferred_reference = 1.0
     _support = Interval(0.0, math.inf, lower_included=True)
@@ -708,9 +703,11 @@ class Poisson(Family):
             return 0.0 if mu0 == 0.0 else math.inf
         if math.isinf(mu1):
             return math.inf
-        if mu0 == 0.0:
-            return mu1
-        return mu0 * math.log(mu0 / mu1) - mu0 + mu1
+        # mu0 (r - 1 - log r) at one rounded ratio r = mu1 / mu0; mu1 as mu0 -> 0
+        r = mu1 / mu0 if mu0 else math.inf
+        if r == 0.0:
+            return math.inf
+        return mu0 * (r - 1.0 - math.log(r)) if r < math.inf else mu1
 
     def geodesic_from_mean(self, mu: float, reference: float) -> float:
         return 2.0 * (math.sqrt(mu) - math.sqrt(reference))
@@ -767,7 +764,8 @@ class TransformedFamily(Family):
     The parameter space is the base family's mean domain (the transform acts on
     observations, not parameters).  Densities pull back through the inverse with
     the usual Jacobian factor; point masses and counting supports map without
-    one.  Every entry point unwraps all transforms at once (``_untransformed``).
+    one.  Every entry point unwraps all transforms at once, and checks each
+    value as it is pulled back (``_untransformed``).
     """
 
     kind = "transformed"
@@ -832,7 +830,6 @@ class TransformedFamily(Family):
 
         self.is_discrete = base.is_discrete
         self.min_conditioning = base.min_conditioning
-        self.shtarkov_divergent_tails = base.shtarkov_divergent_tails
         self._observation_atoms = atoms
         if base.finite_support is not None:
             self.finite_support = tuple(float(forward(v)) for v in base.finite_support)
@@ -885,28 +882,29 @@ class TransformedFamily(Family):
     def _saturated_log_likelihood(self, y: float, k: int = 1) -> float:
         raise NotImplementedError("densities of a transformed family are taken after _untransformed")
 
-    def _untransformed(self, values: tuple[float, ...]) -> tuple[Family, tuple[float, ...], tuple[float, ...]]:
-        base, pulled, log_jacobians = self.base._untransformed(tuple(map(self.pullback, values)))
+    def _untransformed(self, values: Iterable[float]) -> tuple[Family, tuple[float, ...], tuple[float, ...]]:
+        """The base's ``_untransformed`` (and its checks) of the values pulled
+        back once, each checked first: UnsupportedPoint unless it is a finite
+        point of the image's support closure that pulls back to one of the
+        base's."""
+        values = tuple(map(float, values))
+        core, base_core = self._core, self.base.convex_core()
+        pulled = []
+        for y in values:
+            if not math.isfinite(y) or not core.closure_contains(y):
+                raise UnsupportedPoint(f"observation {y!r} is not a finite point of the support closure {core.bounds()}")
+            # a closure point of the image can pull back to infinity (0 under the reciprocal map)
+            try:
+                x = self.pullback(y)
+            except (ArithmeticError, ValueError):
+                x = math.nan
+            if not math.isfinite(x) or not base_core.closure_contains(x):
+                raise UnsupportedPoint(
+                    f"observation {y!r} does not pull back to a finite point of the base support closure {base_core.bounds()}"
+                )
+            pulled.append(x)
+        base, pulled, log_jacobians = self.base._untransformed(pulled)
         return base, pulled, tuple(j + self._density_log_jacobian(y) for j, y in zip(log_jacobians, values))
-
-    def _check_observation(self, x: float) -> float:
-        x = float(x)
-        core = self._core
-        if not math.isfinite(x) or not core.closure_contains(x):
-            raise UnsupportedPoint(f"observation {x!r} is not a finite point of the support closure {core.bounds()}")
-        # a closure point of the image can pull back to infinity (0 under the reciprocal map)
-        try:
-            back = self.pullback(x)
-        except (ArithmeticError, ValueError):
-            back = math.nan
-        base_core = self.base.convex_core()
-        if not math.isfinite(back) or not base_core.closure_contains(back):
-            raise UnsupportedPoint(
-                f"observation {x!r} does not pull back to a finite point of the base support closure {base_core.bounds()}"
-            )
-        # the base's own checks (a counting family's lattice) apply to the pulled-back point
-        self.base._check_observation(back)
-        return x
 
     def sample(self, mu: float, size: int, rng: np.random.Generator) -> np.ndarray:
         base_draws = self.base.sample(mu, size, rng)

@@ -39,11 +39,14 @@ chains the gains over its continuation.  Only the normalizers differ:
 A transformed family's values are those of the family under all its
 transforms on the pulled-back observations, times the Jacobian of the
 continuation.  Each entry point unwraps it once (``Family._untransformed``):
-the predictives, the joints and the ordering extremes here, the family's
-density and maximum-likelihood surface (``log_density_mean``, ``mle_mean``)
-and ``analysis.condition_integral``.  Everything below sees untransformed
-families only.  So a transformed Bernoulli's SNML, CNML and NML joints are
-exact too.
+the predictives, a predictive's ``log_density``, the joints and the ordering
+extremes here, the family's density and maximum-likelihood surface
+(``log_density_mean``, ``mle_mean``, and ``sup_log_likelihood``, which
+unwraps its values itself) and ``analysis.condition_integral``.  That one
+call is also the only observation check: each value is checked and pulled
+back once, and a bad one raises UnsupportedPoint before any integral.
+Everything below sees untransformed families only.  So a transformed
+Bernoulli's SNML, CNML and NML joints are exact too.
 
 Every integral is taken in a unit-Fisher chart based at the clipped
 maximum-likelihood mean (``_chart_anchor``), where the Fisher information is
@@ -108,7 +111,7 @@ class PredictiveDistribution:
         self.normalizer = math.exp(self.log_normalizer) if self.log_normalizer < 709 else math.inf
 
     def log_density(self, x: float) -> float:
-        _, (y,), (log_jacobian,) = self.family._untransformed((self.family._check_observation(x),))
+        _, (y,), (log_jacobian,) = self.family._untransformed((x,))
         return self._log_weight(y) + log_jacobian - self.log_normalizer
 
     def density(self, x: float) -> float:
@@ -117,15 +120,6 @@ class PredictiveDistribution:
     @property
     def atoms(self) -> tuple[tuple[float, float], ...]:
         return tuple((a, self.density(a)) for a in self.family.observation_atoms())
-
-
-def _coerce_values(family: Family, values: Iterable[float]) -> tuple[float, ...]:
-    if isinstance(values, ObservationSequence):
-        values = values.values
-    out = tuple(float(v) for v in values)
-    for v in out:
-        family._check_observation(v)
-    return out
 
 
 def _strategy_name(strategy: str) -> str:
@@ -215,7 +209,7 @@ def _chart_anchor(family: Family, n: int, mean: float) -> float:
     of the scale inside the mean domain where it sits on or beyond an
     endpoint."""
     est = family.mean_domain.clip(mean) if n else family.default_reference()
-    lo, hi = family.mean_interior()
+    lo, hi = family.mean_domain.bounds()
     if math.isfinite(lo) and math.isfinite(hi):
         pad = 1e-6 * (hi - lo)
         return min(max(est, lo + pad), hi - pad)
@@ -350,7 +344,7 @@ def _concentration_integral(family: Family, n: int, mean: float, tol_abs: float,
     try:
         total = quadrature.integrate(
             quadrature.guarded(integrand),
-            _chart_window(family, family.mean_interior(), anchor),
+            _chart_window(family, family.mean_domain.bounds(), anchor),
             tol_abs=tol_abs,
             tol_rel=tol_rel,
             peak_hint=0.0,
@@ -372,9 +366,8 @@ def _jeffreys_posterior(family: Family, n: int, mean: float) -> float:
 def _predictive(family: Family, strategy: str, history: Iterable[float]) -> PredictiveDistribution:
     """The snml or bayes predictive after a history, its weight and normalizer
     taken in the untransformed family on the pulled-back history."""
-    hist = _coerce_values(family, history)
+    base, hist, _ = family._untransformed(history)
     _require_conditioning(family, len(hist), strategy)
-    base, hist, _ = family._untransformed(hist)
     n, total = len(hist), sum(map(base._exact_statistic, hist))
     mean = _history_mean(base, n, total)
     gain = _snml_log_gain(base, n, mean)
@@ -434,15 +427,11 @@ def _log_joint(family: Family, strategy: str, seq: ObservationSequence) -> tuple
     name = _strategy_name(strategy)
     if not isinstance(seq, ObservationSequence):
         raise TypeError("expected an ObservationSequence (values plus conditioning length m)")
-    _coerce_values(family, seq.values)
+    base, values, log_jacobians = family._untransformed(seq.values)
     if name == "nml" and seq.m != 0:
         raise ValueError("nml conditions on nothing; use cnml_joint when m > 0")
-    if name == "nml" and family.shtarkov_divergent_tails is not None:
-        raise DivergentNormalizer(
-            f"the maximum-likelihood envelope of kind {family.kind} has a divergent "
-            f"integral on the {family.shtarkov_divergent_tails} tail(s); no NML distribution exists"
-        )
-    base, values, log_jacobians = family._untransformed(seq.values)
+    if name == "nml":
+        _require_conditioning(family, 0, name)  # NML is CNML at m = 0
     if _is_exact_bernoulli(base) and name != "bayes":
         # the product over blocks a..b of their sup-likelihood over its Shtarkov
         # sum: one block for CNML, one per step for SNML.  The log is taken from
@@ -491,14 +480,15 @@ def _snml_ordering_extremes(
     returned.  The Z are taken in the untransformed family on the pulled-back
     values.
     """
-    _coerce_values(family, history + continuation)
-    _require_conditioning(family, len(history), "snml")
-    values = sorted(set(continuation))
-    counts = tuple(continuation.count(v) for v in values)
     m = len(history)
-    base, pulled, _ = family._untransformed(history + tuple(values))
+    base, pulled, _ = family._untransformed(history + continuation)
+    _require_conditioning(family, m, "snml")
     history_total = sum(map(base._exact_statistic, pulled[:m]))
-    statistics = [base._exact_statistic(v) for v in pulled[m:]]
+    # each distinct continuation value and the statistic it pulls back to
+    statistic = dict(zip(continuation, map(base._exact_statistic, pulled[m:])))
+    values = sorted(statistic)
+    counts = tuple(continuation.count(v) for v in values)
+    statistics = [statistic[v] for v in values]
     exact = _is_exact_bernoulli(base)
     combine = operator.mul if exact else operator.add
 

@@ -202,6 +202,25 @@ class TestConditionIntegral:
         for mu0 in np.geomspace(1e-3, 1e3, 13):
             assert sk.condition_integral(family, mu0, n) == pytest.approx(want, rel=1e-10), mu0
 
+    @pytest.mark.parametrize("n", [10**10, 10**12, 10**14, 10**16])
+    @pytest.mark.parametrize(
+        "family,mu0,correction,rel",
+        [
+            (sk.GammaShape(1.0), 1.0, 1 / 12, 1e-10),
+            (sk.GammaShape(0.5), 2.0, 1 / 6, 5e-9),
+            (sk.GammaShape(2.0), 0.7, 1 / 24, 5e-9),
+            (sk.Poisson(), 1.0, 0.0, 5e-9),
+            (sk.Bernoulli(), 0.3, 0.0, 5e-9),
+        ],
+        ids=["gamma1", "gamma0.5", "gamma2", "poisson", "bernoulli"],
+    )
+    def test_large_n_stays_on_the_laplace_value(self, family, mu0, correction, rel, n):
+        """sqrt(2 pi / n) (1 + 1 / (12 n k)) for Gamma(k) by Stirling, and
+        sqrt(2 pi / n) to O(1/n) for the others: n D(mu0 || mu) near mu0 is
+        accurate at these n, since D is computed from one rounded ratio."""
+        want = math.sqrt(2 * math.pi / n) * (1 + correction / n)
+        assert sk.condition_integral(family, mu0, n) == pytest.approx(want, rel=rel)
+
 
 class TestCheckConstancy:
     CONSTANT_CASES = [
@@ -255,6 +274,18 @@ class TestExchangeability:
         assert witness["max_joint"] == Fraction(8, 155)
         assert witness["min_joint"] == Fraction(1, 20)
         assert report.details["strategy"] == "snml"
+
+    def test_tied_joints_name_both_orderings(self):
+        """On an exact tie the spread reads 0.0, not -0.0, and the witness names
+        the first maximum and the last minimum: two orderings, not one twice."""
+        for joints in ([(-1.5, None)] * 2, [(math.log(0.25), Fraction(1, 4))] * 2):
+            spread, hi, lo = analysis._spread(joints)
+            assert (spread, hi, lo) == (0.0, 0, 1) and math.copysign(1.0, spread) == 1.0
+        report = sk.exchangeability_test(sk.GaussianLocation(1.0), 1, 3, history=(0.3,), continuations=[(-1.2, 3.0)])
+        witness = report.details["witness"]
+        assert witness["max_log_joint"] == witness["min_log_joint"]
+        assert {tuple(witness["max_ordering"]), tuple(witness["min_ordering"])} == {(-1.2, 3.0), (3.0, -1.2)}
+        assert math.copysign(1.0, report.values[0]) == 1.0
 
     def test_all_discrete_enumerates_history_multisets(self):
         ber = sk.Bernoulli()

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import pytest
 from hypothesis import assume, given, strategies as hs
 
@@ -111,6 +112,18 @@ class TestCharts:
 
 # ---- KL divergence ----------------------------------------------------------
 
+EPS = 2.0**-52
+
+
+def divergence_pairs(name):
+    """(mu0, mu1) pairs whose relative distance runs from 1e-9 to 0.5 either
+    way; on a half-line also ratios 1e-12 to 1e12."""
+    steps = [sign * d for d in (1e-9, 1e-6, 1e-3, 0.5) for sign in (1.0, -1.0)]
+    if name == "bernoulli":
+        return [(mu0, mu0 + d * min(mu0, 1.0 - mu0)) for mu0 in (1e-3, 0.3, 0.5, 0.9) for d in steps]
+    pairs = [(mu0, mu0 * (1.0 + d)) for mu0 in (0.3, 1.0, 7.0) for d in steps]
+    return pairs + [(1.0, 10.0**k) for k in range(-12, 13, 2) if k]
+
 
 class TestKl:
     @pytest.mark.parametrize(
@@ -160,6 +173,28 @@ class TestKl:
     def test_rejects_exterior_means(self):
         with pytest.raises(DomainError):
             FAMILIES["bernoulli"].kl_divergence(0.5, 1.5)
+
+    @pytest.mark.parametrize("name", ["gamma0.5", "gamma1", "gamma2", "poisson", "bernoulli"])
+    def test_log_ratio_divergences_match_mpmath_near_and_far(self, name):
+        """D at the exact float means, in 50-digit arithmetic.  Near mu0 = mu1
+        the error is a few ulps of |mu1 - mu0| (of the ratio's distance from
+        1, scaled by the shape, for Gamma), not a fixed 1e-16: each
+        divergence is a multiple of r - 1 - log r at one rounded ratio r,
+        whose rounding cancels to first order."""
+        fam = CUMULANT_FAMILIES[name]
+        for mu0, mu1 in divergence_pairs(name):
+            with mpmath.workdps(50):
+                a, b = mpmath.mpf(mu0), mpmath.mpf(mu1)
+                if name == "bernoulli":
+                    want = a * mpmath.log(a / b) + (1 - a) * mpmath.log((1 - a) / (1 - b))
+                elif name == "poisson":
+                    want = a * mpmath.log(a / b) - a + b
+                else:
+                    want = fam.shape * (a / b - 1 - mpmath.log(a / b))
+                want = float(want)
+            spacing = abs(mu1 - mu0) * (fam.shape / mu1 if name.startswith("gamma") else 1.0)
+            got = fam.kl_divergence(mu0, mu1)
+            assert abs(got - want) <= 1e-13 * want + 8 * EPS * spacing, (mu0, mu1, got, want)
 
 
 # ---- variance and sigma ------------------------------------------------------

@@ -205,7 +205,7 @@ def test_jeffreys_integrand_matches_per_observation_sums(name):
     build, mean = INTEGRAND_CASES[name]
     family = build()
     rng = np.random.default_rng(11)
-    lo, hi = family.mean_interior()
+    lo, hi = family.mean_domain.bounds()
     for n in (1, 2, 5, 16):
         hist = raw_draws(name, family, mean, n, rng)
         xbar = history_mean(family, hist)

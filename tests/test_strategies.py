@@ -800,6 +800,86 @@ def test_numerical_code_never_sees_a_transformed_family(family, monkeypatch):
     assert sk.laplace_asymptotics_check(family, 1.0, n_list=(2, 5)).values
 
 
+class CountedInverse:
+    """A transform's inverse that counts its calls."""
+
+    def __init__(self, inverse):
+        self.inverse, self.calls = inverse, 0
+
+    def __call__(self, y):
+        self.calls += 1
+        return self.inverse(y)
+
+
+# each entry point on reflected Levy values, and how many values it is handed
+ENTRY_POINTS = {
+    "log_density_mean": (lambda f, v: f.log_density_mean(1.0, v[0]), 1),
+    "mle_mean": (lambda f, v: f.mle_mean(v[:3]), 3),
+    "sup_log_likelihood": (lambda f, v: f.sup_log_likelihood(v[:3]), 3),
+    "snml_predictive": (lambda f, v: sk.snml_predictive(f, v[:2]), 2),
+    "bayes_jeffreys_predictive": (lambda f, v: sk.bayes_jeffreys_predictive(f, v[:2]), 2),
+    "snml log_density": (lambda f, v: sk.snml_predictive(f, v[:1]).log_density(v[1]), 2),
+    "bayes log_density": (lambda f, v: sk.bayes_jeffreys_predictive(f, v[:1]).log_density(v[1]), 2),
+    "snml joint": (lambda f, v: sk.strategy_joint(f, "snml", ObservationSequence(v, 1)), 4),
+    "bayes joint": (lambda f, v: sk.strategy_joint(f, "bayes", ObservationSequence(v, 1)), 4),
+    "cnml joint": (lambda f, v: sk.cnml_joint(f, ObservationSequence(v, 1)), 4),
+    # the joint, then the best expert
+    "conditional_regret": (lambda f, v: sk.conditional_regret(f, "cnml", ObservationSequence(v, 1)), 8),
+    # the ordering extremes, then the two witness joints
+    "exchangeability_test": (lambda f, v: sk.exchangeability_test(f, 1, 4, history=v[:1], continuations=[v[1:]]), 12),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+def test_each_value_is_pulled_back_once_per_transform(entry):
+    """Family._untransformed checks and pulls back each value in one pass, so
+    every entry point calls each level's inverse once per value it is
+    handed, whatever the number of levels."""
+    call, values = entry
+    inner, outer = CountedInverse(lambda y: 1.0 / y), CountedInverse(lambda y: -y)
+    levy = sk.transform_family(sk.GammaShape(0.5), lambda x: 1.0 / x, inner, lambda y: -1.0 / (y * y))
+    reflected = sk.transform_family(levy, lambda x: -x, outer, lambda y: -1.0)
+    inner.calls = outer.calls = 0
+    call(reflected, (-1.0, -0.3, -2.0, -5.0))
+    assert (outer.calls, inner.calls) == (values, values)
+
+
+# each entry point with a bad point among good values
+UNSUPPORTED_CALLS = {
+    "mle_mean": lambda f, good, bad: f.mle_mean(good + (bad,)),
+    "sup_log_likelihood": lambda f, good, bad: f.sup_log_likelihood(good + (bad,)),
+    "log_density_mean": lambda f, good, bad: f.log_density_mean(f.default_reference(), bad),
+    "snml_predictive": lambda f, good, bad: sk.snml_predictive(f, good + (bad,)),
+    "bayes_jeffreys_predictive": lambda f, good, bad: sk.bayes_jeffreys_predictive(f, good + (bad,)),
+    "snml log_density": lambda f, good, bad: sk.snml_predictive(f, good).log_density(bad),
+    "bayes log_density": lambda f, good, bad: sk.bayes_jeffreys_predictive(f, good).log_density(bad),
+    **{
+        f"{strategy} joint": lambda f, good, bad, s=strategy: sk.strategy_joint(f, s, ObservationSequence(good + (bad,), 1))
+        for strategy in ("snml", "bayes", "cnml")
+    },
+    "nml joint": lambda f, good, bad: sk.nml_joint(f, ObservationSequence(good + (bad,), 0)),
+    "exchangeability continuation": lambda f, good, bad: sk.exchangeability_test(
+        f, 1, 4, history=good[:1], continuations=[good[1:] + (bad,)]
+    ),
+    "exchangeability history": lambda f, good, bad: sk.exchangeability_test(f, 1, 4, history=(bad,), continuations=[good]),
+}
+# (family, good values, a point off the image, a point whose pull-back is off
+# the base: the Levy law sends 0 to infinity, 2 pulls back to Bernoulli 0.5)
+UNSUPPORTED_CASES = {
+    "reflected-levy": (REFLECTED_LEVY, (-1.0, -0.3, -2.0), 1.0, 0.0),
+    "affine-bernoulli": (AFFINE_BERNOULLI, (1.0, 3.0, 3.0), 5.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("case", UNSUPPORTED_CASES.values(), ids=UNSUPPORTED_CASES)
+@pytest.mark.parametrize("call", UNSUPPORTED_CALLS.values(), ids=UNSUPPORTED_CALLS)
+def test_every_entry_point_rejects_points_off_the_image_or_its_pullback(case, call):
+    family, good, off_image, bad_pullback = case
+    for bad in (off_image, bad_pullback):
+        with pytest.raises(sk.UnsupportedPoint):
+            call(family, good, bad)
+
+
 def gaussian_half_line_predictives(maker, upper):
     """The predictive of GaussianLocation(1.0) on (-inf, 0] after (0.5,) when
     upper, else on [0, inf) after (-0.5,): the history's mean lies beyond the
