@@ -46,6 +46,13 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
         raise SnmlkitError(f"{flag} expects comma-separated numbers, got {text!r}: {exc}") from None
 
 
+def _parse_bounds(text: str, flag: str) -> tuple[float, float]:
+    bounds = _parse_floats(text, flag)
+    if len(bounds) != 2:
+        raise SnmlkitError(f"{flag} expects LO,HI, got {text!r}")
+    return bounds
+
+
 def _parse_grid(text: str, flag: str = "--grid") -> tuple[float, ...]:
     if text.startswith("linspace:"):
         parts = text.split(":")[1:]
@@ -65,7 +72,7 @@ def _family_from_args(args) -> families.Family:
     name = (getattr(args, "family", None) or "").lower()
     if name not in _FAMILY_KINDS:
         raise SnmlkitError(f"--family must be one of {_FAMILY_NAMES} (or pass --family-json), got {name!r}")
-    domain = _parse_floats(args.mean_domain, "--mean-domain") if getattr(args, "mean_domain", None) else None
+    domain = _parse_bounds(args.mean_domain, "--mean-domain") if getattr(args, "mean_domain", None) else None
     return families.from_json({"kind": _FAMILY_KINDS[name], "sigma2": args.sigma2, "shape": args.shape, "mean_domain": domain})
 
 
@@ -92,8 +99,7 @@ def _variance_from_args(args) -> analysis.VarianceFunctionSpec:
     if getattr(args, "variance", None):
         if not getattr(args, "domain", None):
             raise SnmlkitError("--variance needs --domain LO,HI")
-        lo, hi = _parse_floats(args.domain, "--domain")
-        return analysis.VarianceFunctionSpec.closed(args.variance, (lo, hi))
+        return analysis.VarianceFunctionSpec.closed(args.variance, _parse_bounds(args.domain, "--domain"))
     raise SnmlkitError("supply a variance function via --variance/--domain or --table")
 
 

@@ -587,11 +587,9 @@ class Tweedie32(Family):
             raise DomainError(f"natural parameter must be negative, got {theta!r}")
         return -1.0 / theta
 
-    def _saturated_log_likelihood(self, x: float, k: int = 1) -> float:
-        return tweedie_ops.saturated_log_likelihood(x, k)
-
-    def _divergence(self, mu0: float, mu1: float) -> float:
-        return tweedie_ops.divergence(mu0, mu1)
+    # the module's kernels themselves, with no forwarding frame per node
+    _saturated_log_likelihood = staticmethod(tweedie_ops.saturated_log_likelihood)
+    _divergence = staticmethod(tweedie_ops.divergence)
 
     def geodesic_from_mean(self, mu: float, reference: float) -> float:
         return 2.0 * math.sqrt(2.0) * (mu ** 0.25 - reference ** 0.25)

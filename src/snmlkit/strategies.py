@@ -108,7 +108,7 @@ class PredictiveDistribution:
         self.family = family
         self._log_weight = log_weight
         self.log_normalizer = float(log_normalizer)
-        self.normalizer = math.exp(self.log_normalizer) if self.log_normalizer < 709 else math.inf
+        self.normalizer = _exp(self.log_normalizer)
 
     def log_density(self, x: float) -> float:
         _, (y,), (log_jacobian,) = self.family._untransformed((x,))
@@ -520,15 +520,17 @@ def _snml_ordering_extremes(
     return extreme(1), extreme(-1)
 
 
-def _joint_value(log_joint: float, exact: Fraction | None) -> float | Fraction:
-    """The exact joint where there is one, else exp(log joint): inf where it
-    overflows, 0.0 where it underflows."""
-    if exact is not None:
-        return exact
+def _exp(log_value: float) -> float:
+    """exp(log_value): inf where it overflows, 0.0 where it underflows."""
     try:
-        return math.exp(log_joint)
+        return math.exp(log_value)
     except OverflowError:
         return math.inf
+
+
+def _joint_value(log_joint: float, exact: Fraction | None) -> float | Fraction:
+    """The exact joint where there is one, else exp(log joint)."""
+    return exact if exact is not None else _exp(log_joint)
 
 
 def cnml_joint(family: Family, seq: ObservationSequence) -> float | Fraction:

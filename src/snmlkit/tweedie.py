@@ -14,26 +14,23 @@ with the saturated log-likelihood
 
 l*(0) = 0 (the member with mean 0 is the unit point mass at 0), and the KL
 divergence D(z || mu) = (sqrt(mu) - sqrt(z))^2 / sqrt(mu).  The exponentially
-scaled Bessel function ``ive`` keeps l* finite for any z.  scipy's ``ive(1, x)``
-returns NaN for x > 2^30 - 1/2; from there on the large-argument expansion
-
-    log(I_1(x) exp(-x)) = -log(2 pi x) / 2 + log1p(-3/(8x) - 15/(128x^2)) + O(x^-3)
-
-is exact to double precision.
+scaled Bessel function I_1(x) exp(-x), scipy's one-argument ``i1e``, is
+positive and finite for every finite x > 0, so l* is finite for any finite
+z > 0; l*(inf) = -inf.
 
 A sum of k members with mean mu has N ~ Poisson(k sqrt(mu)) jumps of the same
 size law, so on z > 0 its density is
 exp(-k sqrt(mu) - z/sqrt(mu)) * sqrt(k/z) * I_1(2 sqrt(k z)), plus an atom
 exp(-k sqrt(mu)) at 0: in deviance form l*_k(z) - k D(z/k || mu) with
 
-    l*_k(z) = log(I_1(2 sqrt(k z)) exp(-2 sqrt(k z))) + (log k - log z) / 2.
+    l*_k(z) = log(I_1(2 sqrt(k z)) exp(-2 sqrt(k z))) + (log k - log z) / 2
+            = l*(k z) + log k.
 
 Reference: Jorgensen (1997), The Theory of Dispersion Models, ch. 4.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -53,26 +50,17 @@ def _check_mean(mu: float) -> None:
         raise DomainError(f"mean must be positive and finite, got {mu!r}")
 
 
-# the largest argument at which scipy's ive(1, x) is not NaN
-IVE_LAST_FINITE = 2.0**30 - 0.5
-
-
-def log_ive1_large(x: float) -> float:
-    """log(I_1(x) exp(-x)) by its large-argument expansion; accurate for x >= 1e8."""
-    return -0.5 * math.log(2.0 * math.pi * x) + math.log1p(-3.0 / (8.0 * x) - 15.0 / (128.0 * x * x))
-
-
 def _ive1(x: float) -> float:
-    """I_1(x) exp(-x).
+    """I_1(x) exp(-x), 0 at x = inf.
 
     The first call imports scipy.special, which would otherwise be about half
-    of ``import snmlkit``, and rebinds this name to
-    ``partial(scipy.special.ive, 1)``, so later calls go straight to the ufunc.
+    of ``import snmlkit``, and rebinds this name to the ufunc
+    ``scipy.special.i1e``, so later calls go straight to it.
     """
     global _ive1
     import scipy.special
 
-    _ive1 = functools.partial(scipy.special.ive, 1)
+    _ive1 = scipy.special.i1e
     return _ive1(x)
 
 
@@ -80,9 +68,14 @@ def saturated_log_likelihood(z: float, k: int = 1) -> float:
     """l*_k(z) for a sum z >= 0 of k observations; k = 1 gives l*(z) = log p_z(z)."""
     if z == 0.0:
         return 0.0
-    x = 2.0 * math.sqrt(k * z)
-    log_ive = log_ive1_large(x) if x > IVE_LAST_FINITE else math.log(_ive1(x))
-    return log_ive - 0.5 * math.log(z / k)
+    # l*(k z) + log k: k z stays positive where z / k would underflow to 0
+    kz = k * z
+    x = 2.0 * math.sqrt(kz)
+    try:
+        log_ive = math.log(_ive1(x))
+    except ValueError:  # i1e(inf) = 0
+        return -math.inf
+    return log_ive - 0.5 * math.log(kz) + math.log(k)
 
 
 def divergence(mu0: float, mu1: float) -> float:

@@ -380,6 +380,13 @@ class TestCheckOde:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("domain", ["1", "1,2,3"])
+    @pytest.mark.parametrize("command", ["check-ode", "classify"])
+    def test_domain_needs_two_numbers(self, capsys, command, domain):
+        code, out, err = run(capsys, command, "--variance", "1+mu", "--domain", domain)
+        assert code == 2 and out == ""
+        assert err == f"error: --domain expects LO,HI, got {domain!r}\n"
+
 
 class TestClassify:
     def test_gamma_shape_json(self, capsys):
@@ -538,6 +545,12 @@ class TestFamilySelection:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("domain", ["1", "1,2,3"])
+    def test_mean_domain_needs_two_numbers(self, capsys, domain):
+        code, out, err = run(capsys, "kl", "--family", "gaussian", "--mean-domain", domain, "--mu0", "1", "--mu1", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: --mean-domain expects LO,HI, got {domain!r}\n"
+
     def test_missing_family_exits_2(self, capsys):
         code, _, err = run(capsys, "kl", "--mu0", "0", "--mu1", "1")
         assert code == 2
@@ -591,7 +604,7 @@ from snmlkit import tweedie
 cases = [(z, k) for z in (1e-300, 1e-3, 0.7, 2.5, 40.0, 1e6, 1e12) for k in (1, 3)]
 lazy = [tweedie.saturated_log_likelihood(z, k) for z, k in cases]
 from scipy import special
-eager = [math.log(special.ive(1, 2.0 * math.sqrt(k * z))) - 0.5 * math.log(z / k) for z, k in cases]
+eager = [math.log(special.i1e(2.0 * math.sqrt(k * z))) - 0.5 * math.log(k * z) + math.log(k) for z, k in cases]
 out["tweedie_bit_identical"] = lazy == eager
 print(json.dumps(out))
 """

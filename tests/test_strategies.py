@@ -986,6 +986,14 @@ def test_predictive_normalizes(name, family, history, maker):
     assert pred.normalizer > 0.0
 
 
+@pytest.mark.parametrize("log_normalizer,want", [(709.5, math.exp(709.5)), (709.8, math.inf), (-800.0, 0.0)])
+def test_normalizer_is_exp_of_its_log_up_to_overflow(log_normalizer, want):
+    """exp stays finite up to log(max float) = 709.78; past it the normalizer
+    reads inf, never an OverflowError."""
+    pred = strategies.PredictiveDistribution(sk.GaussianLocation(1.0), lambda y: 0.0, log_normalizer)
+    assert pred.normalizer == want
+
+
 @pytest.mark.parametrize("maker", [sk.snml_predictive, sk.bayes_jeffreys_predictive], ids=["snml", "bayes"])
 @pytest.mark.parametrize("history", [(0.3,), (2.0, 0.5), (1.0, 4.0, 0.2), (0.05, 0.7, 3.0, 11.0, 0.9)])
 def test_levy_matches_the_pulled_back_gamma_closed_form(maker, history):

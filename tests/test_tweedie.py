@@ -6,7 +6,7 @@ from math import exp, lgamma, log
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import iv, ive
+from scipy.special import iv
 
 import snmlkit as sk
 from snmlkit import quadrature, tweedie
@@ -76,43 +76,69 @@ def mp_log_ive1(x):
     return mp.log(mp.besseli(1, mp.mpf(x))) - mp.mpf(x)
 
 
+def mp_saturated(z, k=1):
+    return mp_log_ive1(2 * mp.sqrt(mp.mpf(k) * mp.mpf(z))) - mp.log(mp.mpf(z) / k) / 2
+
+
+def digits(x):
+    """A working precision above x's digit count: log I_1(x) - x cancels about
+    log10(x) digits."""
+    return 40 + max(0, math.ceil(math.log10(x)))
+
+
+# 2^30 - 1/2 and its successor: the last finite argument of scipy's ive(1, x)
+# and the first at which it is NaN; i1e is finite on both sides
+IVE_EDGE = (2.0**30 - 0.5, math.nextafter(2.0**30 - 0.5, math.inf))
+
+
 class TestLargeArguments:
-    """scipy's ive(1, x) is NaN for x > 2^30 - 1/2, where l*(z) takes the
-    large-argument expansion instead."""
+    """log(I_1(x) exp(-x)) from scipy's i1e, and l* and l*_k through it, stay
+    within 1e-15 relative of mpmath out to x = 1e24, past 2^30 - 1/2 too."""
 
-    def test_expansion_matches_mpmath(self):
-        switch = tweedie.IVE_LAST_FINITE
-        with mp.workdps(50):
-            for x in [*np.geomspace(1e8, 1e24, 33), switch, math.nextafter(switch, math.inf)]:
-                want = mp_log_ive1(x)
-                assert abs(float(tweedie.log_ive1_large(x) - want)) <= 1e-15 * abs(float(want)), x
+    @pytest.mark.parametrize("x", [*np.geomspace(1e-6, 1e8, 15), *np.geomspace(1e8, 1e24, 33)[1:], *IVE_EDGE])
+    def test_log_ive1_matches_mpmath(self, x):
+        x = float(x)
+        with mp.workdps(digits(x)):
+            want = mp_log_ive1(x)
+            assert abs(float(math.log(tweedie._ive1(x)) - want)) <= 1e-15 * abs(float(want))
 
-    def test_switch_keeps_scipy_below_and_is_continuous(self):
-        switch = tweedie.IVE_LAST_FINITE
-        # adjacent floats z whose arguments 2 sqrt(z) straddle the switch
-        below = (0.5 * switch) ** 2
-        while 2.0 * math.sqrt(below) > switch:
-            below = math.nextafter(below, 0.0)
-        above = math.nextafter(below, math.inf)
-        while 2.0 * math.sqrt(above) <= switch:
-            below, above = above, math.nextafter(above, math.inf)
-        for z in (1e10, 1e16, below):
-            x = 2.0 * math.sqrt(z)
-            assert tweedie.saturated_log_likelihood(z) == math.log(ive(1, x)) - 0.5 * math.log(z)
-        assert abs(math.log(ive(1, switch)) - tweedie.log_ive1_large(switch)) <= 1e-15 * abs(tweedie.log_ive1_large(switch))
-        with mp.workdps(50):
-            for z in (below, above, 1e20, 1e48):
-                want = mp_log_ive1(2 * mp.sqrt(mp.mpf(z))) - mp.log(mp.mpf(z)) / 2
-                got = tweedie.saturated_log_likelihood(z)
-                assert abs(float(mp.mpf(got) - want)) <= 1e-15 * abs(float(want)), z
+    @pytest.mark.parametrize("x", [*np.geomspace(1e8, 1e24, 33), *IVE_EDGE])
+    def test_saturated_matches_mpmath(self, x):
+        z = (0.5 * float(x)) ** 2
+        with mp.workdps(digits(x)):
+            want = mp_saturated(z)
+            got = tweedie.saturated_log_likelihood(z)
+            assert abs(float(mp.mpf(got) - want)) <= 1e-15 * abs(float(want)), z
 
-    @pytest.mark.parametrize("z", [1e18, 1e30])
+    @pytest.mark.parametrize("z", [1e10, 1e18, 1e30, 1e40, 1e48])
     @pytest.mark.parametrize("k", [3, 10])
     def test_sum_of_k_members_matches_mpmath(self, z, k):
-        with mp.workdps(50):
-            want = mp_log_ive1(2 * mp.sqrt(mp.mpf(k) * z)) - mp.log(mp.mpf(z) / k) / 2
+        with mp.workdps(digits(2.0 * math.sqrt(k * z))):
+            want = mp_saturated(z, k)
             got = tweedie.saturated_log_likelihood(z, k)
             assert abs(float(mp.mpf(got) - want)) <= 1e-15 * abs(float(want))
+
+
+class TestSaturatedEdges:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_zero_is_the_point_mass(self, k):
+        assert tweedie.saturated_log_likelihood(0.0, k) == 0.0
+
+    def test_smallest_positive_z(self):
+        # l*_k(z) -> log k as z -> 0+: the continuous part, not the atom
+        z = 5e-324
+        assert tweedie.saturated_log_likelihood(z) == 0.0
+        with mp.workdps(40):
+            want = mp_saturated(z, 3)
+        assert float(want) == pytest.approx(math.log(3.0), rel=1e-16)
+        assert tweedie.saturated_log_likelihood(z, 3) == pytest.approx(float(want), rel=1e-15)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_infinity_reads_minus_infinity(self, k):
+        assert tweedie.saturated_log_likelihood(math.inf, k) == -math.inf
+
+    def test_family_density_at_the_smallest_positive_z(self):
+        assert sk.Tweedie32().log_density(2.0, 5e-324) == pytest.approx(-math.sqrt(2.0), rel=1e-15)
 
 
 class TestMoments:
