@@ -408,9 +408,9 @@ def bayes_cnml_agreement(
     gaps, cnml_values, bayes_values, cnml_logs, bayes_logs = [], [], [], [], []
     for s in seqs:
         log_c, exact_c = _log_joint(family, "cnml", s)
-        log_b, _ = _log_joint(family, "bayes", s)
+        log_b, exact_b = _log_joint(family, "bayes", s)
         cnml_values.append(float(_joint_value(log_c, exact_c)))
-        bayes_values.append(_joint_value(log_b, None))
+        bayes_values.append(float(_joint_value(log_b, exact_b)))
         cnml_logs.append(log_c)
         bayes_logs.append(log_b)
         # |b - c| / c, which holds where both joints underflow

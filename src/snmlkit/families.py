@@ -299,6 +299,14 @@ class Family(ABC):
                 raise UnsupportedPoint(f"observation {x!r} is not a lattice point")
         return self, values, (0.0,) * len(values)
 
+    def _log_jeffreys_normalizer(self, n: int, mean: float) -> float | None:
+        """log C(n, x-bar) on the full mean domain in closed form, or None
+        where the family has none: C is the integral of
+        exp(-n D(x-bar || mu)) / sigma(mu) over the means, the Jeffreys
+        posterior normalizer of n observations with mean x-bar relative to
+        their sup-likelihood."""
+        return None
+
     def _exact_statistic(self, x: float) -> int:
         """The sufficient statistic of a validated observation of an
         untransformed family, x itself, as the integer multiple of 2^-1074
@@ -416,6 +424,34 @@ class Family(ABC):
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload.update(kind=self.kind, mean_domain=list(self.mean_domain.bounds()))
         return _json.dumps(payload, sort_keys=True)
+
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling_remainder(z: float) -> float:
+    """s(z) = lgamma(z) - (z - 1/2) log z + z - log(2 pi) / 2 for z > 0.
+
+    From z = 30 four terms of its asymptotic series, within 1e-16 of it
+    there, where the lgamma form would cancel most of its digits."""
+    if z >= 30.0:
+        w = 1.0 / z
+        w2 = w * w
+        return w * (1 / 12 + w2 * (-1 / 360 + w2 * (1 / 1260 - w2 / 1680)))
+    return math.lgamma(z) - (z - 0.5) * math.log(z) + z - _HALF_LOG_2PI
+
+
+def _half_stirling_remainder(z: float) -> float:
+    """r(z) = lgamma(z + 1/2) - z log z + z - log(2 pi) / 2 for z >= 0, with
+    r(0) = -log(2) / 2; from z = 30 four terms of its asymptotic series, as
+    for s."""
+    if z >= 30.0:
+        w = 1.0 / z
+        w2 = w * w
+        return w * (-1 / 24 + w2 * (7 / 2880 + w2 * (-31 / 40320 + w2 * 127 / 215040)))
+    if not z:
+        return -0.5 * math.log(2.0)
+    return math.lgamma(z + 0.5) - z * math.log(z) + z - _HALF_LOG_2PI
 
 
 @dataclass(frozen=True)
@@ -653,6 +689,20 @@ class Bernoulli(Family):
             terms += p * (r - 1.0 - math.log(r)) if r < math.inf else q
         return terms
 
+    def _log_jeffreys_normalizer(self, n: int, mean: float) -> float:
+        # B(a + 1/2, b + 1/2) / (x-bar^a (1 - x-bar)^b) with a = n x-bar ones
+        # and b = n (1 - x-bar) zeros, through the remainders, which cancel
+        # nothing.  b is rounded once; n - a would carry the rounding of a,
+        # up to an ulp of n
+        if not n:
+            return math.log(math.pi)  # B(1/2, 1/2)
+        return (
+            0.5 * math.log(2.0 * math.pi / n)
+            + _half_stirling_remainder(n * mean)
+            + _half_stirling_remainder(n * (1.0 - mean))
+            - _stirling_remainder(n)
+        )
+
     def geodesic_from_mean(self, mu: float, reference: float) -> float:
         return 2.0 * (math.asin(math.sqrt(mu)) - math.asin(math.sqrt(reference)))
 
@@ -706,6 +756,11 @@ class Poisson(Family):
         if r == 0.0:
             return math.inf
         return mu0 * (r - 1.0 - math.log(r)) if r < math.inf else mu1
+
+    def _log_jeffreys_normalizer(self, n: int, mean: float) -> float:
+        # Gamma(a + 1/2) (e / a)^a / sqrt(n) with a = n x-bar: the Gamma(a + 1/2,
+        # rate n) posterior's normalizer, through the remainder, which cancels nothing
+        return 0.5 * math.log(2.0 * math.pi / n) + _half_stirling_remainder(n * mean)
 
     def geodesic_from_mean(self, mu: float, reference: float) -> float:
         return 2.0 * (math.sqrt(mu) - math.sqrt(reference))

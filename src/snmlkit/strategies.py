@@ -13,8 +13,8 @@ Fixed-horizon joints:
   continuations of the conditioning prefix x_1..x_m;
 * ``nml``  -- the unconditioned case m = 0 (finite here only for Bernoulli).
 
-Bernoulli values on the maximal domain are exact ``fractions.Fraction``;
-everything else is float, with quadrature behind the normalizers.
+Bernoulli joints on the maximal domain are exact ``fractions.Fraction``
+under every strategy; everything else is float.
 
 A history enters every value through n and x-bar alone, x-bar the correctly
 rounded mean of the exact sum of its statistics (``families.exact_mean``),
@@ -30,8 +30,12 @@ chains the gains over its continuation.  Only the normalizers differ:
 * SNML divides each step by its Shtarkov integral Z(n, x-bar) over y;
 * Jeffreys-Bayes multiplies each step by C(n + 1, x-bar') / C(n, x-bar), C
   the Jeffreys normalizer relative to the sup-likelihood
-  (``_concentration_integral``).  Over a continuation these ratios telescope
-  to C(m, x-bar_m) / C(n, x-bar_n): two integrals at any horizon;
+  (``_jeffreys_posterior``).  On the full mean domain Bernoulli and Poisson
+  give C in closed form (``Family._log_jeffreys_normalizer``), and every
+  other case takes one integral (``_concentration_integral``).  Over a
+  continuation these ratios telescope to C(m, x-bar_m) / C(n, x-bar_n): two
+  normalizers at any horizon.  Exact Bernoulli chains the
+  Krichevsky-Trofimov masses instead;
 * CNML divides by one Shtarkov integral over all n - m free observations.
   They enter only through the sum t of their sufficient statistics, so it
   is one integral, or one sum, over t, and SNML's Z is its k = 1 case.
@@ -46,7 +50,7 @@ unwraps its values itself) and ``analysis.condition_integral``.  That one
 call is also the only observation check: each value is checked and pulled
 back once, and a bad one raises UnsupportedPoint before any integral.
 Everything below sees untransformed families only.  So a transformed
-Bernoulli's SNML, CNML and NML joints are exact too.
+Bernoulli's joints are exact too.
 
 Every integral is taken in a unit-Fisher chart based at the clipped
 maximum-likelihood mean (``_chart_anchor``), where the Fisher information is
@@ -359,7 +363,13 @@ def _concentration_integral(family: Family, n: int, mean: float, tol_abs: float,
 @lru_cache(maxsize=4096)
 def _jeffreys_posterior(family: Family, n: int, mean: float) -> float:
     """log C(n, x-bar), the Jeffreys posterior normalizer of a history of n
-    observations with mean x-bar, relative to its sup-likelihood."""
+    observations with mean x-bar, relative to its sup-likelihood: the
+    family's closed form on its full mean domain where it has one, else the
+    concentration integral."""
+    if family.mean_domain == family._full_mean_domain():
+        closed = family._log_jeffreys_normalizer(n, mean)
+        if closed is not None:
+            return closed
     return math.log(_concentration_integral(family, n, mean, 1e-13, 1e-11))
 
 
@@ -416,8 +426,8 @@ def _bernoulli_block_fraction(n: int, ones: int, k: int, added: int) -> Fraction
 def _log_joint(family: Family, strategy: str, seq: ObservationSequence) -> tuple[float, Fraction | None]:
     """(log joint, exact joint or None) of the continuation x_{m+1}..x_n given x_1..x_m.
 
-    The exact joint is the Fraction of exact Bernoulli SNML, CNML and NML,
-    transformed or not.  Everything else is a log, which stays finite where a
+    The exact joint is the Fraction of exact Bernoulli, transformed or not,
+    under every strategy.  Everything else is a log, which stays finite where a
     joint of many or far-out observations over- or underflows: the chained
     SNML gains, each relative to its prefix (finite where both
     sup-likelihoods are 0, a 0 under Gamma with shape > 1), minus the
@@ -432,15 +442,21 @@ def _log_joint(family: Family, strategy: str, seq: ObservationSequence) -> tuple
         raise ValueError("nml conditions on nothing; use cnml_joint when m > 0")
     if name == "nml":
         _require_conditioning(family, 0, name)  # NML is CNML at m = 0
-    if _is_exact_bernoulli(base) and name != "bayes":
-        # the product over blocks a..b of their sup-likelihood over its Shtarkov
-        # sum: one block for CNML, one per step for SNML.  The log is taken from
-        # the integer parts, so it does not underflow.  A counting support has
-        # no Jacobian.
-        cuts = range(seq.m, seq.n + 1) if name == "snml" else (seq.m, seq.n)
+    if _is_exact_bernoulli(base):
+        # The log is taken from the integer parts, so it does not underflow.  A
+        # counting support has no Jacobian.
         ones = list(itertools.accumulate((v == 1.0 for v in values), initial=0))
-        ratios = (_bernoulli_block_fraction(a, ones[a], b - a, ones[b] - ones[a]) for a, b in zip(cuts, cuts[1:]))
-        joint = math.prod(ratios, start=Fraction(1))
+        if name == "bayes":
+            # the Krichevsky-Trofimov rule: x_{t+1} has mass (the count of its
+            # value among x_1..x_t + 1/2) / (t + 1)
+            counts = (ones[t] if y == 1.0 else t - ones[t] for t, y in zip(range(seq.m, seq.n), values[seq.m :]))
+            joint = Fraction(math.prod(2 * c + 1 for c in counts), math.prod(range(2 * seq.m + 2, 2 * seq.n + 1, 2)))
+        else:
+            # the product over blocks a..b of their sup-likelihood over its
+            # Shtarkov sum: one block for CNML, one per step for SNML
+            cuts = range(seq.m, seq.n + 1) if name == "snml" else (seq.m, seq.n)
+            ratios = (_bernoulli_block_fraction(a, ones[a], b - a, ones[b] - ones[a]) for a, b in zip(cuts, cuts[1:]))
+            joint = math.prod(ratios, start=Fraction(1))
         return math.log(joint.numerator) - math.log(joint.denominator), joint
     free = seq.n - seq.m
     if free == 0:

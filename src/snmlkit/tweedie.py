@@ -68,14 +68,14 @@ def saturated_log_likelihood(z: float, k: int = 1) -> float:
     """l*_k(z) for a sum z >= 0 of k observations; k = 1 gives l*(z) = log p_z(z)."""
     if z == 0.0:
         return 0.0
-    # l*(k z) + log k: k z stays positive where z / k would underflow to 0
-    kz = k * z
-    x = 2.0 * math.sqrt(kz)
+    # k z is never formed: it overflows near the float maximum, where l*_k(z)
+    # is still finite
+    x = 2.0 * math.sqrt(k) * math.sqrt(z)
     try:
         log_ive = math.log(_ive1(x))
     except ValueError:  # i1e(inf) = 0
         return -math.inf
-    return log_ive - 0.5 * math.log(kz) + math.log(k)
+    return log_ive + 0.5 * (math.log(k) - math.log(z))
 
 
 def divergence(mu0: float, mu1: float) -> float:

@@ -103,6 +103,16 @@ class TestJoint:
         assert payload["value"] == pytest.approx(8 / 155, rel=1e-15)
         assert (payload["m"], payload["n"]) == (0, 3)
 
+    def test_bernoulli_bayes_exact_field(self, capsys):
+        """The Krichevsky-Trofimov joint (1/2)(1/4)(1/2)."""
+        code, out, _ = run(
+            capsys, "joint", "--family", "bernoulli", "--strategy", "bayes", "--seq", "1,0,1", "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["exact"] == "1/16"
+        assert payload["value"] == 0.0625
+
     def test_plain_gaussian_value(self, capsys):
         code, out, _ = run(
             capsys, "joint", "--family", "gaussian", "--seq", "0,0,2", "--m", "1"
@@ -604,7 +614,7 @@ from snmlkit import tweedie
 cases = [(z, k) for z in (1e-300, 1e-3, 0.7, 2.5, 40.0, 1e6, 1e12) for k in (1, 3)]
 lazy = [tweedie.saturated_log_likelihood(z, k) for z, k in cases]
 from scipy import special
-eager = [math.log(special.i1e(2.0 * math.sqrt(k * z))) - 0.5 * math.log(k * z) + math.log(k) for z, k in cases]
+eager = [math.log(special.i1e(2.0 * math.sqrt(k) * math.sqrt(z))) + 0.5 * (math.log(k) - math.log(z)) for z, k in cases]
 out["tweedie_bit_identical"] = lazy == eager
 print(json.dumps(out))
 """

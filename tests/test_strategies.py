@@ -146,6 +146,176 @@ def test_poisson_bayes_matches_the_negative_binomial(history):
         assert abs(pred.log_density(y) - want) <= 1e-9 * max(1.0, abs(want)), y
 
 
+def test_bernoulli_bayes_joints_are_exact():
+    """The Krichevsky-Trofimov products: (1/2)(1/4)(1/2) for (1, 0, 1), and
+    (1/4)(1/2) after its first draw."""
+    ber = sk.Bernoulli()
+    assert sk.strategy_joint(ber, "bayes", ObservationSequence((1.0, 0.0, 1.0))) == Fraction(1, 16)
+    assert sk.strategy_joint(ber, "bayes", ObservationSequence((1.0, 0.0, 1.0), 1)) == Fraction(1, 8)
+    assert sk.strategy_joint(ber, "bayes", ObservationSequence((1.0, 0.0, 1.0), 3)) == Fraction(1)
+
+
+def mp_poisson_log_jeffreys(n, mean):
+    """log of the integral of exp(-n D(x-bar || mu)) / sqrt(mu) over mu > 0:
+    log Gamma(a + 1/2) + a - a log x-bar - (a + 1/2) log n with a = n x-bar."""
+    a = n * mpmath.mpf(mean)
+    return mpmath.loggamma(a + 0.5) + a - (a * mpmath.log(mean) if a else 0) - (a + 0.5) * mpmath.log(n)
+
+
+def mp_bernoulli_log_jeffreys(n, mean):
+    """log of the integral of exp(-n D(x-bar || mu)) / sqrt(mu (1 - mu)) over
+    (0, 1): log B(a + 1/2, b + 1/2) - a log x-bar - b log(1 - x-bar) with
+    a = n x-bar and b = n - a."""
+    x = mpmath.mpf(mean)
+    a, b = n * x, n * (1 - x)
+    return mpmath.log(mpmath.beta(a + 0.5, b + 0.5)) - (a * mpmath.log(x) if a else 0) - (b * mpmath.log(1 - x) if b else 0)
+
+
+@pytest.mark.parametrize("a", [0, 1, 29, 30, 31, 1e3, 1e7])
+@pytest.mark.parametrize("n", [1, 3, 1000])
+def test_poisson_jeffreys_normalizer_matches_mpmath(n, a):
+    """a = n x-bar on both sides of the switch to the asymptotic remainder at 30."""
+    mean = a / n
+    with mpmath.workdps(50):
+        want = mp_poisson_log_jeffreys(n, mean)
+        assert abs(float(sk.Poisson()._log_jeffreys_normalizer(n, mean) - want)) <= 1e-13 * abs(float(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 30, 61, 1000, 10**6])
+def test_bernoulli_jeffreys_normalizer_matches_mpmath(n):
+    for ones in sorted({0, 1, n // 2, n - 1, n}):
+        mean = ones / n
+        with mpmath.workdps(50):
+            want = mp_bernoulli_log_jeffreys(n, mean)
+            got = sk.Bernoulli()._log_jeffreys_normalizer(n, mean)
+            assert abs(float(got - want)) <= 1e-13 * abs(float(want)), ones
+    assert sk.Bernoulli()._log_jeffreys_normalizer(0, 0.0) == math.log(math.pi)
+
+
+@pytest.mark.parametrize(
+    "family,totals",
+    [
+        (sk.Poisson(), lambda n: (0, 1, 3, 2 * n, 37 * n)),
+        (sk.Bernoulli(), lambda n: (0, 1, n // 3, n - 1, n)),
+    ],
+    ids=["poisson", "bernoulli"],
+)
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 100])
+def test_jeffreys_closed_forms_match_the_concentration_integral(family, totals, n):
+    for total in sorted(set(totals(n))):
+        mean = total / n
+        want = math.log(strategies._concentration_integral(family, n, mean, 1e-13, 1e-11))
+        assert abs(family._log_jeffreys_normalizer(n, mean) - want) <= 1e-10, total
+
+
+# The Bayes values of every family and domain whose Jeffreys normalizer is an
+# integral, as float.hex: the Bayes predictive's log normalizer and log
+# density at values[t] after values[:t] for t = 1, 2, 3, then the log joint
+# of values[1:] after values[0].  Recorded at commit a326dfd, before any
+# closed form, so they show those paths untouched.
+BAYES_QUADRATURE_CORPUS = {
+    "gaussian": (
+        sk.GaussianLocation(1.0),
+        (0.3, 1.1, -0.7, 2.6),
+        (
+            ("0x1.d67f1c864beb7p-1", "-0x1.6cee5cce6b067p+0"),
+            ("0x1.250d048e7a1bdp-1", "-0x1.c666b090b2cd6p+0"),
+            ("0x1.7a80e9b6f7756p-2", "-0x1.94e39d406f173p+1"),
+        ),
+        "-0x1.974711f7ff009p+2",
+    ),
+    "gaussian-restricted": (
+        sk.GaussianLocation(1.0, mean_domain=(0.0, 1.0)),
+        (0.3, 1.1, -0.7, 2.6),
+        (
+            ("-0x1.e6549ea5f1ae5p-5", "-0x1.224a57854830fp+0"),
+            ("-0x1.d47aba7f59fbcp-4", "-0x1.a8d33c1a7d183p+0"),
+            ("-0x1.9cd3f859f8d89p-3", "-0x1.8fe2b81e4760bp+1"),
+        ),
+        "-0x1.7ab8c0f71502ap+2",
+    ),
+    "gamma0.5": (
+        sk.GammaShape(0.5),
+        (0.3, 1.1, 2.6, 0.7),
+        (
+            ("0x1.128682473d0dep+0", "-0x1.10bf7bcaa9254p+1"),
+            ("0x1.4e8de8082e30ap-1", "-0x1.74f9c3b753638p+1"),
+            ("0x1.b2a21b1c1313fp-2", "-0x1.49f73b5c5747bp+0"),
+        ),
+        "-0x1.955a6e9814165p+2",
+    ),
+    "gamma2": (
+        sk.GammaShape(2.0),
+        (0.3, 1.1, 2.6, 0.7),
+        (
+            ("0x1.eba9b8188a919p-1", "-0x1.dde44e0d09e62p+0"),
+            ("0x1.2fb217bff8d84p-1", "-0x1.82a41e5b66a3dp+1"),
+            ("0x1.88b674f4ed64fp-2", "-0x1.5d0cec97067d8p-1"),
+        ),
+        "-0x1.646cc043d69b2p+2",
+    ),
+    "gamma2-restricted": (
+        sk.GammaShape(2.0, mean_domain=(2.0, 5.0)),
+        (3.0, 1.1, 6.0, 2.6),
+        (
+            ("0x1.87c06f950dce8p-3", "-0x1.7b24083f5cfd2p+0"),
+            ("-0x1.8e253fdd72c2fp-4", "-0x1.8b4beec9069d7p+1"),
+            ("0x1.8eaf3624fe18dp-5", "-0x1.a8aeac7e17fcap+0"),
+        ),
+        "-0x1.8e9aa493e08d3p+2",
+    ),
+    "tweedie": (
+        sk.Tweedie32(),
+        (1.2, 0.0, 2.6, 0.7),
+        (
+            ("0x1.d67f1c864beb7p-1", "-0x1.410abbe4c6a27p+0"),
+            ("0x1.250d048e7a1bfp-1", "-0x1.60f92e1a7eef9p+1"),
+            ("0x1.7a80e9b6f7756p-2", "-0x1.8b6f79936e9fep+0"),
+        ),
+        "-0x1.639b246b4cc86p+2",
+    ),
+    "levy": (
+        LEVY,
+        (0.3, 1.1, 2.6, 0.7),
+        (
+            ("0x1.128682473d0dep+0", "-0x1.10bf7bcaa9254p+1"),
+            ("0x1.4e8de8082e30ap-1", "-0x1.7d54f6ce96c2cp+1"),
+            ("0x1.b2a21b1c13139p-2", "-0x1.387d7fa58bde1p+0"),
+        ),
+        "-0x1.9529993602eb9p+2",
+    ),
+    "poisson-restricted": (
+        sk.Poisson(mean_domain=(0.5, 20.0)),
+        (2.0, 0.0, 3.0, 1.0),
+        (
+            ("0x1.b870c8bf10a56p-1", "-0x1.dbb5a1170e70dp+0"),
+            ("0x1.8d9bcce076035p-2", "-0x1.230fd07fd91b5p+1"),
+            ("0x1.6872eadb8876fp-2", "-0x1.436975651124fp+0"),
+        ),
+        "-0x1.594faddef4732p+2",
+    ),
+    "bernoulli-restricted": (
+        sk.Bernoulli(mean_domain=(0.2, 0.8)),
+        (1.0, 0.0, 1.0, 1.0),
+        (
+            ("-0x1.bdd331c30d680p-3", "-0x1.a874656eb0caap-1"),
+            ("0x1.dcfa770b45862p-4", "-0x1.62e42fefa39efp-1"),
+            ("-0x1.b5db2cbe845fdp-5", "-0x1.2bf23d36ef08ap-1"),
+        ),
+        "-0x1.0dd2b4a550dc8p+1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BAYES_QUADRATURE_CORPUS)
+def test_integral_bayes_values_are_bit_identical(name):
+    family, values, steps, joint = BAYES_QUADRATURE_CORPUS[name]
+    for t, (log_normalizer, log_density) in enumerate(steps, 1):
+        pred = sk.bayes_jeffreys_predictive(family, values[:t])
+        assert (pred.log_normalizer.hex(), pred.log_density(values[t]).hex()) == (log_normalizer, log_density), t
+    assert strategies._log_joint(family, "bayes", ObservationSequence(values, 1))[0].hex() == joint
+
+
 RESTRICTED_BAYES_CASES = [
     ("gamma_two", sk.GammaShape(2.0, mean_domain=(2.0, 5.0)), [(1.0,), (3.0, 4.5), (10.0,)], (0.1, 1.0, 3.0, 9.0, 20.0)),
     ("poisson", sk.Poisson(mean_domain=(1.0, 10.0)), [(0.0,), (3.0, 0.0, 7.0), (20.0,)], (0.0, 1.0, 3.0, 10.0, 25.0)),
@@ -583,7 +753,8 @@ class TestStrategyJoint:
 def test_bayes_joint_takes_two_concentration_integrals_at_any_horizon(monkeypatch):
     """The one-step ratios C(t, x-bar_t) / C(t - 1, x-bar_{t-1}) telescope to
     C(m, x-bar_m) / C(n, x-bar_n).  The product of the k one-step predictives
-    took k + 1 integrals."""
+    took k + 1 integrals.  On a restricted mean domain, where C is not in
+    closed form."""
     calls = []
     integral = strategies._concentration_integral
 
@@ -597,8 +768,21 @@ def test_bayes_joint_takes_two_concentration_integrals_at_any_horizon(monkeypatc
     for k in (1, 2, 5):
         cache.cache_clear()
         calls.clear()
-        sk.strategy_joint(sk.Poisson(), "bayes", ObservationSequence(values[: 1 + k], m=1))
+        sk.strategy_joint(sk.Poisson(mean_domain=(0.5, 20.0)), "bayes", ObservationSequence(values[: 1 + k], m=1))
         assert cache.cache_info().misses == len(calls) == 2, k
+
+
+@pytest.mark.parametrize(
+    "family,values",
+    [(sk.Poisson(), (1.0, 2.0, 5.0, 3.0, 0.0, 4.0)), (sk.Bernoulli(), (1.0, 0.0, 1.0, 1.0, 0.0, 0.0))],
+    ids=["poisson", "bernoulli"],
+)
+def test_full_domain_counting_bayes_takes_no_integral(family, values, integrand_calls):
+    """Their Jeffreys normalizers are in closed form, and Bernoulli's joints exact."""
+    pred = sk.bayes_jeffreys_predictive(family, values[:3])
+    pred.log_density(values[3])
+    sk.strategy_joint(family, "bayes", ObservationSequence(values, m=1))
+    assert integrand_calls.count == 0
 
 
 JOINT_ORACLE_VALUES = {
@@ -649,16 +833,15 @@ def test_affine_bernoulli_maps_its_support():
 
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_affine_bernoulli_joints_are_the_base_joints(m):
-    """y = 2x + 1 of Bernoulli: a counting support has no Jacobian, so the
-    SNML, CNML and NML joints are the exact Bernoulli Fractions on the
-    pulled-back values, and the Bayes joints the Bernoulli floats."""
+    """y = 2x + 1 of Bernoulli: a counting support has no Jacobian, so every
+    joint is the exact Bernoulli Fraction on the pulled-back values."""
     for xs in itertools.product((0.0, 1.0), repeat=4):
         ys = tuple(2.0 * x + 1.0 for x in xs)
         for strategy in STRATEGIES if m == 0 else ("snml", "bayes", "cnml"):
             got = sk.strategy_joint(AFFINE_BERNOULLI, strategy, ObservationSequence(ys, m))
             want = sk.strategy_joint(sk.Bernoulli(), strategy, ObservationSequence(xs, m))
             assert got == want and type(got) is type(want), (strategy, xs)
-            assert isinstance(got, float if strategy == "bayes" else Fraction)
+            assert isinstance(got, Fraction)
 
 
 @pytest.mark.parametrize("maker", [sk.snml_predictive, sk.bayes_jeffreys_predictive], ids=["snml", "bayes"])

@@ -119,6 +119,17 @@ class TestLargeArguments:
             assert abs(float(mp.mpf(got) - want)) <= 1e-15 * abs(float(want))
 
 
+    @pytest.mark.parametrize("z", [1e300, 1.7e308])
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_sum_of_k_members_where_k_z_overflows(self, z, k):
+        """k z passes the float maximum at 1.7e308, where l*_k(z) is about
+        -533, not -inf."""
+        with mp.workdps(digits(2.0 * math.sqrt(k) * math.sqrt(z))):
+            want = mp_saturated(z, k)
+            got = tweedie.saturated_log_likelihood(z, k)
+            assert abs(float(mp.mpf(got) - want)) <= 1e-15 * abs(float(want))
+
+
 class TestSaturatedEdges:
     @pytest.mark.parametrize("k", [1, 3])
     def test_zero_is_the_point_mass(self, k):
