@@ -27,7 +27,7 @@ from ._expression import derivative_functions
 from ._spline import QuinticSpline
 from .errors import DifferentiationError, DomainError
 from .families import Family, ObservationSequence
-from .strategies import _concentration_integral, _joint_value, _log_joint, _snml_ordering_extremes
+from .strategies import _concentration_integral, _exact_joint, _exp, _log_joint, _snml_ordering_extremes
 
 
 class Verdict(str, Enum):
@@ -306,11 +306,11 @@ def exchangeability_test(
     the k! orderings.  Among orderings with equal normalizers the
     lexicographically first is taken.  A continuation with at most two
     orderings has both as its witnesses.  The spread is that of the two
-    witness joints, each computed once: exact for exact Bernoulli, else
-    -expm1 of their log difference, and 0 where both joints are 0.  The
-    worst witness pair is recorded in details, with its joints and their
-    logs: the joints may underflow to 0 where the logs still show the
-    spread.
+    witness joints, each computed once per route: exact for exact
+    Bernoulli, else -expm1 of their log difference, and 0 where both joints
+    are 0.  The worst witness pair is recorded in details, with its joints
+    and their logs, which come from the float route for every family: the
+    joints may underflow to 0 where the logs still show the spread.
     """
     m, n, count = _integer("m", m, 0), _integer("n", n, 0), _integer("count", count, 1)
     if not m < n:
@@ -363,21 +363,19 @@ def exchangeability_test(
             orderings = sorted(set(itertools.permutations(cont)))
         else:
             orderings = sorted(set(_snml_ordering_extremes(family, hist, cont)))
-        joints = [_log_joint(family, "snml", ObservationSequence(hist + p, m)) for p in orderings]
+        seqs = [ObservationSequence(hist + p, m) for p in orderings]
+        joints = [(_log_joint(family, "snml", s), _exact_joint(family, "snml", s)) for s in seqs]
         spread, hi_i, lo_i = _spread(joints)
         grid.append(cont)
         values.append(spread)
         if spread > worst:
             worst = spread
-            witness = {
-                "history": list(hist),
-                "max_ordering": list(orderings[hi_i]),
-                "max_joint": _joint_value(*joints[hi_i]),
-                "max_log_joint": joints[hi_i][0],
-                "min_ordering": list(orderings[lo_i]),
-                "min_joint": _joint_value(*joints[lo_i]),
-                "min_log_joint": joints[lo_i][0],
-            }
+            witness = {"history": list(hist)}
+            for label, i in (("max", hi_i), ("min", lo_i)):
+                log_joint, exact = joints[i]
+                witness[f"{label}_ordering"] = list(orderings[i])
+                witness[f"{label}_joint"] = exact if exact is not None else _exp(log_joint)
+                witness[f"{label}_log_joint"] = log_joint
     details = {"m": m, "n": n, "strategy": "snml", "witness": witness}
     return AnalysisReport.from_values(grid, values, tolerance, fail_threshold, reference=0.0, details=details)
 
@@ -407,10 +405,9 @@ def bayes_cnml_agreement(
         raise DomainError("no sequences supplied")
     gaps, cnml_values, bayes_values, cnml_logs, bayes_logs = [], [], [], [], []
     for s in seqs:
-        log_c, exact_c = _log_joint(family, "cnml", s)
-        log_b, exact_b = _log_joint(family, "bayes", s)
-        cnml_values.append(float(_joint_value(log_c, exact_c)))
-        bayes_values.append(float(_joint_value(log_b, exact_b)))
+        log_c, log_b = _log_joint(family, "cnml", s), _log_joint(family, "bayes", s)
+        cnml_values.append(_exp(log_c))
+        bayes_values.append(_exp(log_b))
         cnml_logs.append(log_c)
         bayes_logs.append(log_b)
         # |b - c| / c, which holds where both joints underflow

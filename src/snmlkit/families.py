@@ -743,7 +743,12 @@ class Poisson(Family):
         return math.exp(theta)
 
     def _saturated_log_likelihood(self, x: float, k: int = 1) -> float:
-        # the sum of k members is Poisson with mean k mu, so l*_k = l*
+        # the sum of k members is Poisson with mean k mu, so l*_k = l*.  From
+        # x = 30 that is -log(2 pi x) / 2 - s(x), where x log x - lgamma(x + 1)
+        # would cancel most of its digits and overflow past 2.5e305; the log
+        # is split, as 2 pi x overflows past 2.86e307
+        if x >= 30.0:
+            return -_HALF_LOG_2PI - 0.5 * math.log(x) - _stirling_remainder(x)
         return (x * math.log(x) if x else 0.0) - x - math.lgamma(x + 1.0)
 
     def _divergence(self, mu0: float, mu1: float) -> float:

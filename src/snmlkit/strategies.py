@@ -13,8 +13,12 @@ Fixed-horizon joints:
   continuations of the conditioning prefix x_1..x_m;
 * ``nml``  -- the unconditioned case m = 0 (finite here only for Bernoulli).
 
-Bernoulli joints on the maximal domain are exact ``fractions.Fraction``
-under every strategy; everything else is float.
+Every log joint, and so every regret, is one float route for every family
+(``_log_joint``).  On Bernoulli over the maximal domain the calls that
+return a joint (``strategy_joint``, ``cnml_joint``, ``nml_joint``),
+``shtarkov_sum`` and the exchangeability witnesses return exact
+``fractions.Fraction``s instead, from ``_exact_joint``; everything else is
+float.
 
 A history enters every value through n and x-bar alone, x-bar the correctly
 rounded mean of the exact sum of its statistics (``families.exact_mean``),
@@ -34,8 +38,7 @@ chains the gains over its continuation.  Only the normalizers differ:
   give C in closed form (``Family._log_jeffreys_normalizer``), and every
   other case takes one integral (``_concentration_integral``).  Over a
   continuation these ratios telescope to C(m, x-bar_m) / C(n, x-bar_n): two
-  normalizers at any horizon.  Exact Bernoulli chains the
-  Krichevsky-Trofimov masses instead;
+  normalizers at any horizon;
 * CNML divides by one Shtarkov integral over all n - m free observations.
   They enter only through the sum t of their sufficient statistics, so it
   is one integral, or one sum, over t, and SNML's Z is its k = 1 case.
@@ -50,7 +53,8 @@ unwraps its values itself) and ``analysis.condition_integral``.  That one
 call is also the only observation check: each value is checked and pulled
 back once, and a bad one raises UnsupportedPoint before any integral.
 Everything below sees untransformed families only.  So a transformed
-Bernoulli's joints are exact too.
+Bernoulli's joints are exact too; only its exchangeability witnesses,
+which take both routes, pull their values back twice.
 
 Every integral is taken in a unit-Fisher chart based at the clipped
 maximum-likelihood mean (``_chart_anchor``), where the Fisher information is
@@ -126,18 +130,8 @@ class PredictiveDistribution:
         return tuple((a, self.density(a)) for a in self.family.observation_atoms())
 
 
-def _strategy_name(strategy: str) -> str:
-    name = str(strategy).lower()
-    if name not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    return name
-
-
+# Bernoulli on the maximal domain, whose joints are exact Fractions
 _EXACT_BERNOULLI = Bernoulli()
-
-
-def _is_exact_bernoulli(family: Family) -> bool:
-    return family == _EXACT_BERNOULLI
 
 
 def _bernoulli_sup_fraction(n: int, ones: int) -> Fraction:
@@ -401,67 +395,49 @@ def bayes_jeffreys_predictive(family: Family, history: Iterable[float] = ()) -> 
     return _predictive(family, "bayes", history)
 
 
-def _bernoulli_shtarkov_terms(n: int, ones: int, k: int) -> list[Fraction]:
-    """The terms of the exact sum of the sup-likelihood over the 2^k binary
-    continuations of n draws with this many ones: term s is the value the
-    C(k, s) continuations with s ones share, times C(k, s)."""
-    return [math.comb(k, s) * _bernoulli_sup_fraction(n + k, ones + s) for s in range(k + 1)]
-
-
 def _bernoulli_shtarkov_fraction(n: int, ones: int, k: int) -> Fraction:
-    """Exact sum of the sup-likelihood over the 2^k binary continuations of n draws with
-    this many ones."""
-    return sum(_bernoulli_shtarkov_terms(n, ones, k))
+    """Exact sum of the sup-likelihood over the 2^k binary continuations of n
+    draws with this many ones: the C(k, s) continuations with s ones share
+    one value."""
+    return sum(math.comb(k, s) * _bernoulli_sup_fraction(n + k, ones + s) for s in range(k + 1))
 
 
-def _bernoulli_block_fraction(n: int, ones: int, k: int, added: int) -> Fraction:
-    """The sup-likelihood of n + k draws with ones + added ones over the Shtarkov
-    sum of the k draws after the first n: that numerator is the term of its
-    own sum for the continuations with added ones, so the sum's k + 1 terms
-    are built once."""
-    terms = _bernoulli_shtarkov_terms(n, ones, k)
-    return terms[added] / (math.comb(k, added) * sum(terms))
-
-
-def _log_joint(family: Family, strategy: str, seq: ObservationSequence) -> tuple[float, Fraction | None]:
-    """(log joint, exact joint or None) of the continuation x_{m+1}..x_n given x_1..x_m.
-
-    The exact joint is the Fraction of exact Bernoulli, transformed or not,
-    under every strategy.  Everything else is a log, which stays finite where a
-    joint of many or far-out observations over- or underflows: the chained
-    SNML gains, each relative to its prefix (finite where both
-    sup-likelihoods are 0, a 0 under Gamma with shape > 1), minus the
-    strategy's log normalizer, all in the untransformed family, plus the
-    continuation's log-Jacobians.
-    """
-    name = _strategy_name(strategy)
+def _joint_inputs(family: Family, strategy: str, seq: ObservationSequence) -> tuple[str, Family, tuple, tuple]:
+    """(strategy name, untransformed family, pulled-back values, their
+    log-Jacobians) of a joint, with its arguments checked before any
+    integral: the strategy, the sequence type, each observation, nml at
+    m = 0 and the conditioning length."""
+    name = str(strategy).lower()
+    if name not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if not isinstance(seq, ObservationSequence):
         raise TypeError("expected an ObservationSequence (values plus conditioning length m)")
     base, values, log_jacobians = family._untransformed(seq.values)
     if name == "nml" and seq.m != 0:
         raise ValueError("nml conditions on nothing; use cnml_joint when m > 0")
-    if name == "nml":
-        _require_conditioning(family, 0, name)  # NML is CNML at m = 0
-    if _is_exact_bernoulli(base):
-        # The log is taken from the integer parts, so it does not underflow.  A
-        # counting support has no Jacobian.
-        ones = list(itertools.accumulate((v == 1.0 for v in values), initial=0))
-        if name == "bayes":
-            # the Krichevsky-Trofimov rule: x_{t+1} has mass (the count of its
-            # value among x_1..x_t + 1/2) / (t + 1)
-            counts = (ones[t] if y == 1.0 else t - ones[t] for t, y in zip(range(seq.m, seq.n), values[seq.m :]))
-            joint = Fraction(math.prod(2 * c + 1 for c in counts), math.prod(range(2 * seq.m + 2, 2 * seq.n + 1, 2)))
-        else:
-            # the product over blocks a..b of their sup-likelihood over its
-            # Shtarkov sum: one block for CNML, one per step for SNML
-            cuts = range(seq.m, seq.n + 1) if name == "snml" else (seq.m, seq.n)
-            ratios = (_bernoulli_block_fraction(a, ones[a], b - a, ones[b] - ones[a]) for a, b in zip(cuts, cuts[1:]))
-            joint = math.prod(ratios, start=Fraction(1))
-        return math.log(joint.numerator) - math.log(joint.denominator), joint
+    # NML is CNML at m = 0, and needs its normalizer even with nothing to predict
+    if name == "nml" or seq.n > seq.m:
+        _require_conditioning(family, seq.m, name)
+    return name, base, values, log_jacobians
+
+
+def _log_joint(family: Family, strategy: str, seq: ObservationSequence) -> float:
+    """log joint of the continuation x_{m+1}..x_n given x_1..x_m, for every
+    family, exact Bernoulli included.
+
+    It stays finite where a joint of many or far-out observations over- or
+    underflows: the chained SNML gains, each relative to its prefix (finite
+    where both sup-likelihoods are 0, a 0 under Gamma with shape > 1), minus
+    the strategy's log normalizer, all in the untransformed family, plus the
+    continuation's log-Jacobians.  Exact Bernoulli takes this route too:
+    at n = 300 it is within 2.4e-16 relative of the mpmath log of
+    ``_exact_joint``'s Fraction, where log(numerator) - log(denominator) of
+    that Fraction is up to 1.1e-13 off.
+    """
+    name, base, values, log_jacobians = _joint_inputs(family, strategy, seq)
     free = seq.n - seq.m
     if free == 0:
-        return 0.0, None
-    _require_conditioning(family, seq.m, name)
+        return 0.0
 
     # x-bar of x_1..x_t for t = m..n, from one running exact sum
     totals = itertools.accumulate(map(base._exact_statistic, values), initial=0)
@@ -474,7 +450,39 @@ def _log_joint(family: Family, strategy: str, seq: ObservationSequence) -> tuple
         log_normalizer = _jeffreys_posterior(base, seq.m, means[0]) - _jeffreys_posterior(base, seq.n, means[-1])
     else:
         log_normalizer = _log_shtarkov(base, seq.m, means[0], free)
-    return log_numerator - log_normalizer + math.fsum(log_jacobians[seq.m :]), None
+    return log_numerator - log_normalizer + math.fsum(log_jacobians[seq.m :])
+
+
+def _exact_joint(family: Family, strategy: str, seq: ObservationSequence) -> Fraction | None:
+    """The joint of the continuation x_{m+1}..x_n given x_1..x_m as an exact
+    Fraction for exact Bernoulli, transformed or not (a counting support has
+    no Jacobian), else None.
+
+    It has the shape of the float route: sup(x^n) / sup(x^m) over the
+    strategy's normalizer relative to sup(x^m).  With o_t the ones among
+    x_1..x_t and S(t, o, k) the exact Shtarkov sum over k more draws, that
+    normalizer is the product of S(t, o_t, 1) / sup(x^t) over t = m..n-1
+    for SNML, S(m, o_m, n - m) / sup(x^m) for CNML and NML, and C(m) / C(n)
+    for Bayes, where C(t) = KT(x^t) / sup(x^t) and
+    KT(x^t) = B(o_t + 1/2, t - o_t + 1/2) / pi is the Krichevsky-Trofimov
+    mass.  Each is evaluated with its sup-likelihoods cancelled.
+    """
+    # the untransformed family of no values, so that no value is pulled back twice
+    if family._untransformed(())[0] != _EXACT_BERNOULLI:
+        return None
+    name, _, values, _ = _joint_inputs(family, strategy, seq)
+    ones = list(itertools.accumulate((v == 1.0 for v in values), initial=0))
+    m, n = seq.m, seq.n
+    sup, shtarkov = _bernoulli_sup_fraction, _bernoulli_shtarkov_fraction
+    if name == "snml":
+        # step by step sup(x^(t+1)) / S(t, o_t, 1), so that the product never holds a sup(x^t)
+        steps = (sup(t + 1, ones[t + 1]) / shtarkov(t, ones[t], 1) for t in range(m, n))
+        return math.prod(steps, start=Fraction(1))
+    if name == "bayes":
+        # KT(x^t) = (2 o_t - 1)!! (2 (t - o_t) - 1)!! / (2^t t!)
+        kt = [math.prod(range(1, 2 * ones[t], 2)) * math.prod(range(1, 2 * (t - ones[t]), 2)) for t in (m, n)]
+        return Fraction(kt[1], kt[0] * 2 ** (n - m) * math.prod(range(m + 1, n + 1)))
+    return sup(n, ones[n]) / shtarkov(m, ones[m], n - m)
 
 
 def _snml_ordering_extremes(
@@ -505,7 +513,7 @@ def _snml_ordering_extremes(
     values = sorted(statistic)
     counts = tuple(continuation.count(v) for v in values)
     statistics = [statistic[v] for v in values]
-    exact = _is_exact_bernoulli(base)
+    exact = base == _EXACT_BERNOULLI
     combine = operator.mul if exact else operator.add
 
     # predecessors come first in the product order
@@ -544,25 +552,20 @@ def _exp(log_value: float) -> float:
         return math.inf
 
 
-def _joint_value(log_joint: float, exact: Fraction | None) -> float | Fraction:
-    """The exact joint where there is one, else exp(log joint)."""
-    return exact if exact is not None else _exp(log_joint)
-
-
 def cnml_joint(family: Family, seq: ObservationSequence) -> float | Fraction:
     """Conditional NML joint of x_{m+1}..x_n given x_1..x_m; for continuous
     observations a joint density."""
-    return _joint_value(*_log_joint(family, "cnml", seq))
+    return strategy_joint(family, "cnml", seq)
 
 
 def nml_joint(family: Family, seq: ObservationSequence) -> float | Fraction:
     """Unconditioned NML joint; requires a finite Shtarkov normalizer."""
-    return _joint_value(*_log_joint(family, "nml", seq))
+    return strategy_joint(family, "nml", seq)
 
 
 def shtarkov_sum(family: Family, n: int) -> Fraction:
     """Exact Shtarkov sum over {0,1}^n (Bernoulli on the maximal domain)."""
-    if not _is_exact_bernoulli(family):
+    if family != _EXACT_BERNOULLI:
         raise DivergentNormalizer("exact Shtarkov sums are available for the maximal Bernoulli family only")
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -571,14 +574,15 @@ def shtarkov_sum(family: Family, n: int) -> Fraction:
 
 def strategy_joint(family: Family, strategy: str, seq: ObservationSequence) -> float | Fraction:
     """Joint strategy value of the continuation x_{m+1}..x_n given x_1..x_m:
-    an exact Fraction where ``_log_joint`` has one, else a float that is inf
-    where it overflows and 0.0 where it underflows."""
-    return _joint_value(*_log_joint(family, strategy, seq))
+    the exact Fraction of exact Bernoulli (``_exact_joint``), else the exp of
+    ``_log_joint``, inf where it overflows and 0.0 where it underflows."""
+    exact = _exact_joint(family, strategy, seq)
+    return exact if exact is not None else _exp(_log_joint(family, strategy, seq))
 
 
 def conditional_regret(family: Family, strategy: str, seq: ObservationSequence) -> RegretRecord:
     """Excess log loss of the strategy over the best single family member."""
-    strategy_loss = -_log_joint(family, strategy, seq)[0]
+    strategy_loss = -_log_joint(family, strategy, seq)
     best = family.sup_log_likelihood(seq.values)
     return RegretRecord(
         strategy_loss=strategy_loss,

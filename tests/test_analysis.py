@@ -422,9 +422,11 @@ def _log_normalizer_sum(family, history, ordering):
 
 
 def _brute_force(family, history, continuation):
-    """Every distinct ordering, its log joint and its F, lexicographically."""
+    """Every distinct ordering, its (log joint, exact joint or None) and its
+    F, lexicographically."""
     orderings = sorted(set(itertools.permutations(continuation)))
-    joints = [strategies._log_joint(family, "snml", ObservationSequence(history + p, len(history))) for p in orderings]
+    seqs = [ObservationSequence(history + p, len(history)) for p in orderings]
+    joints = [(strategies._log_joint(family, "snml", s), strategies._exact_joint(family, "snml", s)) for s in seqs]
     return orderings, joints, [_log_normalizer_sum(family, history, p) for p in orderings]
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 from fractions import Fraction
 from math import lgamma
 
-from hypothesis import given, strategies as hs
+from hypothesis import given, settings, strategies as hs
 import mpmath
 import pytest
 import scipy.integrate
@@ -18,6 +18,7 @@ from snmlkit import quadrature, strategies
 from snmlkit.errors import (
     DivergentNormalizer,
     ImproperPosterior,
+    SnmlkitError,
 )
 from snmlkit.families import ObservationSequence
 from snmlkit.strategies import STRATEGIES
@@ -144,6 +145,29 @@ def test_poisson_bayes_matches_the_negative_binomial(history):
     for y in points:
         want = poisson_jeffreys_log_predictive(history, float(y))
         assert abs(pred.log_density(y) - want) <= 1e-9 * max(1.0, abs(want)), y
+
+
+@pytest.mark.parametrize("x", [30.0, 1e3, 1e10, 1e12, 1e14, 1e100, 2.5e305, 1e308, 1.7976931348623157e308])
+def test_poisson_bayes_at_large_counts_matches_the_negative_binomial(x):
+    """The predictive of x after (x,), against the negative binomial in
+    mpmath at 1400 bits, which its cancelling loggamma terms need out to
+    the largest float.  x log x - lgamma(x + 1) in the saturated
+    log-likelihood was 3.8e-3 off at 1e12 and overflowed past 2.5e305."""
+    with mpmath.workprec(1400):
+        a, y = mpmath.mpf(x) + mpmath.mpf(1) / 2, mpmath.mpf(x)
+        want = float(mpmath.loggamma(a + y) - mpmath.loggamma(a) - mpmath.loggamma(y + 1) - (a + y) * mpmath.log(2))
+    got = sk.bayes_jeffreys_predictive(sk.Poisson(), (x,)).log_density(x)
+    assert abs(got - want) <= 5e-16 * abs(want)
+
+
+def test_poisson_snml_at_the_largest_counts_raises_a_typed_error_or_is_finite():
+    """After (1e308,) the SNML normalizer either settles or raises the
+    package's own error, never a bare OverflowError."""
+    try:
+        pred = sk.snml_predictive(sk.Poisson(), (1e308,))
+    except SnmlkitError:
+        return
+    assert math.isfinite(pred.log_normalizer) and math.isfinite(pred.log_density(1e308))
 
 
 def test_bernoulli_bayes_joints_are_exact():
@@ -313,7 +337,7 @@ def test_integral_bayes_values_are_bit_identical(name):
     for t, (log_normalizer, log_density) in enumerate(steps, 1):
         pred = sk.bayes_jeffreys_predictive(family, values[:t])
         assert (pred.log_normalizer.hex(), pred.log_density(values[t]).hex()) == (log_normalizer, log_density), t
-    assert strategies._log_joint(family, "bayes", ObservationSequence(values, 1))[0].hex() == joint
+    assert strategies._log_joint(family, "bayes", ObservationSequence(values, 1)).hex() == joint
 
 
 RESTRICTED_BAYES_CASES = [
@@ -808,7 +832,7 @@ def test_joint_is_the_product_of_its_one_step_predictives(name, maker, k):
     values = JOINT_ORACLE_VALUES[name][: 1 + k]
     strategy = "snml" if maker is sk.snml_predictive else "bayes"
     want = sum(maker(family, values[:t]).log_density(values[t]) for t in range(1, 1 + k))
-    assert strategies._log_joint(family, strategy, ObservationSequence(values, 1))[0] == pytest.approx(want, rel=1e-12)
+    assert strategies._log_joint(family, strategy, ObservationSequence(values, 1)) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("strategy", ["snml", "bayes", "cnml"])
@@ -818,8 +842,8 @@ def test_levy_joint_is_the_pulled_back_gamma_joint(strategy):
     value."""
     values = (0.3, 1.1, 2.6, 0.7)
     pulled = ObservationSequence(tuple(1.0 / v for v in values), 1)
-    want = strategies._log_joint(sk.GammaShape(0.5), strategy, pulled)[0] - 2.0 * sum(math.log(v) for v in values[1:])
-    assert strategies._log_joint(LEVY, strategy, ObservationSequence(values, 1))[0] == pytest.approx(want, rel=1e-12)
+    want = strategies._log_joint(sk.GammaShape(0.5), strategy, pulled) - 2.0 * sum(math.log(v) for v in values[1:])
+    assert strategies._log_joint(LEVY, strategy, ObservationSequence(values, 1)) == pytest.approx(want, rel=1e-12)
 
 
 AFFINE_BERNOULLI = sk.transform_family(sk.Bernoulli(), lambda x: 2.0 * x + 1.0, lambda y: (y - 1.0) / 2.0, lambda y: 0.5)
@@ -881,6 +905,79 @@ def test_affine_bernoulli_predictives_reject_points_off_the_mapped_lattice(maker
         maker(AFFINE_BERNOULLI, (3.0,)).log_density(2.0)
 
 
+def mp_log_fraction(value):
+    """log of a Fraction in mpmath at 40 digits: the logs of its numerator
+    and denominator in floats differ from it by up to 1e-13 at n = 300."""
+    with mpmath.workdps(40):
+        return mpmath.log(value.numerator) - mpmath.log(value.denominator)
+
+
+def assert_log_joint_is_the_log_of_the_fraction(family, strategy, seq):
+    want = mp_log_fraction(sk.strategy_joint(family, strategy, seq))
+    got = strategies._log_joint(family, strategy, seq)
+    assert type(got) is float
+    assert abs(got - want) <= 1e-12 * abs(want), (strategy, seq)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    bits=hs.integers(0, 120).flatmap(lambda n: hs.lists(hs.booleans(), min_size=n, max_size=n)),
+    cut=hs.floats(0.0, 1.0),
+    family=hs.sampled_from([sk.Bernoulli(), AFFINE_BERNOULLI]),
+)
+def test_bernoulli_log_joints_are_the_logs_of_the_fractions(bits, cut, family):
+    """The float route of every strategy against the mpmath log of the exact
+    Fraction, on Bernoulli and on its image under y = 2x + 1."""
+    values = tuple(2.0 * b + 1.0 if family is AFFINE_BERNOULLI else float(b) for b in bits)
+    m = int(cut * len(values))
+    for strategy in STRATEGIES if m == 0 else ("snml", "bayes", "cnml"):
+        assert_log_joint_is_the_log_of_the_fraction(family, strategy, ObservationSequence(values, m))
+
+
+# 30% ones, spread evenly by the golden ratio
+LONG_BITS = tuple(float((0.6180339887 * i) % 1.0 < 0.3) for i in range(3000))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_bernoulli_log_joint_at_three_hundred(strategy):
+    assert_log_joint_is_the_log_of_the_fraction(sk.Bernoulli(), strategy, ObservationSequence(LONG_BITS[:300], 0))
+
+
+def mp_bernoulli_log_sup(n, ones):
+    """log sup_mu of the Bernoulli likelihood of n draws with this many ones."""
+    n, ones = mpmath.mpf(n), mpmath.mpf(ones)
+    return sum((c * mpmath.log(c / n) for c in (ones, n - ones) if c), mpmath.mpf(0))
+
+
+@pytest.mark.parametrize("m", [0, 10])
+def test_bernoulli_snml_regret_at_three_thousand(m):
+    """The SNML regret is log sup(x^m) plus the sum of log Z_t, Z_t the
+    one-step Shtarkov sum over the sup-likelihood of x^t: every
+    sup-likelihood ratio but these cancels against the best expert."""
+    ones = list(itertools.accumulate(map(int, LONG_BITS), initial=0))
+    with mpmath.workdps(30):
+        want = mp_bernoulli_log_sup(m, ones[m])
+        for t in range(m, len(LONG_BITS)):
+            head = mp_bernoulli_log_sup(t, ones[t])
+            tails = (mp_bernoulli_log_sup(t + 1, ones[t] + s) - head for s in (0, 1))
+            want += mpmath.log(mpmath.fsum(mpmath.exp(v) for v in tails))
+    record = sk.conditional_regret(sk.Bernoulli(), "snml", ObservationSequence(LONG_BITS, m))
+    assert record.regret == pytest.approx(float(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("strategy,m", [("nml", 0), ("cnml", 10), ("cnml", 300)])
+def test_bernoulli_cnml_regret_at_one_thousand(strategy, m):
+    """The CNML regret is the log of the Shtarkov sum
+    sum_s C(k, s) sup(x^m, s more ones among k = n - m draws)."""
+    values = LONG_BITS[:1000]
+    n, ones = len(values), int(sum(values[:m]))
+    with mpmath.workdps(30):
+        terms = (mpmath.binomial(n - m, s) * mpmath.exp(mp_bernoulli_log_sup(n, ones + s)) for s in range(n - m + 1))
+        want = float(mpmath.log(mpmath.fsum(terms)))
+    record = sk.conditional_regret(sk.Bernoulli(), strategy, ObservationSequence(values, m))
+    assert record.regret == pytest.approx(want, rel=1e-12)
+
+
 def assert_relative(got, want, rel):
     """|got - want| <= rel * max(1, |want|): relative error, absolute near 0."""
     assert abs(got - want) <= rel * max(1.0, abs(want)), (got, want)
@@ -897,8 +994,8 @@ def test_reflected_levy_joint_is_the_doubly_pulled_back_gamma_joint(strategy):
     values = (-0.3, -1.1, -2.6, -0.7)
     pulled, _ = reflected_levy_pullback(values)
     _, log_jacobian = reflected_levy_pullback(values[1:])
-    want = strategies._log_joint(sk.GammaShape(0.5), strategy, ObservationSequence(pulled, 1))[0] + log_jacobian
-    assert_relative(strategies._log_joint(REFLECTED_LEVY, strategy, ObservationSequence(values, 1))[0], want, 1e-14)
+    want = strategies._log_joint(sk.GammaShape(0.5), strategy, ObservationSequence(pulled, 1)) + log_jacobian
+    assert_relative(strategies._log_joint(REFLECTED_LEVY, strategy, ObservationSequence(values, 1)), want, 1e-14)
 
 
 @pytest.mark.parametrize("maker", [sk.snml_predictive, sk.bayes_jeffreys_predictive], ids=["snml", "bayes"])
