@@ -627,6 +627,15 @@ class Tweedie32(Family):
     _saturated_log_likelihood = staticmethod(tweedie_ops.saturated_log_likelihood)
     _divergence = staticmethod(tweedie_ops.divergence)
 
+    def _log_jeffreys_normalizer(self, n: int, mean: float) -> float | None:
+        # with u = mu^(1/4), D(x-bar || mu) = (u - c / u)^2 for c = sqrt(x-bar)
+        # and d mu / sigma(mu) = 2 sqrt(2) du.  By the Cauchy-Schlomilch
+        # identity the integral of exp(-n (u - c / u)^2) over u > 0 is that of
+        # exp(-n v^2) over v > 0, sqrt(pi / n) / 2, for every c >= 0: so
+        # C = sqrt(2 pi / n) whatever x-bar.  At n = 0 the Jeffreys prior
+        # itself is improper, which the integral reports as ImproperPosterior
+        return 0.5 * math.log(2.0 * math.pi / n) if n else None
+
     def geodesic_from_mean(self, mu: float, reference: float) -> float:
         return 2.0 * math.sqrt(2.0) * (mu ** 0.25 - reference ** 0.25)
 
@@ -666,15 +675,19 @@ class Bernoulli(Family):
         return float(np.logaddexp(0.0, theta))
 
     def _saturated_log_likelihood(self, x: float, k: int = 1) -> float:
-        # log of the Binomial(k, x / k) mass at x, with 0 log 0 = 0; a single
-        # draw is its own mean and has mass 1
-        if k == 1:
+        # log of the Binomial(k, x / k) mass at x, through the Stirling
+        # remainders of k!, x! and (k - x)!, which cancel nothing and build no
+        # big binomial coefficient; draws all alike are their own mean and
+        # have mass 1
+        if x == 0.0 or x == k:
             return 0.0
-        out = math.log(math.comb(k, int(x)))
-        for count in (x, k - x):
-            if count:
-                out += count * math.log(count / k)
-        return out
+        return (
+            _stirling_remainder(k)
+            - _stirling_remainder(x)
+            - _stirling_remainder(k - x)
+            - _HALF_LOG_2PI
+            - 0.5 * (math.log(x) + math.log(k - x) - math.log(k))
+        )
 
     def _divergence(self, mu0: float, mu1: float) -> float:
         if mu0 == mu1:

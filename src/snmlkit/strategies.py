@@ -34,11 +34,11 @@ chains the gains over its continuation.  Only the normalizers differ:
 * SNML divides each step by its Shtarkov integral Z(n, x-bar) over y;
 * Jeffreys-Bayes multiplies each step by C(n + 1, x-bar') / C(n, x-bar), C
   the Jeffreys normalizer relative to the sup-likelihood
-  (``_jeffreys_posterior``).  On the full mean domain Bernoulli and Poisson
-  give C in closed form (``Family._log_jeffreys_normalizer``), and every
-  other case takes one integral (``_concentration_integral``).  Over a
-  continuation these ratios telescope to C(m, x-bar_m) / C(n, x-bar_n): two
-  normalizers at any horizon;
+  (``_jeffreys_posterior``).  On the full mean domain Bernoulli, Poisson and
+  Tweedie 3/2 give C in closed form (``Family._log_jeffreys_normalizer``),
+  and every other case takes one integral (``_concentration_integral``).
+  Over a continuation these ratios telescope to
+  C(m, x-bar_m) / C(n, x-bar_n): two normalizers at any horizon;
 * CNML divides by one Shtarkov integral over all n - m free observations.
   They enter only through the sum t of their sufficient statistics, so it
   is one integral, or one sum, over t, and SNML's Z is its k = 1 case.
@@ -149,13 +149,22 @@ def _history_mean(family: Family, n: int, total: int) -> float:
     the strategy integrands see the history only through n and x-bar.  That
     needs a member with mean x-bar, so a degenerate maximum-likelihood mean
     (an all-zero history under Gamma, on any mean domain) raises DomainError
-    here, before any quadrature.
+    here, before any quadrature.  So does a mean so far outside a restricted
+    mean domain that n D(x-bar || clip x-bar), the history's log-likelihood
+    ratio against the full family, overflows: every weight would take
+    inf - inf.
     """
     if not n:
         return 0.0
     mean = exact_mean(n, total)
     if not family._full_mean_domain().contains(mean):
         raise DomainError(f"n={n} observations have mean {mean!r}, and kind {family.kind} has no member with it")
+    clipped = family.mean_domain.clip(mean)
+    if clipped != mean and n * family._divergence(mean, clipped) == math.inf:
+        raise DomainError(
+            f"n={n} observations have mean {mean!r}, so far outside the mean domain "
+            f"{family.mean_domain.bounds()} of kind {family.kind} that their log-likelihood ratio overflows"
+        )
     return mean
 
 
@@ -358,8 +367,8 @@ def _concentration_integral(family: Family, n: int, mean: float, tol_abs: float,
 def _jeffreys_posterior(family: Family, n: int, mean: float) -> float:
     """log C(n, x-bar), the Jeffreys posterior normalizer of a history of n
     observations with mean x-bar, relative to its sup-likelihood: the
-    family's closed form on its full mean domain where it has one, else the
-    concentration integral."""
+    family's closed form on its full mean domain where it has one (Bernoulli,
+    Poisson and Tweedie 3/2), else the concentration integral."""
     if family.mean_domain == family._full_mean_domain():
         closed = family._log_jeffreys_normalizer(n, mean)
         if closed is not None:
@@ -379,8 +388,12 @@ def _predictive(family: Family, strategy: str, history: Iterable[float]) -> Pred
         return PredictiveDistribution(family, gain, _snml_log_normalizer(base, n, mean))
 
     def log_weight(y: float) -> float:
+        head = gain(y)
+        # a zero weight needs no normalizer, which a history extended far out may not have
+        if head == -math.inf:
+            return head
         extended = _history_mean(base, n + 1, total + base._exact_statistic(y))
-        return gain(y) + _jeffreys_posterior(base, n + 1, extended)
+        return head + _jeffreys_posterior(base, n + 1, extended)
 
     return PredictiveDistribution(family, log_weight, _jeffreys_posterior(base, n, mean))
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from math import lgamma
@@ -221,8 +222,9 @@ def test_bernoulli_jeffreys_normalizer_matches_mpmath(n):
     [
         (sk.Poisson(), lambda n: (0, 1, 3, 2 * n, 37 * n)),
         (sk.Bernoulli(), lambda n: (0, 1, n // 3, n - 1, n)),
+        (sk.Tweedie32(), lambda n: (0, 1e-6 * n, n, 1e3 * n, 1e10 * n, 1e20 * n)),
     ],
-    ids=["poisson", "bernoulli"],
+    ids=["poisson", "bernoulli", "tweedie"],
 )
 @pytest.mark.parametrize("n", [1, 2, 5, 17, 100])
 def test_jeffreys_closed_forms_match_the_concentration_integral(family, totals, n):
@@ -232,11 +234,47 @@ def test_jeffreys_closed_forms_match_the_concentration_integral(family, totals, 
         assert abs(family._log_jeffreys_normalizer(n, mean) - want) <= 1e-10, total
 
 
+def mp_tweedie_log_jeffreys(n, mean):
+    """log of the integral of exp(-n D(x-bar || mu)) / sigma(mu) over mu > 0,
+    by mpmath quadrature.  With u = mu^(1/4) and r = x-bar^(1/4) it is
+    2 sqrt(2) times the integral of exp(-n (u - r^2 / u)^2) over u > 0, a
+    bump 1 / sqrt(n) wide at u = r.  It is taken in z with
+    u = r (1 + e z), e = 1 / (sqrt(n) r), where the exponent is
+    -(z (2 + e z) / (1 + e z))^2 at any scale; for x-bar = 0 in z = sqrt(n) u."""
+    with mpmath.workdps(40):
+        n = mpmath.mpf(n)
+        if mean == 0.0:
+            lo, f = 0, lambda z: mpmath.exp(-z * z)
+        else:
+            e = 1 / (mpmath.sqrt(n) * mpmath.mpf(mean) ** 0.25)
+            lo = -1 / e
+            f = lambda z: mpmath.exp(-((z * (2 + e * z) / (1 + e * z)) ** 2)) if 1 + e * z else 0
+        points = [lo] + [z for z in (-8, -2, 0, 2, 8) if z > lo] + [mpmath.inf]
+        return mpmath.log(2 * mpmath.sqrt(2) / mpmath.sqrt(n) * mpmath.quad(f, points))
+
+
+@pytest.mark.parametrize("mean", [0.0, 1e-300, 1e-6, 1.0, 1e20, 1e300])
+@pytest.mark.parametrize("n", [1, 2, 6, 7, 100, 10**6, 10**16])
+def test_tweedie_jeffreys_normalizer_matches_mpmath(n, mean):
+    """log(2 pi / n) / 2 whatever x-bar, against the integral itself."""
+    want = mp_tweedie_log_jeffreys(n, mean)
+    got = sk.Tweedie32()._log_jeffreys_normalizer(n, mean)
+    assert abs(float(got - want)) <= 1e-13 * abs(float(want))
+
+
+def test_tweedie_jeffreys_normalizer_of_no_history_is_improper():
+    """The Jeffreys prior itself does not normalize."""
+    with pytest.raises(ImproperPosterior, match="n=0"):
+        strategies._jeffreys_posterior(sk.Tweedie32(), 0, 0.0)
+
+
 # The Bayes values of every family and domain whose Jeffreys normalizer is an
 # integral, as float.hex: the Bayes predictive's log normalizer and log
 # density at values[t] after values[:t] for t = 1, 2, 3, then the log joint
 # of values[1:] after values[0].  Recorded at commit a326dfd, before any
-# closed form, so they show those paths untouched.
+# closed form, so they show those paths untouched; tweedie-restricted at
+# f299fe0, the commit before Tweedie's closed form, whose full domain is
+# checked against mpmath instead (test_tweedie_bayes_values_match_mpmath).
 BAYES_QUADRATURE_CORPUS = {
     "gaussian": (
         sk.GaussianLocation(1.0),
@@ -288,15 +326,15 @@ BAYES_QUADRATURE_CORPUS = {
         ),
         "-0x1.8e9aa493e08d3p+2",
     ),
-    "tweedie": (
-        sk.Tweedie32(),
-        (1.2, 0.0, 2.6, 0.7),
+    "tweedie-restricted": (
+        sk.Tweedie32(mean_domain=(1.0, 3.0)),
+        (1.2, 0.0, 9.0, 0.7),
         (
-            ("0x1.d67f1c864beb7p-1", "-0x1.410abbe4c6a27p+0"),
-            ("0x1.250d048e7a1bfp-1", "-0x1.60f92e1a7eef9p+1"),
-            ("0x1.7a80e9b6f7756p-2", "-0x1.8b6f79936e9fep+0"),
+            ("-0x1.70650f56fed48p-3", "-0x1.505db89445b89p+0"),
+            ("-0x1.f05557ac0bb8ep-2", "-0x1.431b8bb362c19p+2"),
+            ("-0x1.54fbbc3aa9d00p-1", "-0x1.9ac927335d460p+0"),
         ),
-        "-0x1.639b246b4cc86p+2",
+        "-0x1.fde543a54b814p+2",
     ),
     "levy": (
         LEVY,
@@ -338,6 +376,25 @@ def test_integral_bayes_values_are_bit_identical(name):
         pred = sk.bayes_jeffreys_predictive(family, values[:t])
         assert (pred.log_normalizer.hex(), pred.log_density(values[t]).hex()) == (log_normalizer, log_density), t
     assert strategies._log_joint(family, "bayes", ObservationSequence(values, 1)).hex() == joint
+
+
+def test_tweedie_bayes_values_match_mpmath():
+    """The corpus entry of the full-domain Tweedie, whose Jeffreys normalizer
+    is now closed: the log normalizer, log(2 pi / t) / 2, and the log density
+    at values[t] after values[:t] for t = 1, 2, 3, then the log joint of
+    values[1:] after values[0], the sum of those log densities, each within
+    1e-15 relative of mpmath."""
+    family, values = sk.Tweedie32(), (1.2, 0.0, 2.6, 0.7)
+    densities = []
+    for t in (1, 2, 3):
+        pred = sk.bayes_jeffreys_predictive(family, values[:t])
+        with mpmath.workdps(50):
+            want = float(mpmath.log(2 * mpmath.pi / t) / 2)
+        assert abs(pred.log_normalizer - want) <= 1e-15 * abs(want), t
+        densities.append(mp_tweedie_log_predictive(values[:t], values[t]))
+        assert abs(pred.log_density(values[t]) - densities[-1]) <= 1e-15 * abs(densities[-1]), t
+    want = math.fsum(densities)
+    assert abs(strategies._log_joint(family, "bayes", ObservationSequence(values, 1)) - want) <= 1e-15 * abs(want)
 
 
 RESTRICTED_BAYES_CASES = [
@@ -796,17 +853,47 @@ def test_bayes_joint_takes_two_concentration_integrals_at_any_horizon(monkeypatc
         assert cache.cache_info().misses == len(calls) == 2, k
 
 
+AFFINE_TWEEDIE = sk.transform_family(sk.Tweedie32(), lambda x: 3.0 * x + 1.0, lambda y: (y - 1.0) / 3.0, lambda y: 1.0 / 3.0)
+
+
 @pytest.mark.parametrize(
     "family,values",
-    [(sk.Poisson(), (1.0, 2.0, 5.0, 3.0, 0.0, 4.0)), (sk.Bernoulli(), (1.0, 0.0, 1.0, 1.0, 0.0, 0.0))],
-    ids=["poisson", "bernoulli"],
+    [
+        (sk.Poisson(), (1.0, 2.0, 5.0, 3.0, 0.0, 4.0)),
+        (sk.Bernoulli(), (1.0, 0.0, 1.0, 1.0, 0.0, 0.0)),
+        (sk.Tweedie32(), (1.2, 0.0, 2.6, 0.7, 3.1, 0.0)),
+        (AFFINE_TWEEDIE, (4.6, 1.0, 8.8, 3.1, 10.3, 1.0)),
+    ],
+    ids=["poisson", "bernoulli", "tweedie", "affine-tweedie"],
 )
-def test_full_domain_counting_bayes_takes_no_integral(family, values, integrand_calls):
-    """Their Jeffreys normalizers are in closed form, and Bernoulli's joints exact."""
+def test_full_domain_closed_form_bayes_takes_no_integral(family, values, integrand_calls):
+    """Their Jeffreys normalizers are in closed form, and Bernoulli's joints
+    exact; a transformed family takes its base family's."""
     pred = sk.bayes_jeffreys_predictive(family, values[:3])
     pred.log_density(values[3])
+    pred.log_density(values[4])
     sk.strategy_joint(family, "bayes", ObservationSequence(values, m=1))
+    sk.conditional_regret(family, "bayes", ObservationSequence(values, m=2))
     assert integrand_calls.count == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sk.bayes_jeffreys_predictive(sk.Tweedie32(mean_domain=(1.0, 3.0)), (1.2,)),
+        lambda: sk.snml_predictive(sk.Tweedie32(), (1.2,)),
+        lambda: sk.strategy_joint(sk.Tweedie32(), "cnml", ObservationSequence((1.2, 0.0, 2.6), 1)),
+        lambda: sk.condition_integral(sk.Tweedie32(), 1.2, 2),
+        lambda: sk.check_constancy(sk.Tweedie32(), 2, (0.5, 2.0)),
+        lambda: sk.laplace_asymptotics_check(sk.Tweedie32(), 1.0, n_list=(2, 5)),
+    ],
+    ids=["restricted-bayes", "snml", "cnml", "condition-integral", "constancy", "laplace"],
+)
+def test_tweedie_keeps_the_integral_off_the_full_domain_bayes(call, integrand_calls):
+    """Restricted domains, the Shtarkov normalizers and the analyses, whose
+    numerical C the closed form checks, still integrate."""
+    call()
+    assert integrand_calls.count > 0
 
 
 JOINT_ORACLE_VALUES = {
@@ -976,6 +1063,38 @@ def test_bernoulli_cnml_regret_at_one_thousand(strategy, m):
         want = float(mpmath.log(mpmath.fsum(terms)))
     record = sk.conditional_regret(sk.Bernoulli(), strategy, ObservationSequence(values, m))
     assert record.regret == pytest.approx(want, rel=1e-12)
+
+
+def mp_bernoulli_saturated(k, t):
+    """l*_k(t) = log of the Binomial(k, t / k) mass at t, at 40 digits."""
+    with mpmath.workdps(40):
+        k, t = mpmath.mpf(k), mpmath.mpf(t)
+        return mpmath.log(mpmath.binomial(k, t)) + mp_bernoulli_log_sup(k, t)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 29, 30, 31, 61, 1000, 3000, 10**5, 10**6])
+def test_bernoulli_saturated_log_likelihood_matches_mpmath(k):
+    """From the Stirling remainders, on both sides of their switch at 30."""
+    family = sk.Bernoulli()
+    for t in sorted({1, 2, 29, 30, 31, k // 3, k // 2, k - 31, k - 30, k - 29, k - 2, k - 1}):
+        if 0 < t < k:
+            want = mp_bernoulli_saturated(k, t)
+            assert abs(float(family._saturated_log_likelihood(float(t), k) - want)) <= 1e-13 * abs(float(want)), t
+    assert family._saturated_log_likelihood(0.0, k) == family._saturated_log_likelihood(float(k), k) == 0.0
+
+
+def test_bernoulli_cnml_log_joint_of_three_thousand_draws_is_fast():
+    """l*_k was the log of math.comb(k, t), a big integer: the k + 1 terms of
+    the CNML normalizer took 0.76 s of the 0.88 s of this joint.  The best of
+    five runs, each with cold caches."""
+    seq = ObservationSequence(LONG_BITS, 10)
+    times = []
+    for _ in range(5):
+        strategies._snml_log_normalizer.cache_clear()
+        start = time.perf_counter()
+        strategies._log_joint(sk.Bernoulli(), "cnml", seq)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.05, times
 
 
 def assert_relative(got, want, rel):
@@ -1382,6 +1501,40 @@ def test_unsettled_normalizers_raise_typed_errors(strategy, error, free):
         assert f"k={free} " in str(caught.value)
 
 
+RESTRICTED_GAUSSIAN, RESTRICTED_POISSON = sk.GaussianLocation(1.0, mean_domain=(0.0, 1.0)), sk.Poisson(mean_domain=(0.5, 20.0))
+FAR_OUTSIDE_THE_MEAN_DOMAIN = {
+    "gaussian-snml": lambda: sk.snml_predictive(RESTRICTED_GAUSSIAN, (-1e200,)),
+    "gaussian-bayes": lambda: sk.bayes_jeffreys_predictive(RESTRICTED_GAUSSIAN, (-1e200,)),
+    "gaussian-cnml": lambda: sk.strategy_joint(
+        RESTRICTED_GAUSSIAN, "cnml", ObservationSequence((-1e-6, -1e12, 1e300, -1e-300), 2)
+    ),
+    "poisson-snml": lambda: sk.snml_predictive(RESTRICTED_POISSON, (1e307,)),
+    "poisson-bayes": lambda: sk.bayes_jeffreys_predictive(RESTRICTED_POISSON, (1e307,)),
+}
+
+
+@pytest.mark.parametrize("call", FAR_OUTSIDE_THE_MEAN_DOMAIN.values(), ids=FAR_OUTSIDE_THE_MEAN_DOMAIN)
+def test_history_far_outside_a_restricted_mean_domain_raises_before_any_integral(call, integrand_calls):
+    """n D(x-bar || clip x-bar) overflows, and every weight took inf - inf:
+    the predictives raised NanIntegrand and the CNML joint returned nan.
+    DomainError names n and x-bar."""
+    with pytest.raises(sk.DomainError, match=r"n=\d+ observations have mean .* overflows"):
+        call()
+    assert integrand_calls.count == 0
+
+
+@pytest.mark.parametrize(
+    "family,history,y",
+    [(RESTRICTED_GAUSSIAN, (0.5,), 1e160), (RESTRICTED_GAUSSIAN, (0.5,), -1e200), (RESTRICTED_POISSON, (2.0,), 1e307)],
+)
+def test_bayes_density_where_the_weight_vanishes_needs_no_normalizer(family, history, y):
+    """The sup-likelihood of the history extended by y is 0, so the Jeffreys
+    density is too, though the extended history has no normalizer; it raised
+    NanIntegrand."""
+    assert sk.bayes_jeffreys_predictive(family, history).log_density(y) == -math.inf
+    assert sk.snml_predictive(family, history).log_density(y) == -math.inf
+
+
 BUILT_IN = {
     "GaussianLocation(sigma2=1.0)": sk.GaussianLocation(1.0),
     "GammaShape(shape=0.5)": sk.GammaShape(0.5),
@@ -1528,8 +1681,9 @@ def test_tweedie_snml_matches_closed_form_across_scales(scale):
 
 
 def mp_tweedie_log_predictive(history, y):
-    """tweedie_log_predictive at 50 digits, with mpmath's I_1."""
-    with mpmath.workdps(50):
+    """tweedie_log_predictive with mpmath's I_1, at 50 digits more than the
+    square roots of the sums, whose leading digits cancel."""
+    with mpmath.workdps(50 + int(math.log10(1.0 + math.fsum(history) + y)) // 2):
         n, s, y = len(history), mpmath.fsum(mpmath.mpf(v) for v in history), mpmath.mpf(y)
         log_h = 0 if y == 0 else mpmath.log(mpmath.besseli(1, 2 * mpmath.sqrt(y))) - mpmath.log(y) / 2
         return float(
@@ -1552,6 +1706,21 @@ def test_tweedie_predictives_far_from_zero(history):
         for y in points:
             want = mp_tweedie_log_predictive(history, y)
             assert abs(pred.log_density(y) - want) <= 1e-10 * max(1.0, abs(want)), (strategy.__name__, y)
+
+
+@pytest.mark.parametrize("history", [(1e-300,), (1e-6, 3e-6), (1e20,), (1e20, 3e20, 5e19), (1e100,), (1e300,)])
+def test_tweedie_bayes_far_from_zero(history):
+    """The Jeffreys normalizer sqrt(2 pi / n) takes no integral, so the Bayes
+    predictive holds at any magnitude.  As an integral it read log C
+    2.9e-13 relative off log(2 pi) / 2 after (1e20,), and evaluated to 0, so
+    that the predictive raised ImproperPosterior, after (1e100,) and
+    (1e300,)."""
+    x = math.fsum(history) / len(history)
+    pred = sk.bayes_jeffreys_predictive(sk.Tweedie32(), history)
+    assert pred.log_normalizer == 0.5 * math.log(2.0 * math.pi / len(history))
+    for y in (0.0, 0.01 * x, x, 100.0 * x):
+        want = mp_tweedie_log_predictive(history, y)
+        assert abs(pred.log_density(y) - want) <= 1e-13 * max(1.0, abs(want)), y
 
 
 @pytest.mark.parametrize("shape,want", [(0.5, math.inf), (2.0, -math.inf)])
