@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _json, analysis, families, strategies, tweedie
-from .analysis import Verdict
+from .analysis import Verdict, _fmt
 from .errors import SnmlkitError
 from .families import ObservationSequence
 
@@ -31,10 +31,6 @@ _FAMILY_KINDS = {
     "poisson": "poisson",
 }
 _FAMILY_NAMES = tuple(_FAMILY_KINDS)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:

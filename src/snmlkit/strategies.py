@@ -577,8 +577,9 @@ def nml_joint(family: Family, seq: ObservationSequence) -> float | Fraction:
 
 
 def shtarkov_sum(family: Family, n: int) -> Fraction:
-    """Exact Shtarkov sum over {0,1}^n (Bernoulli on the maximal domain)."""
-    if family != _EXACT_BERNOULLI:
+    """Exact Shtarkov sum over n draws of Bernoulli on the maximal domain,
+    transformed or not (a counting support has no Jacobian)."""
+    if family._untransformed(())[0] != _EXACT_BERNOULLI:
         raise DivergentNormalizer("exact Shtarkov sums are available for the maximal Bernoulli family only")
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -595,7 +596,8 @@ def strategy_joint(family: Family, strategy: str, seq: ObservationSequence) -> f
 
 def conditional_regret(family: Family, strategy: str, seq: ObservationSequence) -> RegretRecord:
     """Excess log loss of the strategy over the best single family member."""
-    strategy_loss = -_log_joint(family, strategy, seq)
+    # 0.0 - x, not -x: nothing predicted (m = n) loses 0.0, not -0.0
+    strategy_loss = 0.0 - _log_joint(family, strategy, seq)
     best = family.sup_log_likelihood(seq.values)
     return RegretRecord(
         strategy_loss=strategy_loss,

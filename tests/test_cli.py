@@ -182,6 +182,13 @@ class TestRegret:
             payload["strategy_loss"] + payload["best_expert_loglik"], abs=1e-12
         )
 
+    def test_nothing_predicted_prints_positive_zero_loss(self, capsys):
+        code, out, err = run(capsys, "regret", "--family", "bernoulli", "--seq", "1", "--m", "1", "--format", "json")
+        assert code == 0, err
+        assert '"strategy_loss": 0.0' in out
+        loss = json.loads(out)["strategy_loss"]
+        assert loss == 0.0 and math.copysign(1.0, loss) == 1.0
+
     def test_bernoulli_regret_of_three_thousand_values(self, capsys):
         """Exact Bernoulli takes the float route for its regret, where the
         exact SNML joint of 3000 values would take minutes."""

@@ -2,10 +2,11 @@
 
 import dataclasses
 import math
+import sys
 
 import mpmath
 import pytest
-from hypothesis import assume, given, strategies as hs
+from hypothesis import assume, given, settings, strategies as hs
 
 import snmlkit as sk
 from snmlkit import quadrature
@@ -195,6 +196,90 @@ class TestKl:
             spacing = abs(mu1 - mu0) * (fam.shape / mu1 if name.startswith("gamma") else 1.0)
             got = fam.kl_divergence(mu0, mu1)
             assert abs(got - want) <= 1e-13 * want + 8 * EPS * spacing, (mu0, mu1, got, want)
+
+
+# ---- the counting kernels ---------------------------------------------------
+
+
+def reference_poisson_divergence(mu0, mu1):
+    """Poisson's divergence with its zero and infinite means as guards: the
+    reference of the shared counting kernel."""
+    if mu1 == 0.0:
+        return 0.0 if mu0 == 0.0 else math.inf
+    if math.isinf(mu1):
+        return math.inf
+    r = mu1 / mu0 if mu0 else math.inf
+    if r == 0.0:
+        return math.inf
+    return mu0 * (r - 1.0 - math.log(r)) if r < math.inf else mu1
+
+
+def reference_bernoulli_divergence(mu0, mu1):
+    """Bernoulli's divergence as a loop over its two terms: the reference of
+    its sum of two counting kernels."""
+    if mu0 == mu1:
+        return 0.0
+    terms = 0.0
+    for p, q in ((mu0, mu1), (1.0 - mu0, 1.0 - mu1)):
+        r = q / p if p else math.inf
+        if r == 0.0:
+            return math.inf
+        terms += p * (r - 1.0 - math.log(r)) if r < math.inf else q
+    return terms
+
+
+POISSON_EDGES = (0.0, 5e-324, 1e-300, 0.5, 1.0 - EPS / 2, 1.0, 1.0 + EPS, 30.0, 1e300, sys.float_info.max, math.inf)
+BERNOULLI_EDGES = (0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0 - 1e-8, 1.0 - EPS / 2, 1.0)
+
+
+def near(edges, lo, hi):
+    """A float from the edges or the range, or one a few ulps from either."""
+    base = hs.one_of(hs.sampled_from(edges), hs.floats(lo, hi))
+    return hs.one_of(
+        base,
+        hs.tuples(base.filter(math.isfinite), hs.integers(-4, 4)).map(
+            lambda t: min(max(t[0] + t[1] * math.ulp(t[0]), lo), hi)
+        ),
+    )
+
+
+class TestCountingKernels:
+    """Poisson's divergence takes its zero and infinite means as limits of
+    p (r - 1 - log r), and Bernoulli's is the sum of a Poisson pair's."""
+
+    def test_poisson_divergence_limits(self):
+        D = sk.Poisson()._divergence
+        assert D(0.0, 0.0) == 0.0
+        for q in (5e-324, 0.5, 1e300, sys.float_info.max):
+            assert D(0.0, q) == q
+        for p in (5e-324, 0.5, 1e300, sys.float_info.max, math.inf):
+            assert D(p, 0.0) == math.inf
+            assert D(p, math.inf) == math.inf
+        assert D(0.0, math.inf) == math.inf
+        for q in (5e-324, 0.5, 1e300, sys.float_info.max, math.inf):
+            assert D(math.inf, q) == math.inf
+
+    def test_bernoulli_divergence_at_the_atoms(self):
+        D = sk.Bernoulli()._divergence
+        assert D(0.0, 0.0) == D(1.0, 1.0) == 0.0
+        for p in (5e-324, 0.5, 1.0 - EPS / 2, 1.0):
+            assert D(p, 0.0) == math.inf
+        for p in (0.0, 5e-324, 0.5, 1.0 - EPS / 2):
+            assert D(p, 1.0) == math.inf
+        for q in (1e-300, 0.25, 0.5, 0.9):
+            # a point mass against a member: -log of the member's mass there
+            assert D(0.0, q) == pytest.approx(-math.log1p(-q), rel=1e-14)
+            assert D(1.0, q) == pytest.approx(-math.log(q), rel=1e-14)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(mu0=near(POISSON_EDGES, 0.0, math.inf), mu1=near(POISSON_EDGES, 0.0, math.inf))
+    def test_poisson_divergence_is_the_reference(self, mu0, mu1):
+        assert sk.Poisson()._divergence(mu0, mu1) == reference_poisson_divergence(mu0, mu1)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(mu0=near(BERNOULLI_EDGES, 0.0, 1.0), mu1=near(BERNOULLI_EDGES, 0.0, 1.0))
+    def test_bernoulli_divergence_is_the_reference(self, mu0, mu1):
+        assert sk.Bernoulli()._divergence(mu0, mu1) == reference_bernoulli_divergence(mu0, mu1)
 
 
 # ---- variance and sigma ------------------------------------------------------

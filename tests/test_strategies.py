@@ -773,6 +773,12 @@ class TestShtarkov:
         with pytest.raises(DivergentNormalizer):
             sk.shtarkov_sum(sk.GaussianLocation(1.0), 2)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_transformed_bernoulli_has_the_same_sum(self, n):
+        """A counting support has no Jacobian, so the image of Bernoulli
+        under y = 2x + 1 has Bernoulli's sum, as nml_joint already divides by."""
+        assert sk.shtarkov_sum(AFFINE_BERNOULLI, n) == sk.shtarkov_sum(sk.Bernoulli(), n)
+
 
 # ---- joints --------------------------------------------------------------------
 
@@ -1346,6 +1352,13 @@ class TestRegret:
         record = sk.conditional_regret(sk.GammaShape(1.0), strategy, ObservationSequence((1e-8,) * 45, 1))
         want = lgamma(45.0) + math.log(1e-8) - 45.0 * math.log(45e-8)
         assert record.strategy_loss == pytest.approx(-want, rel=1e-10)
+
+    @pytest.mark.parametrize("strategy", ["snml", "bayes", "cnml"])
+    def test_nothing_predicted_loses_positive_zero(self, strategy):
+        """With m = n the joint is 1: its loss is 0.0, not -0.0."""
+        record = sk.conditional_regret(sk.Bernoulli(), strategy, ObservationSequence((1.0,), 1))
+        assert record.strategy_loss == 0.0 and math.copysign(1.0, record.strategy_loss) == 1.0
+        assert record.regret == record.best_expert_loglik == 0.0
 
     def test_snml_regret_nonnegative_for_bernoulli(self):
         record = sk.conditional_regret(sk.Bernoulli(), "snml", ObservationSequence((1.0, 0.0, 1.0)))
