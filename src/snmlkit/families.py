@@ -454,6 +454,14 @@ def _half_stirling_remainder(z: float) -> float:
     return math.lgamma(z + 0.5) - z * math.log(z) + z - _HALF_LOG_2PI
 
 
+def _gaussian_log_jeffreys_normalizer(n: int, mean: float) -> float | None:
+    """log C(n, x-bar) = log(2 pi / n) / 2 whatever x-bar, for the families
+    whose concentration integral is a Gaussian integral in some coordinate
+    (GaussianLocation, Tweedie32).  None at n = 0, where the Jeffreys prior
+    itself is improper, which the integral reports as ImproperPosterior."""
+    return 0.5 * math.log(2.0 * math.pi / n) if n else None
+
+
 # The counting kernels.  Binomial(k, mu) is the first of two independent
 # Poissons, with means k mu and k (1 - mu), given that their sum is k.  So
 # Bernoulli's divergence is the sum of the pair's, and its l*_k(x) is
@@ -528,6 +536,11 @@ class GaussianLocation(Family):
     def _divergence(self, mu0: float, mu1: float) -> float:
         d = mu0 - mu1
         return d * d / (2.0 * self.sigma2)
+
+    # with beta = (mu - x-bar) / sigma, n D(x-bar || mu) = n beta^2 / 2 and
+    # d mu / sigma = d beta: C is the integral of exp(-n beta^2 / 2) over the
+    # line, sqrt(2 pi / n), for every sigma2 and x-bar
+    _log_jeffreys_normalizer = staticmethod(_gaussian_log_jeffreys_normalizer)
 
     def geodesic_from_mean(self, mu: float, reference: float) -> float:
         return (mu - reference) / self._scale
@@ -658,14 +671,12 @@ class Tweedie32(Family):
     _saturated_log_likelihood = staticmethod(tweedie_ops.saturated_log_likelihood)
     _divergence = staticmethod(tweedie_ops.divergence)
 
-    def _log_jeffreys_normalizer(self, n: int, mean: float) -> float | None:
-        # with u = mu^(1/4), D(x-bar || mu) = (u - c / u)^2 for c = sqrt(x-bar)
-        # and d mu / sigma(mu) = 2 sqrt(2) du.  By the Cauchy-Schlomilch
-        # identity the integral of exp(-n (u - c / u)^2) over u > 0 is that of
-        # exp(-n v^2) over v > 0, sqrt(pi / n) / 2, for every c >= 0: so
-        # C = sqrt(2 pi / n) whatever x-bar.  At n = 0 the Jeffreys prior
-        # itself is improper, which the integral reports as ImproperPosterior
-        return 0.5 * math.log(2.0 * math.pi / n) if n else None
+    # with u = mu^(1/4), D(x-bar || mu) = (u - c / u)^2 for c = sqrt(x-bar) and
+    # d mu / sigma(mu) = 2 sqrt(2) du.  By the Cauchy-Schlomilch identity the
+    # integral of exp(-n (u - c / u)^2) over u > 0 is that of exp(-n v^2) over
+    # v > 0, sqrt(pi / n) / 2, for every c >= 0: so C = sqrt(2 pi / n)
+    # whatever x-bar
+    _log_jeffreys_normalizer = staticmethod(_gaussian_log_jeffreys_normalizer)
 
     def geodesic_from_mean(self, mu: float, reference: float) -> float:
         return 2.0 * math.sqrt(2.0) * (mu ** 0.25 - reference ** 0.25)

@@ -34,9 +34,10 @@ chains the gains over its continuation.  Only the normalizers differ:
 * SNML divides each step by its Shtarkov integral Z(n, x-bar) over y;
 * Jeffreys-Bayes multiplies each step by C(n + 1, x-bar') / C(n, x-bar), C
   the Jeffreys normalizer relative to the sup-likelihood
-  (``_jeffreys_posterior``).  On the full mean domain Bernoulli, Poisson and
-  Tweedie 3/2 give C in closed form (``Family._log_jeffreys_normalizer``),
-  and every other case takes one integral (``_concentration_integral``).
+  (``_jeffreys_posterior``).  On the full mean domain the Gaussian,
+  Bernoulli, Poisson and Tweedie 3/2 give C in closed form
+  (``Family._log_jeffreys_normalizer``), and every other case takes one
+  integral (``_concentration_integral``).
   Over a continuation these ratios telescope to
   C(m, x-bar_m) / C(n, x-bar_n): two normalizers at any horizon;
 * CNML divides by one Shtarkov integral over all n - m free observations.
@@ -367,8 +368,8 @@ def _concentration_integral(family: Family, n: int, mean: float, tol_abs: float,
 def _jeffreys_posterior(family: Family, n: int, mean: float) -> float:
     """log C(n, x-bar), the Jeffreys posterior normalizer of a history of n
     observations with mean x-bar, relative to its sup-likelihood: the
-    family's closed form on its full mean domain where it has one (Bernoulli,
-    Poisson and Tweedie 3/2), else the concentration integral."""
+    family's closed form on its full mean domain where it has one (Gaussian,
+    Bernoulli, Poisson and Tweedie 3/2), else the concentration integral."""
     if family.mean_domain == family._full_mean_domain():
         closed = family._log_jeffreys_normalizer(n, mean)
         if closed is not None:

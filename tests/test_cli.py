@@ -86,6 +86,26 @@ class TestPredict:
         assert payload["strategy"] == "bayes"
         assert payload["density"][0] == pytest.approx(0.25, rel=1e-9)
 
+    def test_gaussian_bayes_far_from_zero(self, capsys):
+        """N(1e12, 2) at its mean, 1 / (2 sqrt(pi)).  The normalizer is closed;
+        as an integral it exited 2 with "quadrature did not converge"."""
+        code, out, err = run(
+            capsys,
+            "predict",
+            "--family",
+            "gaussian",
+            "--strategy",
+            "bayes",
+            "--history",
+            "1e12",
+            "--points",
+            "1e12",
+            "--format",
+            "json",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["density"] == [0.28209479177387814]
+
     def test_missing_points_exits_2(self, capsys):
         code, _, err = run(capsys, "predict", "--family", "gaussian", "--points", "")
         assert code == 2

@@ -223,8 +223,10 @@ def test_bernoulli_jeffreys_normalizer_matches_mpmath(n):
         (sk.Poisson(), lambda n: (0, 1, 3, 2 * n, 37 * n)),
         (sk.Bernoulli(), lambda n: (0, 1, n // 3, n - 1, n)),
         (sk.Tweedie32(), lambda n: (0, 1e-6 * n, n, 1e3 * n, 1e10 * n, 1e20 * n)),
+        (sk.GaussianLocation(1.0), lambda n: (-1e6 * n, -n, 0, 0.3 * n, 1e3 * n, 1e6 * n)),
+        (sk.GaussianLocation(4.0), lambda n: (-1e6 * n, -n, 0, 0.3 * n, 1e3 * n, 1e6 * n)),
     ],
-    ids=["poisson", "bernoulli", "tweedie"],
+    ids=["poisson", "bernoulli", "tweedie", "gaussian", "gaussian-4"],
 )
 @pytest.mark.parametrize("n", [1, 2, 5, 17, 100])
 def test_jeffreys_closed_forms_match_the_concentration_integral(family, totals, n):
@@ -268,24 +270,39 @@ def test_tweedie_jeffreys_normalizer_of_no_history_is_improper():
         strategies._jeffreys_posterior(sk.Tweedie32(), 0, 0.0)
 
 
+def mp_gaussian_log_jeffreys(sigma2, n):
+    """log of the integral of exp(-n D(x-bar || mu)) / sigma over the line, by
+    mpmath quadrature, taken in the offset d = mu - x-bar, where
+    D(x-bar || mu) = d^2 / (2 sigma2) whatever x-bar: a bump sigma / sqrt(n)
+    wide at d = 0."""
+    with mpmath.workdps(40):
+        sigma2, n = mpmath.mpf(sigma2), mpmath.mpf(n)
+        width = mpmath.sqrt(sigma2 / n)
+        points = [-mpmath.inf] + [z * width for z in (-8, -2, 0, 2, 8)] + [mpmath.inf]
+        return mpmath.log(mpmath.quad(lambda d: mpmath.exp(-n * d * d / (2 * sigma2)), points) / mpmath.sqrt(sigma2))
+
+
+@pytest.mark.parametrize("sigma2", [1e-3, 1.0, 4.0])
+@pytest.mark.parametrize("n", [1, 2, 6, 7, 100, 10**6, 10**16])
+def test_gaussian_jeffreys_normalizer_matches_mpmath(n, sigma2):
+    """log(2 pi / n) / 2 for every sigma2 and x-bar, against the integral."""
+    want = mp_gaussian_log_jeffreys(sigma2, n)
+    family = sk.GaussianLocation(sigma2)
+    for mean in (0.0, 1e-300, -1e-300, 1.0, -1.0, 1e20, -1e20, 1e300, -1e300):
+        got = family._log_jeffreys_normalizer(n, mean)
+        assert abs(float(got - want)) <= 1e-13 * abs(float(want)), mean
+
+
 # The Bayes values of every family and domain whose Jeffreys normalizer is an
 # integral, as float.hex: the Bayes predictive's log normalizer and log
 # density at values[t] after values[:t] for t = 1, 2, 3, then the log joint
 # of values[1:] after values[0].  Recorded at commit a326dfd, before any
 # closed form, so they show those paths untouched; tweedie-restricted at
-# f299fe0, the commit before Tweedie's closed form, whose full domain is
-# checked against mpmath instead (test_tweedie_bayes_values_match_mpmath).
+# f299fe0, the commit before Tweedie's closed form.  The full-domain Tweedie
+# and Gaussian, whose normalizers are now closed, are checked against mpmath
+# instead (test_tweedie_bayes_values_match_mpmath,
+# test_gaussian_bayes_values_match_mpmath).
 BAYES_QUADRATURE_CORPUS = {
-    "gaussian": (
-        sk.GaussianLocation(1.0),
-        (0.3, 1.1, -0.7, 2.6),
-        (
-            ("0x1.d67f1c864beb7p-1", "-0x1.6cee5cce6b067p+0"),
-            ("0x1.250d048e7a1bdp-1", "-0x1.c666b090b2cd6p+0"),
-            ("0x1.7a80e9b6f7756p-2", "-0x1.94e39d406f173p+1"),
-        ),
-        "-0x1.974711f7ff009p+2",
-    ),
     "gaussian-restricted": (
         sk.GaussianLocation(1.0, mean_domain=(0.0, 1.0)),
         (0.3, 1.1, -0.7, 2.6),
@@ -392,6 +409,35 @@ def test_tweedie_bayes_values_match_mpmath():
             want = float(mpmath.log(2 * mpmath.pi / t) / 2)
         assert abs(pred.log_normalizer - want) <= 1e-15 * abs(want), t
         densities.append(mp_tweedie_log_predictive(values[:t], values[t]))
+        assert abs(pred.log_density(values[t]) - densities[-1]) <= 1e-15 * abs(densities[-1]), t
+    want = math.fsum(densities)
+    assert abs(strategies._log_joint(family, "bayes", ObservationSequence(values, 1)) - want) <= 1e-15 * abs(want)
+
+
+def mp_gaussian_log_predictive(sigma2, history, y):
+    """The Jeffreys (flat prior) one-step log density of the Gaussian with
+    variance sigma2 after the history: N(x-bar, sigma2 (n + 1) / n) at y."""
+    with mpmath.workdps(50):
+        n, sigma2 = len(history), mpmath.mpf(sigma2)
+        var = sigma2 * (n + 1) / n
+        d = mpmath.mpf(y) - mpmath.fsum(mpmath.mpf(v) for v in history) / n
+        return float(-mpmath.log(2 * mpmath.pi * var) / 2 - d * d / (2 * var))
+
+
+def test_gaussian_bayes_values_match_mpmath():
+    """The corpus entry of the full-domain Gaussian, whose Jeffreys normalizer
+    is now closed: the log normalizer, log(2 pi / t) / 2, and the log density
+    at values[t] after values[:t] for t = 1, 2, 3, then the log joint of
+    values[1:] after values[0], the sum of those log densities, each within
+    1e-15 relative of mpmath."""
+    family, values = sk.GaussianLocation(1.0), (0.3, 1.1, -0.7, 2.6)
+    densities = []
+    for t in (1, 2, 3):
+        pred = sk.bayes_jeffreys_predictive(family, values[:t])
+        with mpmath.workdps(50):
+            want = float(mpmath.log(2 * mpmath.pi / t) / 2)
+        assert abs(pred.log_normalizer - want) <= 1e-15 * abs(want), t
+        densities.append(mp_gaussian_log_predictive(1.0, values[:t], values[t]))
         assert abs(pred.log_density(values[t]) - densities[-1]) <= 1e-15 * abs(densities[-1]), t
     want = math.fsum(densities)
     assert abs(strategies._log_joint(family, "bayes", ObservationSequence(values, 1)) - want) <= 1e-15 * abs(want)
@@ -860,6 +906,9 @@ def test_bayes_joint_takes_two_concentration_integrals_at_any_horizon(monkeypatc
 
 
 AFFINE_TWEEDIE = sk.transform_family(sk.Tweedie32(), lambda x: 3.0 * x + 1.0, lambda y: (y - 1.0) / 3.0, lambda y: 1.0 / 3.0)
+AFFINE_GAUSSIAN = sk.transform_family(
+    sk.GaussianLocation(1.0), lambda x: 3.0 * x + 1.0, lambda y: (y - 1.0) / 3.0, lambda y: 1.0 / 3.0
+)
 
 
 @pytest.mark.parametrize(
@@ -869,8 +918,11 @@ AFFINE_TWEEDIE = sk.transform_family(sk.Tweedie32(), lambda x: 3.0 * x + 1.0, la
         (sk.Bernoulli(), (1.0, 0.0, 1.0, 1.0, 0.0, 0.0)),
         (sk.Tweedie32(), (1.2, 0.0, 2.6, 0.7, 3.1, 0.0)),
         (AFFINE_TWEEDIE, (4.6, 1.0, 8.8, 3.1, 10.3, 1.0)),
+        (sk.GaussianLocation(1.0), (0.3, 1.1, -0.7, 2.6, 0.4, -1.2)),
+        (sk.GaussianLocation(4.0), (0.3, 1.1, -0.7, 2.6, 0.4, -1.2)),
+        (AFFINE_GAUSSIAN, (1.9, 4.3, -1.1, 8.8, 2.2, -2.6)),
     ],
-    ids=["poisson", "bernoulli", "tweedie", "affine-tweedie"],
+    ids=["poisson", "bernoulli", "tweedie", "affine-tweedie", "gaussian", "gaussian-4", "affine-gaussian"],
 )
 def test_full_domain_closed_form_bayes_takes_no_integral(family, values, integrand_calls):
     """Their Jeffreys normalizers are in closed form, and Bernoulli's joints
@@ -896,6 +948,25 @@ def test_full_domain_closed_form_bayes_takes_no_integral(family, values, integra
     ids=["restricted-bayes", "snml", "cnml", "condition-integral", "constancy", "laplace"],
 )
 def test_tweedie_keeps_the_integral_off_the_full_domain_bayes(call, integrand_calls):
+    """Restricted domains, the Shtarkov normalizers and the analyses, whose
+    numerical C the closed form checks, still integrate."""
+    call()
+    assert integrand_calls.count > 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sk.bayes_jeffreys_predictive(sk.GaussianLocation(1.0, mean_domain=(0.0, 1.0)), (0.3,)),
+        lambda: sk.snml_predictive(sk.GaussianLocation(1.0), (0.3,)),
+        lambda: sk.strategy_joint(sk.GaussianLocation(1.0), "cnml", ObservationSequence((0.3, 1.1, -0.7), 1)),
+        lambda: sk.condition_integral(sk.GaussianLocation(1.0), 0.3, 2),
+        lambda: sk.check_constancy(sk.GaussianLocation(1.0), 2, (-1.0, 2.0)),
+        lambda: sk.laplace_asymptotics_check(sk.GaussianLocation(1.0), 0.0, n_list=(2, 5)),
+    ],
+    ids=["restricted-bayes", "snml", "cnml", "condition-integral", "constancy", "laplace"],
+)
+def test_gaussian_keeps_the_integral_off_the_full_domain_bayes(call, integrand_calls):
     """Restricted domains, the Shtarkov normalizers and the analyses, whose
     numerical C the closed form checks, still integrate."""
     call()
@@ -1496,22 +1567,35 @@ def test_unconditioned_gaussian_joints_raise_before_any_integral(strategy, error
     "strategy,error,free",
     [
         ("snml", DivergentNormalizer, 1),
-        ("bayes", ImproperPosterior, 1),
         ("cnml", DivergentNormalizer, 1),
         ("cnml", DivergentNormalizer, 2),
     ],
 )
 def test_unsettled_normalizers_raise_typed_errors(strategy, error, free):
     """After (-1e308, 1e308, 1e308), x-bar = 3.3e307, the Gaussian chart point
-    cannot move off the anchor, so no normalizer settles.  Every strategy
-    raises its own typed error, not the integrator's NonConvergence, and
-    names the prefix length."""
+    cannot move off the anchor, so no Shtarkov normalizer settles.  Each
+    strategy raises its own typed error, not the integrator's
+    NonConvergence, and names the prefix length.  Bayes, whose normalizer is
+    closed, has a value (test_gaussian_bayes_after_the_largest_history)."""
     seq = ObservationSequence((-1e308, 1e308, 1e308) + (0.0,) * free, 3)
     with pytest.raises(error, match="n=3") as caught:
         sk.strategy_joint(sk.GaussianLocation(1.0), strategy, seq)
     assert not isinstance(caught.value, sk.NonConvergence)
     if strategy == "cnml":
         assert f"k={free} " in str(caught.value)
+
+
+def test_gaussian_bayes_after_the_largest_history():
+    """After (-1e308, 1e308, 1e308) the Bayes predictive is N(x-bar, 4/3): its
+    log density at x-bar is -log(8 pi / 3) / 2.  The Bayes joint of 0.0 after
+    it is 0.0, where the true log density is about -4e614.  As an integral
+    the normalizer raised ImproperPosterior."""
+    family, history = sk.GaussianLocation(1.0), (-1e308, 1e308, 1e308)
+    mean = family.mle_mean(history).value
+    assert sk.bayes_jeffreys_predictive(family, history).log_density(mean) == pytest.approx(
+        -0.5 * math.log(8.0 * math.pi / 3.0), rel=1e-15
+    )
+    assert sk.strategy_joint(family, "bayes", ObservationSequence(history + (0.0,), 3)) == 0.0
 
 
 RESTRICTED_GAUSSIAN, RESTRICTED_POISSON = sk.GaussianLocation(1.0, mean_domain=(0.0, 1.0)), sk.Poisson(mean_domain=(0.5, 20.0))
@@ -1751,6 +1835,26 @@ def test_gamma_snml_far_out_on_the_line():
     Integrated in y, the tail pass raised ZeroDivisionError."""
     pred = sk.snml_predictive(sk.GammaShape(1.0), (1e300,))
     assert pred.log_normalizer == pytest.approx(2.0 * math.log(2.0) - 1.0, rel=1e-7)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    sigma2=hs.floats(1e-3, 1e3),
+    history=hs.lists(hs.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=5),
+)
+def test_gaussian_bayes_holds_at_any_magnitude(sigma2, history):
+    """The Bayes predictive is N(x-bar, sigma2 (n + 1) / n) at every
+    magnitude: its log normalizer is log(2 pi / n) / 2, and its log density
+    at the history's own maximum-likelihood mean is
+    -log(2 pi sigma2 (n + 1) / n) / 2.  As an integral the normalizer
+    raised ImproperPosterior from |x-bar| = 1e10 and was wrong from 1e16."""
+    family, n = sk.GaussianLocation(sigma2), len(history)
+    pred = sk.bayes_jeffreys_predictive(family, history)
+    assert pred.log_normalizer == 0.5 * math.log(2.0 * math.pi / n)
+    with mpmath.workdps(30):
+        want = float(-mpmath.log(2 * mpmath.pi * mpmath.mpf(sigma2) * (n + 1) / n) / 2)
+    got = pred.log_density(family.mle_mean(history).value)
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("center", [0.0, 1.0, -1e3, 1e6, -1e6])
