@@ -11,7 +11,6 @@ Floats are printed with 17 significant digits so CSV output round-trips.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -143,7 +142,7 @@ def _cmd_predict(args) -> int:
     make = strategies.snml_predictive if args.strategy == "snml" else strategies.bayes_jeffreys_predictive
     predictive = make(family, history)
     log_densities = [predictive.log_density(p) for p in points]
-    densities = [math.exp(ld) for ld in log_densities]
+    densities = [strategies._exp(ld) for ld in log_densities]
     if args.format == "csv":
         lines = ["point,density,log_density"]
         lines += [f"{_fmt(p)},{_fmt(d)},{_fmt(ld)}" for p, d, ld in zip(points, densities, log_densities)]

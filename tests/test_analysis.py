@@ -459,8 +459,9 @@ class TestOrderingLattice:
     @pytest.mark.parametrize("name", LATTICE_CASES)
     def test_report_matches_every_ordering(self, name):
         """Same verdict and spread as the maximum and minimum over all the
-        joints: exact for Fractions, to 1e-14 for floats; the same witness
-        wherever the extreme joints are exact or stand apart."""
+        joints: exact for Fractions, to 1e-14 for floats; each witness attains
+        its extreme joint exactly, and is the first ordering with it wherever
+        the extreme joints are exact or stand apart."""
         family, history, continuation = LATTICE_CASES[name]
         report = sk.exchangeability_test(
             family, len(history), len(history) + len(continuation), history=history, continuations=[continuation]
@@ -478,9 +479,11 @@ class TestOrderingLattice:
         assert report.verdict is brute.verdict
         witness = report.details["witness"]
         for extreme, label in ((top, "max_ordering"), (low, "min_ordering")):
-            others = [k for k in keys if k != extreme]
+            assert keys[orderings.index(tuple(witness[label]))] == extreme
+            first = keys.index(extreme)
+            others = keys[:first] + keys[first + 1 :]
             if exact or all(abs(k - extreme) > 1e-9 for k in others):
-                assert tuple(witness[label]) == orderings[keys.index(extreme)]
+                assert tuple(witness[label]) == orderings[first]
 
     def test_free_horizon_eight_takes_each_normalizer_once(self, monkeypatch):
         """k = 8 values whose sub-multisets all have distinct sums: 2^8 - 1

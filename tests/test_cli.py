@@ -106,6 +106,18 @@ class TestPredict:
         assert (code, err) == (0, "")
         assert json.loads(out)["density"] == [0.28209479177387814]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_density_prints_inf(self, capsys, fmt):
+        """Gamma(0.01) after 1 has log density 731.7 at 5e-324, past the float
+        range; exp raised OverflowError, a traceback and exit code 1."""
+        argv = ("predict", "--family", "gamma", "--shape", "0.01", "--strategy", "bayes")
+        code, out, err = run(capsys, *argv, "--history", "1", "--points", "5e-324", "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            assert json.loads(out)["density"] == ["inf"]
+        else:
+            assert out.strip().splitlines()[1].split(",")[1] == "inf"
+
     def test_missing_points_exits_2(self, capsys):
         code, _, err = run(capsys, "predict", "--family", "gaussian", "--points", "")
         assert code == 2

@@ -298,7 +298,10 @@ def test_gaussian_jeffreys_normalizer_matches_mpmath(n, sigma2):
 # density at values[t] after values[:t] for t = 1, 2, 3, then the log joint
 # of values[1:] after values[0].  Recorded at commit a326dfd, before any
 # closed form, so they show those paths untouched; tweedie-restricted at
-# f299fe0, the commit before Tweedie's closed form.  The full-domain Tweedie
+# f299fe0, the commit before Tweedie's closed form.  The joints of gamma0.5,
+# gamma2-restricted, levy and poisson-restricted moved 1 ulp when the joint's
+# numerator became the two-ends sup-likelihood ratio, and are pinned there
+# (test_gamma_bayes_joints_match_mpmath checks them).  The full-domain Tweedie
 # and Gaussian, whose normalizers are now closed, are checked against mpmath
 # instead (test_tweedie_bayes_values_match_mpmath,
 # test_gaussian_bayes_values_match_mpmath).
@@ -321,7 +324,7 @@ BAYES_QUADRATURE_CORPUS = {
             ("0x1.4e8de8082e30ap-1", "-0x1.74f9c3b753638p+1"),
             ("0x1.b2a21b1c1313fp-2", "-0x1.49f73b5c5747bp+0"),
         ),
-        "-0x1.955a6e9814165p+2",
+        "-0x1.955a6e9814164p+2",
     ),
     "gamma2": (
         sk.GammaShape(2.0),
@@ -341,7 +344,7 @@ BAYES_QUADRATURE_CORPUS = {
             ("-0x1.8e253fdd72c2fp-4", "-0x1.8b4beec9069d7p+1"),
             ("0x1.8eaf3624fe18dp-5", "-0x1.a8aeac7e17fcap+0"),
         ),
-        "-0x1.8e9aa493e08d3p+2",
+        "-0x1.8e9aa493e08d4p+2",
     ),
     "tweedie-restricted": (
         sk.Tweedie32(mean_domain=(1.0, 3.0)),
@@ -361,7 +364,7 @@ BAYES_QUADRATURE_CORPUS = {
             ("0x1.4e8de8082e30ap-1", "-0x1.7d54f6ce96c2cp+1"),
             ("0x1.b2a21b1c13139p-2", "-0x1.387d7fa58bde1p+0"),
         ),
-        "-0x1.9529993602eb9p+2",
+        "-0x1.9529993602eb8p+2",
     ),
     "poisson-restricted": (
         sk.Poisson(mean_domain=(0.5, 20.0)),
@@ -371,7 +374,7 @@ BAYES_QUADRATURE_CORPUS = {
             ("0x1.8d9bcce076035p-2", "-0x1.230fd07fd91b5p+1"),
             ("0x1.6872eadb8876fp-2", "-0x1.436975651124fp+0"),
         ),
-        "-0x1.594faddef4732p+2",
+        "-0x1.594faddef4731p+2",
     ),
     "bernoulli-restricted": (
         sk.Bernoulli(mean_domain=(0.2, 0.8)),
@@ -393,6 +396,41 @@ def test_integral_bayes_values_are_bit_identical(name):
         pred = sk.bayes_jeffreys_predictive(family, values[:t])
         assert (pred.log_normalizer.hex(), pred.log_density(values[t]).hex()) == (log_normalizer, log_density), t
     assert strategies._log_joint(family, "bayes", ObservationSequence(values, 1)).hex() == joint
+
+
+def mp_gamma_log_predictive(shape, history, y):
+    """The Jeffreys one-step log density of Gamma with this shape after the
+    history: the rate posterior is Gamma(n shape, sum x), so the predictive is
+    y^(a-1) / Gamma(a) * S^(n a) Gamma((n+1) a) / (Gamma(n a) (S + y)^((n+1) a))."""
+    with mpmath.workdps(50):
+        a, n = mpmath.mpf(shape), len(history)
+        s, y = mpmath.fsum(mpmath.mpf(v) for v in history), mpmath.mpf(y)
+        return (
+            (a - 1) * mpmath.log(y)
+            - mpmath.loggamma(a)
+            + n * a * mpmath.log(s)
+            - mpmath.loggamma(n * a)
+            + mpmath.loggamma((n + 1) * a)
+            - (n + 1) * a * mpmath.log(s + y)
+        )
+
+
+@pytest.mark.parametrize("name,shape", [("gamma0.5", 0.5), ("gamma2", 2.0), ("levy", 0.5)])
+def test_gamma_bayes_joints_match_mpmath(name, shape):
+    """The corpus joints of the full-domain Gamma and Levy, the sum of the
+    closed Jeffreys predictives of values[t] after values[:t], t = 1, 2, 3,
+    within 1e-15 relative; Levy takes Gamma(1/2)'s on 1/x with the Jacobian
+    -2 log y."""
+    family, values, _, _ = BAYES_QUADRATURE_CORPUS[name]
+    with mpmath.workdps(50):
+        if family is LEVY:
+            base = [1 / mpmath.mpf(v) for v in values]
+            terms = (mp_gamma_log_predictive(shape, base[:t], base[t]) - 2 * mpmath.log(values[t]) for t in (1, 2, 3))
+        else:
+            terms = (mp_gamma_log_predictive(shape, values[:t], values[t]) for t in (1, 2, 3))
+        want = float(mpmath.fsum(terms))
+    got = strategies._log_joint(family, "bayes", ObservationSequence(values, 1))
+    assert abs(got - want) <= 1e-15 * abs(want)
 
 
 def test_tweedie_bayes_values_match_mpmath():
@@ -936,6 +974,65 @@ def test_full_domain_closed_form_bayes_takes_no_integral(family, values, integra
 
 
 @pytest.mark.parametrize(
+    "family,values",
+    [
+        (sk.Bernoulli(), (1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0)),
+        (sk.Poisson(), (1.0, 2.0, 5.0, 3.0, 0.0, 4.0, 2.0, 2.0, 7.0, 1.0, 0.0, 3.0)),
+        (sk.GaussianLocation(1.0), tuple(math.sin(1.7 * i) for i in range(12))),
+        (sk.Tweedie32(), (1.2, 0.0, 2.6, 0.7, 3.1, 0.0, 0.4, 5.5, 0.0, 1.9, 0.8, 2.2)),
+        (AFFINE_GAUSSIAN, tuple(3.0 * math.sin(1.7 * i) + 1.0 for i in range(12))),
+    ],
+    ids=["bernoulli", "poisson", "gaussian", "tweedie", "affine-gaussian"],
+)
+def test_closed_form_bayes_joint_builds_no_gain(family, values, monkeypatch):
+    """Its numerator is the sup-likelihood ratio of the two ends and its
+    normalizer is closed, so no SNML gain is built; chained gains built one
+    per continuation value."""
+    calls = []
+    gain = strategies._snml_log_gain
+
+    def counted(*args):
+        calls.append(args)
+        return gain(*args)
+
+    monkeypatch.setattr(strategies, "_snml_log_gain", counted)
+    strategies._log_joint(family, "bayes", ObservationSequence(values, m=1))
+    assert calls == []
+
+
+POSITIVE = hs.floats(0.01, 100.0)
+ORDER_FAMILIES = {
+    "gaussian": (sk.GaussianLocation(1.0), hs.floats(-100.0, 100.0)),
+    "gamma0.5": (sk.GammaShape(0.5), POSITIVE),
+    "gamma1": (sk.GammaShape(1.0), POSITIVE),
+    "gamma2": (sk.GammaShape(2.0), POSITIVE),
+    "gamma2-restricted": (sk.GammaShape(2.0, mean_domain=(0.5, 3.0)), POSITIVE),
+    "tweedie": (sk.Tweedie32(), hs.one_of(hs.just(0.0), POSITIVE)),
+    "poisson": (sk.Poisson(), hs.integers(0, 50).map(float)),
+    "bernoulli": (sk.Bernoulli(), hs.sampled_from((0.0, 1.0))),
+    "bernoulli-restricted": (sk.Bernoulli(mean_domain=(0.2, 0.8)), hs.sampled_from((0.0, 1.0))),
+    "levy": (LEVY, POSITIVE),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_FAMILIES)
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(data=hs.data())
+def test_bayes_and_cnml_joints_ignore_continuation_order(name, data):
+    """Bayes and CNML are exchangeable: their log joints and regrets are the
+    same float for every ordering of the continuation.  Gains chained in
+    ordering order moved their last bits."""
+    family, element = ORDER_FAMILIES[name]
+    history = (data.draw(element),)
+    continuation = tuple(data.draw(hs.lists(element, min_size=2, max_size=4)))
+    seqs = [ObservationSequence(history + p, 1) for p in set(itertools.permutations(continuation))]
+    for strategy in ("bayes", "cnml"):
+        joints = {strategies._log_joint(family, strategy, s).hex() for s in seqs}
+        regrets = {sk.conditional_regret(family, strategy, s).regret.hex() for s in seqs}
+        assert len(joints) == len(regrets) == 1, (strategy, joints, regrets)
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda: sk.bayes_jeffreys_predictive(sk.Tweedie32(mean_domain=(1.0, 3.0)), (1.2,)),
@@ -1475,6 +1572,15 @@ def test_normalizer_is_exp_of_its_log_up_to_overflow(log_normalizer, want):
     reads inf, never an OverflowError."""
     pred = strategies.PredictiveDistribution(sk.GaussianLocation(1.0), lambda y: 0.0, log_normalizer)
     assert pred.normalizer == want
+
+
+@pytest.mark.parametrize("maker", [sk.snml_predictive, sk.bayes_jeffreys_predictive], ids=["snml", "bayes"])
+def test_overflowing_density_is_inf(maker):
+    """Gamma(0.01) after 1 has log density about 731.7 at 5e-324, past
+    log(max float); the density reads inf, never an OverflowError."""
+    pred = maker(sk.GammaShape(0.01), (1.0,))
+    assert pred.log_density(5e-324) > 731.0
+    assert pred.density(5e-324) == math.inf
 
 
 @pytest.mark.parametrize("maker", [sk.snml_predictive, sk.bayes_jeffreys_predictive], ids=["snml", "bayes"])
