@@ -27,7 +27,7 @@ from ._expression import derivative_functions
 from ._spline import QuinticSpline
 from .errors import DifferentiationError, DomainError
 from .families import Family, ObservationSequence
-from .strategies import _concentration_integral, _exact_joint, _exp, _log_joint, _snml_ordering_extremes
+from .strategies import _concentration_integral, _exact_joint, _exp, _log_joint, _log_normalizer, _snml_ordering_extremes
 
 
 class Verdict(str, Enum):
@@ -262,16 +262,16 @@ def _spread(joints: Sequence[tuple[float, Fraction | None]]) -> tuple[float, int
 
     Exact joints give an exact spread.  Otherwise the spread is -expm1 of the
     log difference, which holds where both joints underflow; a tie reads 0.0.
+    Joints that a shared numerator of 0 makes 0 are passed over that
+    numerator (``exchangeability_test``).
     """
     exact = all(e is not None for _, e in joints)
     key = (lambda i: joints[i][1]) if exact else (lambda i: joints[i][0])
     hi = max(range(len(joints)), key=key)
     lo = min(reversed(range(len(joints))), key=key)
     (log_top, top), (log_low, low) = joints[hi], joints[lo]
-    if exact:
-        return float((top - low) / top), hi, lo
     # 0.0 - expm1(0.0) is 0.0, where -expm1(0.0) is -0.0
-    return (0.0 - math.expm1(log_low - log_top) if log_top > -math.inf else 0.0), hi, lo
+    return (float((top - low) / top) if exact else 0.0 - math.expm1(log_low - log_top)), hi, lo
 
 
 def exchangeability_test(
@@ -309,10 +309,13 @@ def exchangeability_test(
     orderings, ties included.  A continuation with at most two
     orderings has both as its witnesses.  The spread is that of the two
     witness joints, each computed once per route: exact for exact
-    Bernoulli, else -expm1 of their log difference, and 0 where both joints
-    are 0.  The worst witness pair is recorded in details, with its joints
-    and their logs, which come from the float route for every family: the
-    joints may underflow to 0 where the logs still show the spread.
+    Bernoulli, else -expm1 of their log difference.  Where their shared
+    numerator is 0 (a 0 under Gamma with shape above 1), every joint is 0;
+    the orderings are then ranked and spread by e^-F, their joints over that
+    numerator, F the sum of their log normalizers.  The worst witness pair
+    is recorded in details, with its joints and their logs, which come from
+    the float route for every family: the joints may underflow to 0 where
+    the logs still show the spread.
     """
     m, n, count = _integer("m", m, 0), _integer("n", n, 0), _integer("count", count, 1)
     if not m < n:
@@ -370,7 +373,10 @@ def exchangeability_test(
             orderings = sorted(set(_snml_ordering_extremes(family, hist, cont)))
         seqs = [ObservationSequence(hist + p, m) for p in orderings]
         joints = [(_log_joint(family, "snml", s), _exact_joint(family, "snml", s)) for s in seqs]
-        spread, hi_i, lo_i = _spread(joints)
+        # a shared numerator of 0 makes every joint 0, and e^-F, the joint over
+        # that numerator, still ranks and spreads the orderings
+        ranked = [(-_log_normalizer(family, "snml", s), None) for s in seqs] if joints[0][0] == -math.inf else joints
+        spread, hi_i, lo_i = _spread(ranked)
         grid.append(cont)
         values.append(spread)
         if spread > worst:
@@ -397,6 +403,8 @@ def bayes_cnml_agreement(
 
     details holds both joints of each sequence and their logs (``log_cnml``,
     ``log_bayes``), which still show the gap where the joints underflow.
+    Where both are 0 by their shared numerator sup(x^n) / sup(x^m), the gap
+    is that of their normalizers, |expm1(L_cnml - L_bayes)|.
     """
     m, n = _integer("m", m, 0), _integer("n", n, 0)
     seqs: list[ObservationSequence] = []
@@ -408,20 +416,21 @@ def bayes_cnml_agreement(
         seqs.append(s)
     if not seqs:
         raise DomainError("no sequences supplied")
-    gaps, cnml_values, bayes_values, cnml_logs, bayes_logs = [], [], [], [], []
+    gaps, cnml_logs, bayes_logs = [], [], []
     for s in seqs:
         log_c, log_b = _log_joint(family, "cnml", s), _log_joint(family, "bayes", s)
-        cnml_values.append(_exp(log_c))
-        bayes_values.append(_exp(log_b))
         cnml_logs.append(log_c)
         bayes_logs.append(log_b)
+        if log_c == log_b == -math.inf:
+            # both joints 0 by their shared numerator: they still differ by their normalizers
+            log_c, log_b = (-_log_normalizer(family, name, s) for name in ("cnml", "bayes"))
         # |b - c| / c, which holds where both joints underflow
         gaps.append(abs(math.expm1(log_b - log_c)) if log_b != log_c else 0.0)
     details = {
         "m": m,
         "n": n,
-        "cnml": cnml_values,
-        "bayes": bayes_values,
+        "cnml": [_exp(v) for v in cnml_logs],
+        "bayes": [_exp(v) for v in bayes_logs],
         "log_cnml": cnml_logs,
         "log_bayes": bayes_logs,
     }

@@ -412,11 +412,20 @@ class Family(ABC):
         the untransformed family's at the pulled-back values, at their clipped
         mean, plus their log-Jacobians."""
         base, pulled, log_jacobians = self._untransformed(values)
-        if not pulled:
+        return base._sup_log_likelihood(pulled, log_jacobians)
+
+    def _sup_log_likelihood(self, values: tuple[float, ...], log_jacobians: tuple[float, ...]) -> float:
+        """``sup_log_likelihood`` of values already checked and pulled back to
+        this untransformed family, with their log-Jacobians: 0.0 for none."""
+        if not values:
             return 0.0
-        mean = exact_mean(len(pulled), sum(map(base._exact_statistic, pulled)))
-        mu_hat = self._check_mean(self.mean_domain.clip(mean))
-        return math.fsum(base._log_density(mu_hat, x) + j for x, j in zip(pulled, log_jacobians))
+        mu = self._check_mean(self.mean_domain.clip(exact_mean(len(values), sum(map(self._exact_statistic, values)))))
+        terms = [self._log_density(mu, x) + j for x, j in zip(values, log_jacobians)]
+        try:
+            return math.fsum(terms)
+        except OverflowError:
+            # beyond the float range, where the plain sum overflows to the same infinity
+            return sum(terms)
 
     # ---- serialization ------------------------------------------------------
 
@@ -608,7 +617,10 @@ class GammaShape(Family):
         # _poisson_divergence, written out: a call would make each Gamma
         # divergence about a fifth slower
         r = mu0 / mu1
-        return self.shape * (r - 1.0 - math.log(r)) if r and r != math.inf else math.inf
+        # below the normal range r has lost bits or rounded to 0, so its log
+        # comes from the two means (-inf at mu0 = 0)
+        log_r = math.log(r) if r >= 2.2250738585072014e-308 else math.log(mu0) - math.log(mu1) if mu0 else -math.inf
+        return self.shape * (r - 1.0 - log_r) if r != math.inf else math.inf
 
     def _log_density(self, mu: float, x: float) -> float:
         if x == 0.0:

@@ -13,12 +13,13 @@ Fixed-horizon joints:
   continuations of the conditioning prefix x_1..x_m;
 * ``nml``  -- the unconditioned case m = 0 (finite here only for Bernoulli).
 
-Every log joint, and so every regret, is one float route for every family
-(``_log_joint``).  On Bernoulli over the maximal domain the calls that
-return a joint (``strategy_joint``, ``cnml_joint``, ``nml_joint``),
-``shtarkov_sum`` and the exchangeability witnesses return exact
-``fractions.Fraction``s instead, from ``_exact_joint``; everything else is
-float.
+Every log joint is one float route for every family (``_log_joint``), and
+every regret is the history's log sup-likelihood plus the strategy's log
+normalizer (``conditional_regret``).  On Bernoulli over the maximal domain
+the calls that return a joint (``strategy_joint``, ``cnml_joint``,
+``nml_joint``), ``shtarkov_sum`` and the exchangeability witnesses return
+exact ``fractions.Fraction``s instead, from ``_exact_joint``; everything
+else is float.
 
 A history enters every value through n and x-bar alone, x-bar the correctly
 rounded mean of the exact sum of its statistics (``families.exact_mean``),
@@ -50,6 +51,13 @@ differ:
 So Bayes and CNML joints see the continuation as a multiset, and are the
 same float for every ordering of it; SNML joints differ between orderings
 through their normalizers alone.
+
+A regret is log sup(x^n) minus the log joint, and the joint's numerator
+cancels the continuation exactly: the regret is log sup(x^m) + L, L the
+log normalizer above.  So the continuation enters a regret only through
+L, and a CNML regret, log sup(x^m) plus one Shtarkov integral over the
+free observations, is one float for every continuation of a history and
+length: NML's equalizer property, in floats.
 
 A transformed family's values are those of the family under all its
 transforms on the pulled-back observations, times the Jacobian of the
@@ -100,6 +108,16 @@ _NORMALIZER_TOL_REL = 1e-10
 
 @dataclass(frozen=True)
 class RegretRecord:
+    """A strategy's regret on x_{m+1}..x_n given x_1..x_m.
+
+    ``strategy_loss`` is minus the log joint and ``best_expert_loglik`` the
+    log sup-likelihood of all n values; either may be +-inf.  ``regret`` is
+    log sup(x^m) + L, the history's log sup-likelihood plus the strategy's
+    log normalizer relative to it (``conditional_regret``).  It is their sum
+    up to rounding, and finite wherever the history's sup-likelihood is,
+    also where that float sum would be inf - inf.
+    """
+
     strategy_loss: float
     best_expert_loglik: float
     regret: float
@@ -270,7 +288,8 @@ def _log_shtarkov(family: Family, n: int, mean: float, k: int) -> float:
     bump of the weight is about one unit wide around beta = 0.  sigma is the
     unchecked one: s ranges over the whole support, also where a restricted
     mean domain has no member.  Raises DivergentNormalizer, naming k, n and
-    x-bar, when the sum or the integral does not settle or is 0 or inf.
+    x-bar, when the sum or the integral does not settle, overflows or is 0
+    or inf.
     """
     log_weight = _snml_log_gain(family, n, mean, k)
     where = f"Shtarkov normalizer over k={k} observation(s) after n={n} of mean {mean!r}"
@@ -309,7 +328,8 @@ def _log_shtarkov(family: Family, n: int, mean: float, k: int) -> float:
                 breaks=[family.geodesic_from_mean(s, anchor) for s in kinks if lo < s < hi],
             )
             total = k * res.value + math.fsum(math.exp(log_weight(k * a)) for a in family.observation_atoms())
-    except NonConvergence as exc:
+    # OverflowError: a counting sum's peak k x-bar beyond the float range
+    except (NonConvergence, OverflowError) as exc:
         raise DivergentNormalizer(f"{where}: {exc}") from exc
     if not 0.0 < total < math.inf:
         raise DivergentNormalizer(f"{where} evaluated to {total!r}")
@@ -443,11 +463,40 @@ def _joint_inputs(family: Family, strategy: str, seq: ObservationSequence) -> tu
     return name, base, values, log_jacobians
 
 
+def _joint_terms(m: int, name: str, base: Family, values: tuple, log_jacobians: tuple) -> tuple[float, float]:
+    """(log joint, L) of the continuation x_{m+1}..x_n given x_1..x_m, from
+    the outputs of ``_joint_inputs``; L is the strategy's log normalizer
+    relative to sup(x^m): the sum of the one-step log Shtarkov integrals for
+    SNML, log C(m) - log C(n) for Bayes, and the one log Shtarkov integral
+    over the n - m free observations for CNML and NML.  0.0 for both where
+    nothing is predicted.  See ``_log_joint``."""
+    free = len(values) - m
+    if free == 0:
+        return 0.0, 0.0
+
+    # x-bar of x_1..x_t for t = m..n, from one running exact sum: SNML takes a
+    # normalizer at each, and each prefix raises its own DomainError
+    totals = itertools.accumulate(map(base._exact_statistic, values), initial=0)
+    means = [_history_mean(base, t, total) for t, total in enumerate(totals) if t >= m]
+    # log sup(x^n) - log sup(x^m) at the clipped mean of all n values; fsum
+    # rounds once, so every ordering of the continuation gives one float
+    fitted = base.mean_domain.clip(means[-1])
+    log_numerator = math.fsum(base._log_density(fitted, y) for y in values[m:])
+    log_numerator += _relative_log_likelihood(base, m, means[0])(fitted)
+    if name == "snml":
+        log_normalizer = sum(_snml_log_normalizer(base, t, mean) for t, mean in enumerate(means[:-1], m))
+    elif name == "bayes":
+        log_normalizer = _jeffreys_posterior(base, m, means[0]) - _jeffreys_posterior(base, len(values), means[-1])
+    else:
+        log_normalizer = _log_shtarkov(base, m, means[0], free)
+    return log_numerator - log_normalizer + math.fsum(log_jacobians[m:]), log_normalizer
+
+
 def _log_joint(family: Family, strategy: str, seq: ObservationSequence) -> float:
     """log joint of the continuation x_{m+1}..x_n given x_1..x_m, for every
     family, exact Bernoulli included.
 
-    It is log sup(x^n) - log sup(x^m) minus the strategy's log normalizer,
+    It is log sup(x^n) - log sup(x^m) minus the strategy's log normalizer L,
     all in the untransformed family, plus the continuation's log-Jacobians,
     and stays finite where a joint of many or far-out observations over- or
     underflows.  The numerator reads only x-bar_m, x-bar_n and the
@@ -461,27 +510,14 @@ def _log_joint(family: Family, strategy: str, seq: ObservationSequence) -> float
     mpmath log of ``_exact_joint``'s Fraction, where log(numerator) -
     log(denominator) of that Fraction is up to 1.1e-13 off.
     """
-    name, base, values, log_jacobians = _joint_inputs(family, strategy, seq)
-    free = seq.n - seq.m
-    if free == 0:
-        return 0.0
+    return _joint_terms(seq.m, *_joint_inputs(family, strategy, seq))[0]
 
-    # x-bar of x_1..x_t for t = m..n, from one running exact sum: SNML takes a
-    # normalizer at each, and each prefix raises its own DomainError
-    totals = itertools.accumulate(map(base._exact_statistic, values), initial=0)
-    means = [_history_mean(base, t, total) for t, total in enumerate(totals) if t >= seq.m]
-    # log sup(x^n) - log sup(x^m) at the clipped mean of all n values; fsum
-    # rounds once, so every ordering of the continuation gives one float
-    fitted = base.mean_domain.clip(means[-1])
-    log_numerator = math.fsum(base._log_density(fitted, y) for y in values[seq.m :])
-    log_numerator += _relative_log_likelihood(base, seq.m, means[0])(fitted)
-    if name == "snml":
-        log_normalizer = sum(_snml_log_normalizer(base, t, mean) for t, mean in enumerate(means[:-1], seq.m))
-    elif name == "bayes":
-        log_normalizer = _jeffreys_posterior(base, seq.m, means[0]) - _jeffreys_posterior(base, seq.n, means[-1])
-    else:
-        log_normalizer = _log_shtarkov(base, seq.m, means[0], free)
-    return log_numerator - log_normalizer + math.fsum(log_jacobians[seq.m :])
+
+def _log_normalizer(family: Family, strategy: str, seq: ObservationSequence) -> float:
+    """L of the joint (``_joint_terms``): where the shared numerator
+    sup(x^n) / sup(x^m) is 0, the joints of two strategies, or of two
+    orderings, still differ by it."""
+    return _joint_terms(seq.m, *_joint_inputs(family, strategy, seq))[1]
 
 
 def _exact_joint(family: Family, strategy: str, seq: ObservationSequence) -> Fraction | None:
@@ -616,14 +652,22 @@ def strategy_joint(family: Family, strategy: str, seq: ObservationSequence) -> f
 
 
 def conditional_regret(family: Family, strategy: str, seq: ObservationSequence) -> RegretRecord:
-    """Excess log loss of the strategy over the best single family member."""
+    """Excess log loss of the strategy over the best single family member in
+    hindsight: log sup(x^m) + L, the history's sup-likelihood (its
+    log-Jacobians included) plus the strategy's log normalizer relative to
+    it (``_joint_terms``).
+
+    The continuation's numerator sup(x^n) / sup(x^m) cancels exactly, so no
+    two terms of size n D are subtracted: the CNML regret is one float for
+    every continuation of a history and length (NML's equalizer property),
+    and the regret is finite wherever L and sup(x^m) are.  Each value is
+    pulled back once.  ``strategy_loss`` (minus the log joint) and
+    ``best_expert_loglik`` (log sup(x^n)) are reported as they are and may
+    be +-inf; the regret equals their sum only up to its rounding, and at
+    m = n it is ``best_expert_loglik`` itself.
+    """
+    name, base, values, log_jacobians = _joint_inputs(family, strategy, seq)
+    log_joint, log_normalizer = _joint_terms(seq.m, name, base, values, log_jacobians)
+    best, history = (base._sup_log_likelihood(values[:t], log_jacobians[:t]) for t in (seq.n, seq.m))
     # 0.0 - x, not -x: nothing predicted (m = n) loses 0.0, not -0.0
-    strategy_loss = 0.0 - _log_joint(family, strategy, seq)
-    best = family.sup_log_likelihood(seq.values)
-    return RegretRecord(
-        strategy_loss=strategy_loss,
-        best_expert_loglik=best,
-        regret=strategy_loss + best,
-        m=seq.m,
-        n=seq.n,
-    )
+    return RegretRecord(0.0 - log_joint, best, history + log_normalizer, seq.m, seq.n)

@@ -287,6 +287,24 @@ class TestExchangeability:
         assert {tuple(witness["max_ordering"]), tuple(witness["min_ordering"])} == {(-1.2, 3.0), (3.0, -1.2)}
         assert math.copysign(1.0, report.values[0]) == 1.0
 
+    @pytest.mark.parametrize("continuation", [(0.0, 2.0, 0.5), (0.0, 2.0)], ids=["lattice", "two-orderings"])
+    def test_joints_zero_by_their_shared_numerator_still_spread(self, continuation):
+        """Under Gamma(2) the density at 0 is 0, so every ordering's joint is 0
+        by their shared numerator, and the spread read 0.0, Constant.  The
+        orderings still differ by their normalizers: the spread and the
+        witnesses are those with 1e-300 in place of 0."""
+        family = sk.GammaShape(2.0, mean_domain=(0.5, 3.0))
+        near = tuple(1e-300 if v == 0.0 else v for v in continuation)
+        zero, tiny = (
+            sk.exchangeability_test(family, 1, 1 + len(c), history=(1.0,), continuations=[c]) for c in (continuation, near)
+        )
+        assert zero.max_abs_deviation == pytest.approx(tiny.max_abs_deviation, rel=1e-12)
+        assert zero.verdict is tiny.verdict is Verdict.NON_CONSTANT
+        witness, tiny_witness = zero.details["witness"], tiny.details["witness"]
+        assert witness["max_log_joint"] == witness["min_log_joint"] == -math.inf
+        for label in ("max_ordering", "min_ordering"):
+            assert [1e-300 if v == 0.0 else v for v in witness[label]] == tiny_witness[label]
+
     def test_all_discrete_enumerates_history_multisets(self):
         ber = sk.Bernoulli()
         report = sk.exchangeability_test(ber, 2, 4, "all-discrete")
@@ -534,6 +552,17 @@ class TestBayesCnmlAgreement:
         (log_cnml,), (log_bayes,) = report.details["log_cnml"], report.details["log_bayes"]
         assert abs(math.expm1(log_bayes - log_cnml)) == report.max_abs_deviation
         assert report.max_abs_deviation == pytest.approx(0.024, abs=5e-4)
+
+    def test_joints_zero_by_their_shared_numerator_still_differ(self):
+        """Under Gamma(2) the density at 0 is 0, so both joints of 0 after 1
+        are 0 by their shared numerator, and the gap read 0.0, Constant.  The
+        normalizers still differ: the gap is that of 1e-300 after 1."""
+        family = sk.GammaShape(2.0, mean_domain=(0.5, 3.0))
+        zero, tiny = (sk.bayes_cnml_agreement(family, 1, 2, [(1.0, y)]) for y in (0.0, 1e-300))
+        assert zero.details["cnml"] == zero.details["bayes"] == [0.0]
+        assert zero.details["log_cnml"] == zero.details["log_bayes"] == [-math.inf]
+        assert zero.max_abs_deviation == pytest.approx(tiny.max_abs_deviation, rel=1e-12)
+        assert zero.verdict is tiny.verdict is Verdict.NON_CONSTANT
 
     def test_gaussian_blocks_agree(self):
         report = sk.bayes_cnml_agreement(

@@ -245,6 +245,23 @@ class TestRegret:
         payload = json.loads(out)
         assert math.isfinite(payload["regret"])
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (("--seq", "0,1e160", "--strategy", "cnml"), -0.5 * math.log(math.pi)),
+            (("--seq", "1e10,10000000003,7", "--strategy", "bayes", "--format", "plain"), -0.36963238887061788),
+        ],
+        ids=["far-continuation", "large-mean"],
+    )
+    def test_gaussian_regret_is_the_history_sup_plus_the_normalizer(self, capsys, argv, want):
+        """log sup(x^1) + L: -1/2 log pi after 0 for CNML, whatever follows,
+        and -1/2 log 2 pi + 1/2 log 3 for Bayes after 1e10.  Loss plus best
+        printed "nan" and 0."""
+        code, out, err = run(capsys, "regret", "--family", "gaussian", "--m", "1", *argv)
+        assert code == 0, err
+        regret = float(out) if "plain" in argv else json.loads(out)["regret"]
+        assert abs(regret - want) <= 1e-14 * abs(want), regret
+
 
 class TestCheckConstancy:
     def test_gamma_expect_constant(self, capsys):

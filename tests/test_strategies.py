@@ -1396,8 +1396,8 @@ ENTRY_POINTS = {
     "snml joint": (lambda f, v: sk.strategy_joint(f, "snml", ObservationSequence(v, 1)), 4),
     "bayes joint": (lambda f, v: sk.strategy_joint(f, "bayes", ObservationSequence(v, 1)), 4),
     "cnml joint": (lambda f, v: sk.cnml_joint(f, ObservationSequence(v, 1)), 4),
-    # the joint, then the best expert
-    "conditional_regret": (lambda f, v: sk.conditional_regret(f, "cnml", ObservationSequence(v, 1)), 8),
+    # the joint and both sup-likelihoods from one pull-back
+    "conditional_regret": (lambda f, v: sk.conditional_regret(f, "cnml", ObservationSequence(v, 1)), 4),
     # the ordering extremes, then the two witness joints
     "exchangeability_test": (lambda f, v: sk.exchangeability_test(f, 1, 4, history=v[:1], continuations=[v[1:]]), 12),
 }
@@ -1531,6 +1531,103 @@ class TestRegret:
     def test_snml_regret_nonnegative_for_bernoulli(self):
         record = sk.conditional_regret(sk.Bernoulli(), "snml", ObservationSequence((1.0, 0.0, 1.0)))
         assert record.regret >= 0.0
+
+
+def test_cnml_regret_is_one_float_for_every_continuation():
+    """The CNML regret is log sup(x^m) plus the one log Shtarkov integral, so
+    it is NML's equalizer in floats: loss plus best gave two values 2 ulp
+    apart for the continuations 1 and -3 after 0, and NaN for 1e160."""
+    family = sk.GaussianLocation(1.0)
+    seqs = [ObservationSequence((0.0, y), 1) for y in (1.0, -3.0, 1e160)]
+    regrets = {sk.conditional_regret(family, "cnml", seq).regret for seq in seqs}
+    assert len(regrets) == 1
+    assert_relative(regrets.pop(), -0.5 * math.log(math.pi), 1e-14)
+
+
+def test_sup_log_likelihood_below_the_float_range_is_minus_inf():
+    """Poisson counts 0, 1.64e308 and 0 have log-likelihoods of about -5.5e307
+    and -7.1e307 at their mean; their sum is below the float range, where
+    fsum raised OverflowError."""
+    values = (0.0, 1.6394156936377907e308, 0.0)
+    assert sk.Poisson().sup_log_likelihood(values) == -math.inf
+    record = sk.conditional_regret(sk.Poisson(), "bayes", ObservationSequence(values, 1))
+    assert record.best_expert_loglik == -math.inf and math.isfinite(record.regret)
+
+
+# (values, m): a continuation whose squared deviation overflows, a history
+# of mean 1e10, and a wide sequence at each m
+GAUSSIAN_BAYES_REGRETS = {
+    "far-continuation": ((0.0, 1e160), 1),
+    "large-mean": ((1e10, 1e10 + 3.0, 7.0), 1),
+    "wide-m1": ((-5.0, 3.0, 1e3, -1e3), 1),
+    "wide-m2": ((-5.0, 3.0, 1e3, -1e3), 2),
+    "wide-m3": ((-5.0, 3.0, 1e3, -1e3), 3),
+}
+
+
+@pytest.mark.parametrize("values, m", GAUSSIAN_BAYES_REGRETS.values(), ids=GAUSSIAN_BAYES_REGRETS)
+def test_gaussian_bayes_regret_against_mpmath(values, m):
+    """On the full line the unit Gaussian's Jeffreys normalizer is
+    C(n) = sqrt(2 pi / n), so the Bayes regret is log sup(x^m) + 1/2 log(n / m)
+    with log sup(x^m) = -m/2 log 2 pi - 1/2 sum (x_i - x-bar_m)^2.  Loss plus
+    best gave NaN, 0.0 and 1.8e-10 relative off for the first three."""
+    got = sk.conditional_regret(sk.GaussianLocation(1.0), "bayes", ObservationSequence(values, m)).regret
+    with mpmath.workdps(60):
+        history = [mpmath.mpf(v) for v in values[:m]]
+        mean = mpmath.fsum(history) / m
+        spread = mpmath.fsum((x - mean) ** 2 for x in history)
+        want = (mpmath.log(mpmath.mpf(len(values)) / m) - m * mpmath.log(2 * mpmath.pi) - spread) / 2
+        assert abs(got - want) <= 1e-14 * abs(want), (got, want)
+
+
+NONNEGATIVE = hs.floats(min_value=0.0, allow_infinity=False)
+# each family, with observations drawn from the whole float range
+REGRET_FAMILIES = {
+    "gaussian": (sk.GaussianLocation(1.0), hs.floats(allow_nan=False, allow_infinity=False)),
+    "gamma0.5": (sk.GammaShape(0.5), NONNEGATIVE),
+    "gamma1": (sk.GammaShape(1.0), NONNEGATIVE),
+    "gamma2": (sk.GammaShape(2.0), NONNEGATIVE),
+    "gamma2-restricted": (sk.GammaShape(2.0, mean_domain=(0.5, 3.0)), NONNEGATIVE),
+    "tweedie": (sk.Tweedie32(), NONNEGATIVE),
+    "poisson": (sk.Poisson(), NONNEGATIVE.map(math.floor).map(float)),
+    "bernoulli-restricted": (sk.Bernoulli(mean_domain=(0.2, 0.8)), hs.sampled_from((0.0, 1.0))),
+    # where LEVY's inverse 1/y and its derivative -1/y^2 are normal floats
+    "levy": (LEVY, hs.floats(1e-150, 1e150)),
+}
+
+
+@pytest.mark.parametrize("name", REGRET_FAMILIES)
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(data=hs.data())
+def test_regret_is_the_history_sup_likelihood_plus_the_normalizer(name, data):
+    """A regret is log sup(x^m) + L, in which the continuation cancels.  So it
+    is never NaN, and finite wherever the history's sup-likelihood is (every
+    normalizer taken is finite); the CNML regret is one float for every
+    continuation of one history and length; and where the loss and the best
+    expert's log-likelihood are finite, the regret is their sum up to that
+    sum's own rounding, a few ulp of the largest of the three.  Where a
+    normalizer cannot be taken, a SnmlkitError is raised instead."""
+    family, element = REGRET_FAMILIES[name]
+    m, k = data.draw(hs.integers(1, 2)), data.draw(hs.integers(1, 2))
+    history = tuple(data.draw(hs.lists(element, min_size=m, max_size=m)))
+    continuations = [tuple(data.draw(hs.lists(element, min_size=k, max_size=k))) for _ in range(2)]
+    for strategy in ("snml", "bayes", "cnml"):
+        regrets = set()
+        for continuation in continuations:
+            try:
+                record = sk.conditional_regret(family, strategy, ObservationSequence(history + continuation, m))
+            except SnmlkitError:
+                continue
+            regret, loss, best = record.regret, record.strategy_loss, record.best_expert_loglik
+            assert not math.isnan(regret), (strategy, continuation, record)
+            if math.isfinite(family.sup_log_likelihood(history)):
+                assert math.isfinite(regret), (strategy, continuation, record)
+            if math.isfinite(loss) and math.isfinite(best):
+                largest = max(abs(loss), abs(best), abs(regret))
+                assert abs(regret - (loss + best)) <= 4 * math.ulp(largest), (strategy, record)
+            regrets.add(regret.hex())
+        if strategy == "cnml":
+            assert len(regrets) <= 1, (history, continuations, regrets)
 
 
 # ---- predictive distribution contract -------------------------------------------
