@@ -161,6 +161,16 @@ def exact_mean(n: int, total: int) -> float:
     return total / (n << 1074)
 
 
+def sum_logs(terms: Sequence[float]) -> float:
+    """math.fsum of log-scale terms, which rounds once, so every ordering gives
+    one float; beyond the float range, where fsum raises on an intermediate
+    overflow, the plain sum, which overflows to the same infinity."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return sum(terms)
+
+
 def _window_slice(values: tuple[float, ...], window) -> tuple[float, ...]:
     if window is None:
         return values
@@ -420,12 +430,7 @@ class Family(ABC):
         if not values:
             return 0.0
         mu = self._check_mean(self.mean_domain.clip(exact_mean(len(values), sum(map(self._exact_statistic, values)))))
-        terms = [self._log_density(mu, x) + j for x, j in zip(values, log_jacobians)]
-        try:
-            return math.fsum(terms)
-        except OverflowError:
-            # beyond the float range, where the plain sum overflows to the same infinity
-            return sum(terms)
+        return sum_logs([self._log_density(mu, x) + j for x, j in zip(values, log_jacobians)])
 
     # ---- serialization ------------------------------------------------------
 
@@ -980,25 +985,29 @@ class TransformedFamily(Family):
         """The base's ``_untransformed`` (and its checks) of the values pulled
         back once, each checked first: UnsupportedPoint unless it is a finite
         point of the image's support closure that pulls back to one of the
-        base's."""
+        base's with a finite log-Jacobian."""
         values = tuple(map(float, values))
         core, base_core = self._core, self.base.convex_core()
-        pulled = []
+        pulled, own_log_jacobians = [], []
         for y in values:
             if not math.isfinite(y) or not core.closure_contains(y):
                 raise UnsupportedPoint(f"observation {y!r} is not a finite point of the support closure {core.bounds()}")
-            # a closure point of the image can pull back to infinity (0 under the reciprocal map)
+            # a closure point of the image can pull back to infinity (0 under the
+            # reciprocal map), and far out the inverse derivative can round to 0 or
+            # fail (-1/y^2 at 1e200 and at 1e-200)
             try:
-                x = self.pullback(y)
+                x, log_jacobian = self.pullback(y), self._density_log_jacobian(y)
             except (ArithmeticError, ValueError):
-                x = math.nan
-            if not math.isfinite(x) or not base_core.closure_contains(x):
+                x = log_jacobian = math.nan
+            if not (math.isfinite(x) and math.isfinite(log_jacobian) and base_core.closure_contains(x)):
                 raise UnsupportedPoint(
-                    f"observation {y!r} does not pull back to a finite point of the base support closure {base_core.bounds()}"
+                    f"observation {y!r} does not pull back to a finite point of the base support closure "
+                    f"{base_core.bounds()} with a finite log-Jacobian"
                 )
             pulled.append(x)
+            own_log_jacobians.append(log_jacobian)
         base, pulled, log_jacobians = self.base._untransformed(pulled)
-        return base, pulled, tuple(j + self._density_log_jacobian(y) for j, y in zip(log_jacobians, values))
+        return base, pulled, tuple(j + own for j, own in zip(log_jacobians, own_log_jacobians))
 
     def sample(self, mu: float, size: int, rng: np.random.Generator) -> np.ndarray:
         base_draws = self.base.sample(mu, size, rng)

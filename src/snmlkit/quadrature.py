@@ -5,14 +5,13 @@ an unbounded side, both sides are scanned outward from a peak hint at
 doubling distances until four probes in a row lie below 1e-16 of the
 running peak, or a finite side's edge is reached.  On an unbounded side the
 finite window ends at the first probe of that run.  The window is
-integrated with the probes inside it as break points; the rest of each
-unbounded tail is integrated under the map u = (edge - a) / (x - a) about
-the scan anchor a, so no mass is cut off.  That tail pass is skipped where
-the four decayed probes bound the mass beyond the edge far below the
-tolerance: |x - a| |f(x)| at least halves from each probe to the next, and
-twice its sum over them is at most 1e-3 of max(tol_abs, tol_rel |window
-value|).  The bound is then added to the error estimate.  Heavy power tails
-fail the halving test and keep their pass.
+integrated alone, with the probes inside it as break points.  The mass
+beyond an unbounded side's edge is bounded by the four decayed probes:
+where |x - a| |f(x)| at least halves from each probe to the next, a the
+scan anchor, twice its sum over them bounds that tail.  A bound of at most
+1e-3 of max(tol_abs, tol_rel |window value|) is added to the error
+estimate; any larger one, as for a power tail x^-p with p <= 2, whose
+|x| f(x) never halves, raises NonConvergence.
 """
 
 from __future__ import annotations
@@ -47,9 +46,8 @@ def _truncate_side(
 
     The probes double their distance from the anchor each step.  The scan
     stops after a run of _DECAY_RUN probes below DECAY_FACTOR of the peak,
-    and the window edge is the first probe of that run: integrate's tail pass
-    under u = (edge - anchor) / (x - anchor) covers everything beyond it.
-    The probes up to the edge are reused as integrator break points so slowly
+    and the window edge is the first probe of that run.  The probes up to
+    the edge are reused as integrator break points so slowly
     decaying tails cannot hide between sample points of a wide panel.  On a
     finite side (bound finite) the edge is the bound.  There the probes up to
     the first decayed one become break points only when the integrand decays
@@ -57,8 +55,8 @@ def _truncate_side(
     reaches the bound first returns none, and the side stays one panel.
 
     The tail bound is _tail_bound of |x - anchor| |f(x)| at the decayed probes
-    of an unbounded side, which lie from its edge out; on a finite side it is
-    inf.
+    of an unbounded side, which lie from its edge out; on a finite side,
+    where nothing lies beyond the edge, it is 0.
     """
     step = max(1.0, abs(anchor))
     run = 0
@@ -68,7 +66,7 @@ def _truncate_side(
     for _ in range(80):
         x = anchor + direction * step
         if direction * (x - bound) >= 0.0:
-            return bound, peak, [], math.inf
+            return bound, peak, [], 0.0
         fx = abs(f(x))
         if math.isnan(fx):
             raise NanIntegrand(f"integrand returned NaN at x={x!r}")
@@ -79,7 +77,7 @@ def _truncate_side(
             run += 1
             if run >= _DECAY_RUN:
                 if math.isfinite(bound):
-                    return bound, peak, probes[: -_DECAY_RUN + 1], math.inf
+                    return bound, peak, probes[: -_DECAY_RUN + 1], 0.0
                 return probes[-_DECAY_RUN], peak, probes[: -_DECAY_RUN + 1], _tail_bound(weights[-_DECAY_RUN:])
         else:
             run = 0
@@ -150,15 +148,12 @@ def integrate(
     window, so no panel straddles one.  On each unbounded side the
     window ends at the first probe of the final run of decayed probes (see
     _truncate_side); a finite side is probed up to its edge, so a bump far
-    from that edge still gets panels at its own scale.  The bulk is
-    integrated over the window with the probes inside it as breakpoints, and
-    each unbounded tail beyond the window is integrated separately under the
-    map u = (edge - a) / (x - a) onto (0, 1], a the scan anchor, so slowly
-    decaying tails contribute their true mass instead of being cut.  A tail's
-    pass is skipped when the decayed probes beyond its edge bound its mass
-    (_tail_bound) by at most 1e-3 of max(tol_abs, tol_rel |window value|);
-    that bound is then added to abs_error_estimate.  Every other tail,
-    including any power tail that decays like x^-2 or slower, gets its pass.
+    from that edge still gets panels at its own scale.  The window is
+    integrated alone, with the probes inside it as breakpoints.  The mass
+    beyond an unbounded side's edge is the bound the decayed probes put on
+    it (_tail_bound): where that is at most 1e-3 of max(tol_abs, tol_rel
+    |window value|) it is added to abs_error_estimate; otherwise, as for a
+    power tail x^-p with p <= 2, NonConvergence names the side and its edge.
     """
     # imported on first use: scipy.integrate is about half of the package's import time
     from scipy import integrate as _scipy_integrate
@@ -169,7 +164,7 @@ def integrate(
 
     lo, hi = a, b
     breaks = list(breaks)
-    lo_bound = hi_bound = math.inf
+    lo_bound = hi_bound = 0.0
     if math.isinf(a) or math.isinf(b):
         if peak_hint is not None and a < peak_hint < b:
             anchor = peak_hint
@@ -204,52 +199,17 @@ def integrate(
         full_output=1,
     )
     value, abserr, info = out[0], out[1], out[2]
-    subdivisions = int(info["last"])
     warning = out[3] if len(out) > 3 else None
-
-    # An unbounded side's edge e lies beyond the scan anchor a, so the tail
-    # beyond it maps under x = a + (e - a) / u to u in (0, 1], with
-    # dx = |x - a| / u du.  That keeps slowly decaying tails resolvable where
-    # the native infinite transform would compress their mass into an
-    # invisibly thin layer, and the scale e - a keeps u and |x - a| / u finite
-    # at any edge (under u = 1/x, u * u underflows once the edge passes 1e154).
-    def tail_transformed(u: float, edge: float) -> float:
-        if u == 0.0:
-            return 0.0
-        x = anchor + (edge - anchor) / u
-        if math.isinf(x):
-            return 0.0
-        fx = f(x)
-        return fx * abs(x - anchor) / u if math.isfinite(fx) else 0.0
-
-    edges: list[tuple[float, float]] = []
-    if math.isinf(b) and hi < b:
-        edges.append((hi, hi_bound))
-    if math.isinf(a) and a < lo:
-        edges.append((lo, lo_bound))
-    negligible = _TAIL_SKIP_FRACTION * max(tol_abs, tol_rel * abs(value))
-    for edge, tail_bound in edges:
-        if tail_bound <= negligible:
-            abserr += tail_bound
-            continue
-        tail = _scipy_integrate.quad(
-            tail_transformed,
-            0.0,
-            1.0,
-            args=(edge,),
-            epsabs=tol_abs,
-            epsrel=tol_rel,
-            limit=_MAX_SUBDIVISIONS,
-            full_output=1,
-        )
-        value += tail[0]
-        abserr += tail[1]
-        subdivisions += int(tail[2]["last"])
-        if len(tail) > 3 and warning is None:
-            warning = tail[3]
 
     if math.isnan(value):
         raise NanIntegrand("integration produced NaN")
+    negligible = _TAIL_SKIP_FRACTION * max(tol_abs, tol_rel * abs(value))
+    for side, edge, tail_bound in (("right", hi, hi_bound), ("left", lo, lo_bound)):
+        if not tail_bound <= negligible:
+            raise NonConvergence(
+                f"the {side} tail beyond the window edge x={edge:.3g} is not bounded by its decayed probes"
+            )
+        abserr += tail_bound
     if warning is not None:
         # QUADPACK flagged a problem; accept benign roundoff-limited results.
         bound = max(tol_abs, tol_rel * abs(value)) * 100.0
@@ -258,7 +218,7 @@ def integrate(
     return QuadratureResult(
         value=float(value),
         abs_error_estimate=float(abserr),
-        subdivisions=subdivisions,
+        subdivisions=int(info["last"]),
     )
 
 

@@ -96,9 +96,9 @@ from .errors import (
     DivergentNormalizer,
     DomainError,
     ImproperPosterior,
-    NonConvergence,
+    QuadratureError,
 )
-from .families import Bernoulli, Family, ObservationSequence, exact_mean
+from .families import Bernoulli, Family, ObservationSequence, exact_mean, sum_logs
 
 STRATEGIES = ("snml", "bayes", "cnml", "nml")
 
@@ -288,8 +288,8 @@ def _log_shtarkov(family: Family, n: int, mean: float, k: int) -> float:
     bump of the weight is about one unit wide around beta = 0.  sigma is the
     unchecked one: s ranges over the whole support, also where a restricted
     mean domain has no member.  Raises DivergentNormalizer, naming k, n and
-    x-bar, when the sum or the integral does not settle, overflows or is 0
-    or inf.
+    x-bar, when the sum or the integral does not settle, meets NaN,
+    overflows or is 0 or inf.
     """
     log_weight = _snml_log_gain(family, n, mean, k)
     where = f"Shtarkov normalizer over k={k} observation(s) after n={n} of mean {mean!r}"
@@ -329,7 +329,7 @@ def _log_shtarkov(family: Family, n: int, mean: float, k: int) -> float:
             )
             total = k * res.value + math.fsum(math.exp(log_weight(k * a)) for a in family.observation_atoms())
     # OverflowError: a counting sum's peak k x-bar beyond the float range
-    except (NonConvergence, OverflowError) as exc:
+    except (QuadratureError, OverflowError) as exc:
         raise DivergentNormalizer(f"{where}: {exc}") from exc
     if not 0.0 < total < math.inf:
         raise DivergentNormalizer(f"{where} evaluated to {total!r}")
@@ -368,7 +368,7 @@ def _concentration_integral(family: Family, n: int, mean: float, tol_abs: float,
     n observations with mean x-bar, relative to its sup-likelihood, and for
     x-bar = mu0 the concentration integral of the constancy and Laplace
     checks.  Raises ImproperPosterior, naming the kind, n and x-bar, when the
-    integral does not settle or is 0 or inf.
+    integral does not settle, meets NaN, or is 0 or inf.
     """
     anchor = _chart_anchor(family, n, mean)
     relative = _relative_log_likelihood(family, n, mean)
@@ -385,7 +385,7 @@ def _concentration_integral(family: Family, n: int, mean: float, tol_abs: float,
             tol_rel=tol_rel,
             peak_hint=0.0,
         ).value
-    except NonConvergence as exc:
+    except QuadratureError as exc:
         raise ImproperPosterior(f"{where}: {exc}") from exc
     if not 0.0 < total < math.inf:
         raise ImproperPosterior(f"{where} evaluated to {total!r}")
@@ -478,10 +478,10 @@ def _joint_terms(m: int, name: str, base: Family, values: tuple, log_jacobians: 
     # normalizer at each, and each prefix raises its own DomainError
     totals = itertools.accumulate(map(base._exact_statistic, values), initial=0)
     means = [_history_mean(base, t, total) for t, total in enumerate(totals) if t >= m]
-    # log sup(x^n) - log sup(x^m) at the clipped mean of all n values; fsum
-    # rounds once, so every ordering of the continuation gives one float
+    # log sup(x^n) - log sup(x^m) at the clipped mean of all n values, one
+    # float for every ordering of the continuation
     fitted = base.mean_domain.clip(means[-1])
-    log_numerator = math.fsum(base._log_density(fitted, y) for y in values[m:])
+    log_numerator = sum_logs([base._log_density(fitted, y) for y in values[m:]])
     log_numerator += _relative_log_likelihood(base, m, means[0])(fitted)
     if name == "snml":
         log_normalizer = sum(_snml_log_normalizer(base, t, mean) for t, mean in enumerate(means[:-1], m))
