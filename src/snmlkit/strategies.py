@@ -279,11 +279,12 @@ def _log_shtarkov(family: Family, n: int, mean: float, k: int) -> float:
     k = 1 is the SNML normalizer, and k = n - m the CNML normalizer.  The
     weight (_snml_log_gain) sees the k observations only through the sum t of
     their statistics, so this is one sum or integral over t.  A counting
-    support is summed outward from k times the clipped mean.  A continuous
-    one is integrated in the unit-Fisher chart of the continuation's mean
-    s = t / k based at the clipped mean, s = mean_from_geodesic(beta, anchor),
-    dt = k sigma(s) d beta, and the continuations made of atoms alone are
-    added.  In that chart a Gamma(a) weight t^(k a - 1) e^(-...) at 0 becomes
+    support is summed outward from k times the clipped mean, which must lie
+    below 2**53, where consecutive counts stop being distinct floats.  A
+    continuous one is integrated in the unit-Fisher chart of the
+    continuation's mean s = t / k based at the clipped mean,
+    s = mean_from_geodesic(beta, anchor), dt = k sigma(s) d beta, and the
+    continuations made of atoms alone are added.  In that chart a Gamma(a) weight t^(k a - 1) e^(-...) at 0 becomes
     smooth with exponential tails, the Tweedie left edge is finite, and the
     bump of the weight is about one unit wide around beta = 0.  sigma is the
     unchecked one: s ranges over the whole support, also where a restricted
@@ -298,8 +299,13 @@ def _log_shtarkov(family: Family, n: int, mean: float, k: int) -> float:
             # the sums of k draws from {0, 1}
             total = math.fsum(math.exp(log_weight(float(t))) for t in range(k + 1))
         elif family.is_discrete:
-            peak = round(k * family.mean_domain.clip(mean))
-            total = quadrature.sum_counting(lambda t: math.exp(log_weight(float(t))), peak=peak)
+            bulk = k * family.mean_domain.clip(mean)
+            if bulk >= 2.0**53:
+                raise DivergentNormalizer(
+                    f"{where}: counts near k x-bar = {bulk:.3g} lie past 2**53, where consecutive "
+                    "integers are no longer distinct floats, so the series cannot be summed term by term"
+                )
+            total = quadrature.sum_counting(lambda t: math.exp(log_weight(float(t))), peak=round(bulk))
         else:
             lo, hi = family.convex_core().bounds()
             anchor = _chart_anchor(family, n, mean)
@@ -320,15 +326,14 @@ def _log_shtarkov(family: Family, n: int, mean: float, k: int) -> float:
             # t = (n + k) b - n x-bar
             kinks = (mean + (n + k) * (b - mean) / k for b in family.mean_domain.bounds() if math.isfinite(b))
             res = quadrature.integrate(
-                quadrature.guarded(integrand),
+                integrand,
                 _chart_window(family, (lo, hi), anchor),
                 tol_abs=_NORMALIZER_TOL_ABS,
                 tol_rel=_NORMALIZER_TOL_REL,
-                peak_hint=0.0,
                 breaks=[family.geodesic_from_mean(s, anchor) for s in kinks if lo < s < hi],
             )
             total = k * res.value + math.fsum(math.exp(log_weight(k * a)) for a in family.observation_atoms())
-    # OverflowError: a counting sum's peak k x-bar beyond the float range
+    # OverflowError: float arithmetic past the float range outside the guarded integrand
     except (QuadratureError, OverflowError) as exc:
         raise DivergentNormalizer(f"{where}: {exc}") from exc
     if not 0.0 < total < math.inf:
@@ -379,11 +384,10 @@ def _concentration_integral(family: Family, n: int, mean: float, tol_abs: float,
 
     try:
         total = quadrature.integrate(
-            quadrature.guarded(integrand),
+            integrand,
             _chart_window(family, family.mean_domain.bounds(), anchor),
             tol_abs=tol_abs,
             tol_rel=tol_rel,
-            peak_hint=0.0,
         ).value
     except QuadratureError as exc:
         raise ImproperPosterior(f"{where}: {exc}") from exc

@@ -599,6 +599,20 @@ class TestLaplace:
         for ratio in report.values:
             assert ratio == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "family,mu0,position",
+        [
+            (sk.GaussianLocation(1.0), 0.3, "interior"),
+            (sk.GaussianLocation(1.0, mean_domain=(0.0, math.inf)), 0.0, "boundary"),
+        ],
+    )
+    def test_laplace_reference(self, family, mu0, position):
+        """For the Gaussian both references are exact: sqrt(2 pi / n) in the
+        interior, and half that at 0 on [0, inf)."""
+        report = sk.laplace_asymptotics_check(family, mu0, position, n_list=(1, 4, 50))
+        for ratio in report.values:
+            assert ratio == pytest.approx(1.0, rel=1e-10)
+
     def test_tweedie_converges(self):
         report = sk.laplace_asymptotics_check(sk.Tweedie32(), 1.0)
         assert report.verdict is Verdict.CONSTANT

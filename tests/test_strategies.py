@@ -1703,7 +1703,8 @@ def test_every_call_returns_a_number_or_a_typed_error(name):
     regrets, at any magnitude: each is a float that is not NaN, or raises a
     SnmlkitError, never a bare OverflowError or ValueError and never a
     QuadratureError from inside an integral.  Few draws per family: a
-    Poisson SNML normalizer far from 0 walks 200,000 series terms."""
+    Poisson SNML normalizer from about 1e8 to 2**53 walks 200,000 series
+    terms before it raises."""
     family, element = TOTALITY_FAMILIES[name]
     points = hs.lists(element, min_size=1, max_size=2)
 
@@ -1750,7 +1751,7 @@ def test_predictive_normalizes(name, family, history, maker):
     if name == "bernoulli":
         total = pred.density(0.0) + pred.density(1.0)
     elif name == "poisson":
-        total = quadrature.sum_counting(lambda k: pred.density(float(k)), start=0)
+        total = quadrature.sum_counting(lambda k: pred.density(float(k)), peak=0)
     else:
         # scipy's own quadrature, split at the maximum-likelihood mean, as an
         # independent oracle: it reaches the heavy observation-space tails
@@ -2209,6 +2210,19 @@ def test_poisson_snml_far_from_zero(x):
         terms.append(mpmath.exp(s * mpmath.log(s / 2) - s - mpmath.loggamma(k + 1) - mx * mpmath.log(mx) + mx))
     want = float(mpmath.log(mpmath.fsum(terms)))
     assert sk.snml_predictive(sk.Poisson(), (x,)).log_normalizer == pytest.approx(want, abs=1e-10)
+
+
+def test_poisson_snml_past_2_53_raises_before_summing(monkeypatch):
+    """Past 2**53 consecutive counts are no longer distinct floats, so the
+    series is not summed: the sum once walked 200,000 terms before it
+    raised."""
+
+    def no_sum(*args, **kwargs):
+        raise AssertionError("sum_counting called")
+
+    monkeypatch.setattr(quadrature, "sum_counting", no_sum)
+    with pytest.raises(DivergentNormalizer, match=r"2\*\*53"):
+        sk.snml_predictive(sk.Poisson(), (2.0**53,))
 
 
 def test_chart_halves_the_gamma_half_normalizer_work(integrand_calls):
