@@ -171,10 +171,6 @@ def _integer(name: str, value, least: int) -> int:
     return int(value)
 
 
-_CONDITION_TOL_ABS = 1e-12
-_CONDITION_TOL_REL = 1e-10
-
-
 def condition_integral(family: Family, mu0: float, n: int) -> float:
     """Integral of exp(-n KL(mu0 || mu)) / sigma(mu) over the mean domain.
 
@@ -187,7 +183,7 @@ def condition_integral(family: Family, mu0: float, n: int) -> float:
     """
     n = _integer("n", n, 1)
     mu0 = family._check_mean(mu0, interior=True)
-    return _concentration_integral(family._untransformed(())[0], n, mu0, _CONDITION_TOL_ABS, _CONDITION_TOL_REL)
+    return _concentration_integral(family._untransformed(())[0], n, mu0)
 
 
 def check_constancy(

@@ -10,10 +10,14 @@ unbounded side the finite window ends at the first probe of that run.  The
 window is integrated alone, with the probes inside it as break points.  The
 mass beyond an unbounded side's edge is bounded by the four decayed probes:
 where |x| |f(x)| at least halves from each probe to the next, twice its sum
-over them bounds that tail.  A bound of at most 1e-3 of max(tol_abs, tol_rel
-|window value|) is added to the error estimate; any larger one, as for a
-power tail x^-p with p <= 2, whose |x| f(x) never halves, raises
-NonConvergence.
+over them bounds that tail.  A bound of at most 1e-3 of the requested
+accuracy is added to the error estimate; any larger one, as for a power tail
+x^-p with p <= 2, whose |x| f(x) never halves, raises NonConvergence.
+
+Every integral is asked for one accuracy, max(_ABS_TOL, _REL_TOL |window
+value|): the Shtarkov and Jeffreys normalizers that the equivalence of SNML
+and Jeffreys-Bayes compares, and the concentration integral of the analyses,
+are all taken to the same target.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from typing import Callable, Sequence
 from .errors import NanIntegrand, NonConvergence
 
 DECAY_FACTOR = 1e-16
+_ABS_TOL = 1e-13
+_REL_TOL = 1e-11
 _DECAY_RUN = 4
 _TAIL_SKIP_FRACTION = 1e-3
 _MAX_SUBDIVISIONS = 400
@@ -101,8 +107,9 @@ def _tail_bound(weights: Sequence[float]) -> float:
     return math.inf
 
 
-def _peak_scale_probes(f, lo: float, hi: float) -> list[float]:
-    """Bracket the width of the bump at 0 by halving inward from +-1.
+def _peak_scale_probes(f, lo: float, hi: float, central: float) -> list[float]:
+    """Bracket the width of the bump at 0 by halving inward from +-1; central
+    is |f(0)|.
 
     A peak much narrower than the panel spacing can slip between the sample
     points of the embedded rule; break points at the bump's own scale force
@@ -110,7 +117,6 @@ def _peak_scale_probes(f, lo: float, hi: float) -> list[float]:
     within half the central value, so smooth O(1)-width integrands pay only a
     couple of extra evaluations.
     """
-    central = abs(f(0.0))
     if not (math.isfinite(central) and central > 0.0):
         return []
     probes: list[float] = []
@@ -151,12 +157,12 @@ def _guarded(fn: Callable[[float], float]) -> Callable[[float], float]:
 def integrate(
     f: Callable[[float], float],
     window: tuple[float, float],
-    tol_abs: float = 1e-10,
-    tol_rel: float = 1e-8,
     breaks: Sequence[float] = (),
 ) -> QuadratureResult:
     """Integrate a chart integrand f, whose bump sits at 0, over a window
     (a, b) with a <= 0 <= b and a < b; any other window raises ValueError.
+    The requested accuracy is max(_ABS_TOL, _REL_TOL |value|), the same for
+    every integral.
 
     f is guarded (_guarded): a ValueError, ZeroDivisionError or
     OverflowError it raises, and an inf it returns, read 0.  breaks are points
@@ -167,11 +173,13 @@ def integrate(
     bump far from that edge still gets panels at its own scale.  A window
     whose two edges are both finite is not scanned.  The window is
     integrated alone, with the probes inside it and probes at the bump's own
-    scale (_peak_scale_probes) as breakpoints.  The mass beyond an unbounded
-    side's edge is the bound the decayed probes put on it (_tail_bound):
-    where that is at most 1e-3 of max(tol_abs, tol_rel |window value|) it is
-    added to abs_error_estimate; otherwise, as for a power tail x^-p with
-    p <= 2, NonConvergence names the side and its edge.
+    scale (_peak_scale_probes) as breakpoints; f is evaluated at 0 once, for
+    both.  The mass beyond an unbounded side's edge is the bound the decayed
+    probes put on it (_tail_bound): where that is at most 1e-3 of the
+    requested accuracy it is added to abs_error_estimate; otherwise, as for a
+    power tail x^-p with p <= 2, NonConvergence names the side and its edge.
+    QUADPACK's warnings are forgiven where the error estimate is within 100
+    times the requested accuracy.
     """
     # imported on first use: scipy.integrate is about half of the package's import time
     from scipy import integrate as _scipy_integrate
@@ -184,24 +192,27 @@ def integrate(
     lo, hi = a, b
     breaks = [*breaks, 0.0]
     lo_bound = hi_bound = 0.0
-    if math.isinf(a) or math.isinf(b):
-        peak = abs(f(0.0))
-        if math.isnan(peak):
+    scanned = math.isinf(a) or math.isinf(b)
+    if scanned or a < 0.0 < b:
+        # the one evaluation at 0: the scan's first peak and the bump-scale probes' central value
+        central = abs(f(0.0))
+    if scanned:
+        if math.isnan(central):
             raise NanIntegrand("integrand returned NaN at x=0.0")
-        lo, peak, probes, lo_bound = _truncate_side(f, -1, peak, a)
+        lo, peak, probes, lo_bound = _truncate_side(f, -1, central, a)
         breaks.extend(probes)
         hi, peak, probes, hi_bound = _truncate_side(f, +1, peak, b)
         breaks.extend(probes)
     if lo < 0.0 < hi:
-        breaks.extend(_peak_scale_probes(f, lo, hi))
+        breaks.extend(_peak_scale_probes(f, lo, hi, central))
     points = sorted(x for x in set(breaks) if lo < x < hi) or None
 
     out = _scipy_integrate.quad(
         f,
         lo,
         hi,
-        epsabs=tol_abs,
-        epsrel=tol_rel,
+        epsabs=_ABS_TOL,
+        epsrel=_REL_TOL,
         limit=_MAX_SUBDIVISIONS,
         points=points,
         full_output=1,
@@ -211,18 +222,16 @@ def integrate(
 
     if math.isnan(value):
         raise NanIntegrand("integration produced NaN")
-    negligible = _TAIL_SKIP_FRACTION * max(tol_abs, tol_rel * abs(value))
+    accuracy = max(_ABS_TOL, _REL_TOL * abs(value))
     for side, edge, tail_bound in (("right", hi, hi_bound), ("left", lo, lo_bound)):
-        if not tail_bound <= negligible:
+        if not tail_bound <= _TAIL_SKIP_FRACTION * accuracy:
             raise NonConvergence(
                 f"the {side} tail beyond the window edge x={edge:.3g} is not bounded by its decayed probes"
             )
         abserr += tail_bound
-    if warning is not None:
-        # QUADPACK flagged a problem; accept benign roundoff-limited results.
-        bound = max(tol_abs, tol_rel * abs(value)) * 100.0
-        if abserr > bound:
-            raise NonConvergence(f"quadrature did not converge: {warning}")
+    # QUADPACK flagged a problem; accept benign roundoff-limited results
+    if warning is not None and abserr > accuracy * 100.0:
+        raise NonConvergence(f"quadrature did not converge: {warning}")
     return QuadratureResult(
         value=float(value),
         abs_error_estimate=float(abserr),

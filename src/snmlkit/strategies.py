@@ -102,9 +102,6 @@ from .families import Bernoulli, Family, ObservationSequence, exact_mean, sum_lo
 
 STRATEGIES = ("snml", "bayes", "cnml", "nml")
 
-_NORMALIZER_TOL_ABS = 1e-12
-_NORMALIZER_TOL_REL = 1e-10
-
 
 @dataclass(frozen=True)
 class RegretRecord:
@@ -328,8 +325,6 @@ def _log_shtarkov(family: Family, n: int, mean: float, k: int) -> float:
             res = quadrature.integrate(
                 integrand,
                 _chart_window(family, (lo, hi), anchor),
-                tol_abs=_NORMALIZER_TOL_ABS,
-                tol_rel=_NORMALIZER_TOL_REL,
                 breaks=[family.geodesic_from_mean(s, anchor) for s in kinks if lo < s < hi],
             )
             total = k * res.value + math.fsum(math.exp(log_weight(k * a)) for a in family.observation_atoms())
@@ -363,7 +358,7 @@ def _require_conditioning(family: Family, m: int, strategy: str) -> None:
         )
 
 
-def _concentration_integral(family: Family, n: int, mean: float, tol_abs: float, tol_rel: float) -> float:
+def _concentration_integral(family: Family, n: int, mean: float) -> float:
     """Integral of exp(n D(x-bar || clip x-bar) - n D(x-bar || mu)) / sigma(mu) d mu.
 
     The weight 1/sigma(mu) d mu is arc length in the unit-Fisher chart, so the
@@ -383,12 +378,7 @@ def _concentration_integral(family: Family, n: int, mean: float, tol_abs: float,
         return math.exp(relative(family.mean_from_geodesic(beta, anchor)))
 
     try:
-        total = quadrature.integrate(
-            integrand,
-            _chart_window(family, family.mean_domain.bounds(), anchor),
-            tol_abs=tol_abs,
-            tol_rel=tol_rel,
-        ).value
+        total = quadrature.integrate(integrand, _chart_window(family, family.mean_domain.bounds(), anchor)).value
     except QuadratureError as exc:
         raise ImproperPosterior(f"{where}: {exc}") from exc
     if not 0.0 < total < math.inf:
@@ -406,7 +396,7 @@ def _jeffreys_posterior(family: Family, n: int, mean: float) -> float:
         closed = family._log_jeffreys_normalizer(n, mean)
         if closed is not None:
             return closed
-    return math.log(_concentration_integral(family, n, mean, 1e-13, 1e-11))
+    return math.log(_concentration_integral(family, n, mean))
 
 
 def _predictive(family: Family, strategy: str, history: Iterable[float]) -> PredictiveDistribution:
@@ -639,12 +629,13 @@ def nml_joint(family: Family, seq: ObservationSequence) -> float | Fraction:
 
 def shtarkov_sum(family: Family, n: int) -> Fraction:
     """Exact Shtarkov sum over n draws of Bernoulli on the maximal domain,
-    transformed or not (a counting support has no Jacobian)."""
+    transformed or not (a counting support has no Jacobian); n is an
+    integer-valued number of at least 1, else ValueError."""
     if family._untransformed(())[0] != _EXACT_BERNOULLI:
         raise DivergentNormalizer("exact Shtarkov sums are available for the maximal Bernoulli family only")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _bernoulli_shtarkov_fraction(0, 0, n)
+    if not (n >= 1 and float(n).is_integer()):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    return _bernoulli_shtarkov_fraction(0, 0, int(n))
 
 
 def strategy_joint(family: Family, strategy: str, seq: ObservationSequence) -> float | Fraction:

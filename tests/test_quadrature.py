@@ -36,7 +36,7 @@ def test_closed_forms(fn, domain, expected):
     res = quadrature.integrate(fn, domain)
     assert res.value == pytest.approx(expected, abs=1e-10, rel=1e-10)
     assert res.abs_error_estimate >= 0.0
-    assert res.abs_error_estimate <= max(1e-10, 1e-8 * abs(res.value))
+    assert res.abs_error_estimate <= max(1e-13, 1e-11 * abs(res.value))
 
 
 def test_additivity():
@@ -58,7 +58,7 @@ def test_additivity():
 def test_tail_window_ends_at_first_decayed_probe(fn, domain, expected, old_calls, integrand_calls):
     """Panels past the first decayed probe of the scan are left to the tail
     bound; old_calls is the count when the window ran to the last probe."""
-    res = quadrature.integrate(fn, domain, tol_abs=1e-12, tol_rel=1e-10)
+    res = quadrature.integrate(fn, domain)
     assert res.value == pytest.approx(expected, abs=1e-12)
     assert integrand_calls.count < old_calls
 
@@ -79,6 +79,25 @@ def test_narrow_spike_found_via_peak_hint():
     scale = 1e-3
     res = quadrature.integrate(lambda x: math.exp(-((x / scale) ** 2) / 2.0), (-math.inf, math.inf))
     assert res.value == pytest.approx(scale * math.sqrt(2 * math.pi), rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "window,evaluations",
+    [((-math.inf, math.inf), 1), ((0.0, math.inf), 1), ((-5.0, 5.0), 1), ((0.0, 5.0), 0)],
+    ids=["line", "half-line", "finite", "finite-edge-at-zero"],
+)
+def test_zero_is_evaluated_at_most_once(window, evaluations):
+    """The scan's first peak and the bump-scale probes' central value share
+    one evaluation at 0; a finite window with an edge at 0 needs neither."""
+    at_zero = []
+
+    def fn(x):
+        if x == 0.0:
+            at_zero.append(x)
+        return gaussian_bump(x)
+
+    quadrature.integrate(fn, window)
+    assert len(at_zero) == evaluations
 
 
 def test_nan_integrand_reported():
@@ -170,7 +189,7 @@ class TestGuarded:
             quadrature.integrate(lambda x: math.nan if x > 0.5 else math.exp(-x * x), window)
 
 
-@pytest.mark.parametrize("p", [5.0, 10.0, 20.0])
+@pytest.mark.parametrize("p", [10.0, 20.0])
 def test_power_tails_keep_their_mass(p):
     """At these p, |x| f(x) of an x^-p tail halves between doubling probes
     fast enough that its decayed probes bound its mass far below the
@@ -183,12 +202,12 @@ def test_power_tails_keep_their_mass(p):
 
 
 def _power_tail_cases():
-    for p in (1.5, 2.0, 3.0):
-        yield pytest.param(lambda x, p=p: (1.0 + x) ** -p, (0.0, math.inf), {}, "right", id=f"half-line-p{p}")
-        yield pytest.param(
-            lambda x, p=p: (1.0 + x * x) ** (-p / 2.0), (-math.inf, math.inf), {}, "right", id=f"line-p{p}"
-        )
-        yield pytest.param(lambda x, p=p: (1.0 - x) ** -p, (-math.inf, 0.0), {}, "left", id=f"left-half-line-p{p}")
+    # at p = 5 |x| f(x) halves between the decayed probes, but their bound on
+    # the x^-5 tail is above 1e-3 of the requested accuracy
+    for p in (1.5, 2.0, 3.0, 5.0):
+        yield pytest.param(lambda x, p=p: (1.0 + x) ** -p, (0.0, math.inf), "right", id=f"half-line-p{p}")
+        yield pytest.param(lambda x, p=p: (1.0 + x * x) ** (-p / 2.0), (-math.inf, math.inf), "right", id=f"line-p{p}")
+        yield pytest.param(lambda x, p=p: (1.0 - x) ** -p, (-math.inf, 0.0), "left", id=f"left-half-line-p{p}")
 
 
 def _probes_grow(x):
@@ -199,44 +218,29 @@ def _probes_grow(x):
 
 
 @pytest.mark.parametrize(
-    "fn,domain,options,side",
+    "fn,domain,side",
     [
-        pytest.param(
-            lambda t: t**-3 * math.exp(-2.0 / t) if t > 0 else 0.0, (0.0, math.inf), {}, "right", id="t^-3-e^-2/t"
-        ),
+        pytest.param(lambda t: t**-3 * math.exp(-2.0 / t) if t > 0 else 0.0, (0.0, math.inf), "right", id="t^-3-e^-2/t"),
         # envelope ~ y^(-3/2): most of the far tail lies beyond any fixed cutoff
         pytest.param(
             lambda y: 1.0 / (math.sqrt(y) * (1.0 + y)) if y > 0 else 0.0,
             (0.0, math.inf),
-            {"tol_abs": 1e-12, "tol_rel": 1e-10},
             "right",
             id="one-sided",
         ),
         # both tails ~ x^(-2) hold about 5e-9 beyond the window; the right one is checked first
-        pytest.param(
-            lambda x: 1.0 / (math.pi * (1.0 + x * x)),
-            (-math.inf, math.inf),
-            {"tol_abs": 1e-12, "tol_rel": 1e-10},
-            "right",
-            id="cauchy",
-        ),
+        pytest.param(lambda x: 1.0 / (math.pi * (1.0 + x * x)), (-math.inf, math.inf), "right", id="cauchy"),
         *_power_tail_cases(),
-        pytest.param(
-            _probes_grow,
-            (-math.inf, math.inf),
-            {"tol_abs": 1e-300, "tol_rel": 1e-14},
-            "right",
-            id="probes-grow",
-        ),
+        pytest.param(_probes_grow, (-math.inf, math.inf), "right", id="probes-grow"),
     ],
 )
-def test_tail_its_decayed_probes_cannot_bound_raises(fn, domain, options, side):
+def test_tail_its_decayed_probes_cannot_bound_raises(fn, domain, side):
     """Only the window is integrated.  A tail whose decayed probes do not
     bound its mass within 1e-3 of the tolerance is not cut off silently:
     NonConvergence names its side and the window edge, which lies on that
     side of 0."""
     with pytest.raises(NonConvergence) as err:
-        quadrature.integrate(fn, domain, **options)
+        quadrature.integrate(fn, domain)
     match = re.search(r"the (\w+) tail beyond the window edge x=(\S+) ", str(err.value))
     assert match is not None, str(err.value)
     assert match.group(1) == side

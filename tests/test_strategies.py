@@ -233,7 +233,7 @@ def test_bernoulli_jeffreys_normalizer_matches_mpmath(n):
 def test_jeffreys_closed_forms_match_the_concentration_integral(family, totals, n):
     for total in sorted(set(totals(n))):
         mean = total / n
-        want = math.log(strategies._concentration_integral(family, n, mean, 1e-13, 1e-11))
+        want = math.log(strategies._concentration_integral(family, n, mean))
         assert abs(family._log_jeffreys_normalizer(n, mean) - want) <= 1e-10, total
 
 
@@ -853,6 +853,14 @@ class TestShtarkov:
         ber = sk.Bernoulli()
         assert sk.shtarkov_sum(ber, 1) == Fraction(2)
         assert sk.shtarkov_sum(ber, 2) == Fraction(5, 2)
+
+    def test_integer_valued_n(self):
+        assert sk.shtarkov_sum(sk.Bernoulli(), 3.0) == sk.shtarkov_sum(sk.Bernoulli(), 3) == Fraction(26, 9)
+
+    @pytest.mark.parametrize("n", [2.5, 0, -1, math.inf, math.nan])
+    def test_other_n_raises_value_error(self, n):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            sk.shtarkov_sum(sk.Bernoulli(), n)
 
     def test_refused_outside_bernoulli(self):
         with pytest.raises(DivergentNormalizer):
@@ -2294,6 +2302,31 @@ def test_gaussian_snml_normalizer_takes_one_quad_call(integrand_calls, monkeypat
     assert pred.log_normalizer == pytest.approx(0.5 * math.log(2.0), rel=1e-12)
     assert len(calls) == 1
     assert integrand_calls.count < 356
+
+
+@pytest.mark.parametrize(
+    "compute",
+    [
+        lambda: sk.snml_predictive(sk.GaussianLocation(1.0), (0.4,)),
+        lambda: sk.conditional_regret(sk.GammaShape(1.0), "cnml", ObservationSequence((1.0, 2.0, 0.5), m=1)),
+        lambda: sk.bayes_jeffreys_predictive(sk.GammaShape(2.0), (1.5,)),
+        lambda: sk.bayes_jeffreys_predictive(sk.GammaShape(2.0, mean_domain=(2.0, 5.0)), (1.5,)),
+        lambda: sk.condition_integral(sk.GammaShape(2.0), 1.5, 3),
+    ],
+    ids=["gaussian-snml", "gamma-cnml-k2", "gamma-bayes", "restricted-gamma-bayes", "condition-integral"],
+)
+def test_every_integral_asks_for_one_accuracy(compute, integrand_calls, monkeypatch):
+    """The Shtarkov, CNML, Jeffreys and concentration integrals, which the
+    SNML = Bayes equivalence compares, are all asked for the same accuracy."""
+    asked = []
+
+    def spy(*args, **kwargs):
+        asked.append((kwargs["epsabs"], kwargs["epsrel"]))
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", spy)
+    compute()
+    assert asked and set(asked) == {(1e-13, 1e-11)}
 
 
 # integrand evaluations of the battery below when every unbounded side got a
