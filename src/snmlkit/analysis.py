@@ -315,6 +315,7 @@ def exchangeability_test(
     the logs still show the spread.
     """
     m, n, count = _integer("m", m, 0), _integer("n", n, 0), _integer("count", count, 1)
+    seed = _integer("seed", seed, 0)
     if not m < n:
         raise DomainError(f"need 0 <= m < n, got m={m}, n={n}")
     free = n - m

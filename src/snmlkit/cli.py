@@ -3,8 +3,14 @@
 Subcommands: kl, predict, joint, regret, check-constancy,
 check-exchangeability, check-ode, classify, laplace, sample-tweedie.
 
+Output: every subcommand writes one result, to stdout or to --output.
+Under --format json it is the JSON payload; otherwise it is the plain value
+(kl, joint, regret) or the CSV table (predict and the check reports).
+classify writes JSON only, and sample-tweedie one draw per line.
+
 Exit codes: 0 on success (and when a check verdict matches --expect), 1 when a
-check verdict contradicts --expect, 2 on usage or configuration errors.
+check verdict contradicts --expect, 2 on usage, configuration or domain errors,
+a malformed family payload (--family-json) among them.
 Floats are printed with 17 significant digits so CSV output round-trips.
 """
 
@@ -12,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -50,29 +57,30 @@ def _parse_bounds(text: str, flag: str) -> tuple[float, float]:
 
 def _parse_grid(text: str, flag: str = "--grid") -> tuple[float, ...]:
     if text.startswith("linspace:"):
-        parts = text.split(":")[1:]
-        if len(parts) != 3:
-            raise SnmlkitError(f"{flag} linspace form is linspace:LO:HI:COUNT, got {text!r}")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        try:
+            lo, hi, count = text.split(":")[1:]
+            lo, hi, count = float(lo), float(hi), int(count)
+        except ValueError:
+            raise SnmlkitError(f"{flag} linspace form is linspace:LO:HI:COUNT, got {text!r}") from None
         return tuple(np.linspace(lo, hi, count))
     return _parse_floats(text, flag)
 
 
 def _family_from_args(args) -> families.Family:
-    spec = getattr(args, "family_json", None)
+    spec = args.family_json
     if spec:
         if spec.startswith("@"):
             spec = Path(spec[1:]).read_text()
         return families.from_json(spec)
-    name = (getattr(args, "family", None) or "").lower()
+    name = args.family or ""
     if name not in _FAMILY_KINDS:
         raise SnmlkitError(f"--family must be one of {_FAMILY_NAMES} (or pass --family-json), got {name!r}")
-    domain = _parse_bounds(args.mean_domain, "--mean-domain") if getattr(args, "mean_domain", None) else None
+    domain = _parse_bounds(args.mean_domain, "--mean-domain") if args.mean_domain else None
     return families.from_json({"kind": _FAMILY_KINDS[name], "sigma2": args.sigma2, "shape": args.shape, "mean_domain": domain})
 
 
 def _variance_from_args(args) -> analysis.VarianceFunctionSpec:
-    if getattr(args, "table", None):
+    if args.table:
         # blank lines and #-comments are skipped, and the first other line may
         # be a header; every other line starts with the two numbers mu,V
         rows, header_allowed = [], True
@@ -91,8 +99,8 @@ def _variance_from_args(args) -> analysis.VarianceFunctionSpec:
             raise SnmlkitError(f"no numeric mu,V rows found in {args.table}")
         mu, v = zip(*rows)
         return analysis.VarianceFunctionSpec.from_table(mu, v, label=args.table)
-    if getattr(args, "variance", None):
-        if not getattr(args, "domain", None):
+    if args.variance:
+        if not args.domain:
             raise SnmlkitError("--variance needs --domain LO,HI")
         return analysis.VarianceFunctionSpec.closed(args.variance, _parse_bounds(args.domain, "--domain"))
     raise SnmlkitError("supply a variance function via --variance/--domain or --table")
@@ -101,22 +109,22 @@ def _variance_from_args(args) -> analysis.VarianceFunctionSpec:
 def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    output = getattr(args, "output", None)
-    if output:
-        Path(output).write_text(text)
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
 
 
+def _emit_result(args, payload, plain: str, indent: int | None = None) -> None:
+    """Write payload as JSON under --format json, else the plain or CSV text."""
+    _emit(args, _json.dumps(payload, indent=indent) if args.format == "json" else plain)
+
+
 def _emit_report(args, report: analysis.AnalysisReport) -> int:
-    if getattr(args, "format", "json") == "csv":
-        _emit(args, report.to_csv())
-    else:
-        _emit(args, report.to_json(indent=2))
-    expect = getattr(args, "expect", None)
-    if expect is None:
+    _emit_result(args, report.to_dict(), report.to_csv(), indent=2)
+    if args.expect is None:
         return 0
-    wanted = Verdict.CONSTANT if expect == "constant" else Verdict.NON_CONSTANT
+    wanted = Verdict.CONSTANT if args.expect == "constant" else Verdict.NON_CONSTANT
     return 0 if report.verdict is wanted else 1
 
 
@@ -124,18 +132,14 @@ def _emit_report(args, report: analysis.AnalysisReport) -> int:
 
 
 def _cmd_kl(args) -> int:
-    family = _family_from_args(args)
-    value = family.kl_divergence(args.mu0, args.mu1)
-    if args.format == "json":
-        _emit(args, _json.dumps({"mu0": args.mu0, "mu1": args.mu1, "kl": value}))
-    else:
-        _emit(args, _fmt(value))
+    value = _family_from_args(args).kl_divergence(args.mu0, args.mu1)
+    _emit_result(args, {"mu0": args.mu0, "mu1": args.mu1, "kl": value}, _fmt(value))
     return 0
 
 
 def _cmd_predict(args) -> int:
     family = _family_from_args(args)
-    history = _parse_floats(args.history, "--history") if args.history else ()
+    history = _parse_floats(args.history, "--history")
     points = _parse_floats(args.points, "--points")
     if not points:
         raise SnmlkitError("--points expects at least one evaluation point")
@@ -143,24 +147,15 @@ def _cmd_predict(args) -> int:
     predictive = make(family, history)
     log_densities = [predictive.log_density(p) for p in points]
     densities = [strategies._exp(ld) for ld in log_densities]
-    if args.format == "csv":
-        lines = ["point,density,log_density"]
-        lines += [f"{_fmt(p)},{_fmt(d)},{_fmt(ld)}" for p, d, ld in zip(points, densities, log_densities)]
-        _emit(args, "\n".join(lines))
-    else:
-        _emit(
-            args,
-            _json.dumps(
-                {
-                    "strategy": args.strategy,
-                    "history": list(history),
-                    "points": list(points),
-                    "density": densities,
-                    "log_density": log_densities,
-                },
-                indent=2,
-            ),
-        )
+    payload = {
+        "strategy": args.strategy,
+        "history": list(history),
+        "points": list(points),
+        "density": densities,
+        "log_density": log_densities,
+    }
+    rows = [f"{_fmt(p)},{_fmt(d)},{_fmt(ld)}" for p, d, ld in zip(points, densities, log_densities)]
+    _emit_result(args, payload, "\n".join(["point,density,log_density", *rows]), indent=2)
     return 0
 
 
@@ -175,19 +170,16 @@ def _cmd_joint(args) -> int:
     family = _family_from_args(args)
     seq = _sequence_from_args(args)
     value = strategies.strategy_joint(family, args.strategy, seq)
-    if args.format == "json":
-        payload = {
-            "strategy": args.strategy,
-            "m": seq.m,
-            "n": seq.n,
-            "sequence": list(seq.values),
-            "value": float(value),
-        }
-        if not isinstance(value, float):
-            payload["exact"] = str(value)
-        _emit(args, _json.dumps(payload))
-    else:
-        _emit(args, _fmt(float(value)))
+    payload = {
+        "strategy": args.strategy,
+        "m": seq.m,
+        "n": seq.n,
+        "sequence": list(seq.values),
+        "value": float(value),
+    }
+    if not isinstance(value, float):
+        payload["exact"] = str(value)
+    _emit_result(args, payload, _fmt(value))
     return 0
 
 
@@ -195,22 +187,7 @@ def _cmd_regret(args) -> int:
     family = _family_from_args(args)
     seq = _sequence_from_args(args)
     record = strategies.conditional_regret(family, args.strategy, seq)
-    if args.format == "json":
-        _emit(
-            args,
-            _json.dumps(
-                {
-                    "strategy": args.strategy,
-                    "strategy_loss": record.strategy_loss,
-                    "best_expert_loglik": record.best_expert_loglik,
-                    "regret": record.regret,
-                    "m": record.m,
-                    "n": record.n,
-                }
-            ),
-        )
-    else:
-        _emit(args, _fmt(record.regret))
+    _emit_result(args, {"strategy": args.strategy, **asdict(record)}, _fmt(record.regret))
     return 0
 
 
@@ -399,17 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SnmlkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (SnmlkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

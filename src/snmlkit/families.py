@@ -42,7 +42,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -834,6 +834,14 @@ def _probe_grid(core: Interval) -> np.ndarray:
     return lo + width * np.linspace(0.05, 0.95, 13)
 
 
+def _at_probe(fn: Callable[[float], float], name: str, axis: str, point: float) -> float:
+    """fn at a probe point; NonMonotone naming the point when it raises there."""
+    try:
+        return fn(float(point))
+    except (ArithmeticError, ValueError) as exc:
+        raise NonMonotone(f"{name} raises at the probe point {axis}={float(point)!r}: {exc}") from None
+
+
 def _endpoint_image(forward: Callable[[float], float], endpoint: float, inward: float) -> float:
     """Limit of forward at an endpoint, approached from inside the support."""
     if math.isfinite(endpoint):
@@ -888,7 +896,7 @@ class TransformedFamily(Family):
 
         core = base.convex_core()
         probes = _probe_grid(core)
-        images = np.array([forward(float(x)) for x in probes])
+        images = np.array([_at_probe(forward, "forward map", "x", x) for x in probes])
         diffs = np.diff(images)
         if np.all(diffs > 0):
             self._increasing = True
@@ -897,10 +905,10 @@ class TransformedFamily(Family):
         else:
             raise NonMonotone("forward map is not strictly monotone on the support")
         for x, y in zip(probes, images):
-            back = inverse(float(y))
+            back = _at_probe(inverse, "inverse", "y", y)
             if not math.isfinite(back) or abs(back - x) > 1e-8 * max(1.0, abs(x)):
                 raise NonMonotone(f"inverse(forward({x!r})) = {back!r} does not return the input")
-            v = inverse_derivative(float(y))
+            v = _at_probe(inverse_derivative, "inverse derivative", "y", y)
             if not math.isfinite(v) or v == 0.0:
                 raise NonMonotone(f"inverse derivative is degenerate at y={y!r}")
 
@@ -1043,15 +1051,28 @@ _KINDS = {cls.kind: cls for cls in (GaussianLocation, GammaShape, Tweedie32, Ber
 def from_json(payload: str | dict) -> Family:
     """Rebuild a family from its to_json payload (or an equivalent dict).
 
-    Keys that are not fields of the kind are ignored."""
-    data = json.loads(payload) if isinstance(payload, str) else dict(payload)
+    Keys that are not fields of the kind are ignored.  DomainError names the
+    fault when the payload is not an object, its kind is unknown, its
+    mean_domain is neither null nor two numbers, or a parameter is not a
+    number."""
+    data = json.loads(payload) if isinstance(payload, str) else payload
+    if not isinstance(data, Mapping):
+        raise DomainError(f"a family payload must be a JSON object, got {data!r}")
     kind = data.get("kind")
-    if kind not in _KINDS:
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise DomainError(f"unknown family kind {kind!r}")
-    cls = _KINDS[kind]
-    domain = None
-    if data.get("mean_domain") is not None:
-        lo, hi = data["mean_domain"]
-        domain = (float(lo), float(hi))
-    parameters = {f.name: float(data[f.name]) for f in fields(cls) if f.name != "mean_domain" and f.name in data}
+    domain = data.get("mean_domain")
+    if domain is not None:
+        try:
+            lo, hi = domain
+            domain = (float(lo), float(hi))
+        except (TypeError, ValueError):
+            raise DomainError(f"mean_domain must be null or an array of two numbers, got {domain!r}") from None
+    parameters = {f.name: data[f.name] for f in fields(cls) if f.name != "mean_domain" and f.name in data}
+    for name, value in parameters.items():
+        try:
+            parameters[name] = float(value)
+        except (TypeError, ValueError):
+            raise DomainError(f"{name} must be a number, got {value!r}") from None
     return cls(**parameters, mean_domain=domain)

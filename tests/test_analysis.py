@@ -413,6 +413,12 @@ class TestExchangeability:
         with pytest.raises(DomainError, match=f"^{message}$"):
             sk.exchangeability_test(sk.GaussianLocation(1.0), m, n, count=count)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5], ids=["negative", "fractional"])
+    def test_seed_is_checked_and_named(self, seed):
+        """-1 and 1.5 used to escape as numpy's bare ValueError and TypeError."""
+        with pytest.raises(DomainError, match=f"^seed must be a nonnegative integer, got {seed}$"):
+            sk.exchangeability_test(sk.GaussianLocation(1.0), 1, 3, count=2, seed=seed)
+
     def test_all_discrete_rejects_a_history(self):
         """all-discrete enumerates the histories; a given one was ignored, 5.0 unchecked."""
         with pytest.raises(DomainError, match="history"):

@@ -11,6 +11,7 @@ import pytest
 
 import snmlkit
 from snmlkit import cli, families, parse_report_csv, tweedie
+from snmlkit.analysis import _fmt
 
 
 def run(capsys, *argv):
@@ -341,6 +342,13 @@ class TestCheckConstancy:
         for value in values:
             assert value == pytest.approx(math.sqrt(2 * math.pi / 3), rel=1e-9)
 
+    @pytest.mark.parametrize("grid", ["linspace:1:2:x", "linspace:a:2:3"])
+    def test_linspace_with_a_non_number_names_the_flag(self, capsys, grid):
+        """These exited 2 with int()'s or float()'s message, which named no flag."""
+        code, out, err = run(capsys, "check-constancy", "--family", "gamma", "--n", "2", "--grid", grid)
+        assert code == 2 and out == ""
+        assert err == f"error: --grid linspace form is linspace:LO:HI:COUNT, got {grid!r}\n"
+
     def test_single_point_grid_exits_2(self, capsys):
         code, _, err = run(
             capsys, "check-constancy", "--family", "gaussian", "--n", "2", "--grid", "1.0"
@@ -389,6 +397,12 @@ class TestCheckExchangeability:
         )
         assert code == 0
         assert json.loads(out)["max_abs_deviation"] == 0.0
+
+    def test_negative_seed_exits_2_naming_it(self, capsys):
+        """numpy's "expected non-negative integer" named no argument."""
+        code, out, err = run(capsys, "check-exchangeability", "--family", "gaussian", "--m", "1", "--n", "3", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: seed must be a nonnegative integer, got -1\n"
 
     def test_deterministic_output(self, capsys):
         argv = (
@@ -627,6 +641,22 @@ class TestFamilySelection:
         assert code == 2 and out == ""
         assert err == f"error: --mean-domain expects LO,HI, got {domain!r}\n"
 
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ("[1,2]", "a family payload must be a JSON object, got [1, 2]"),
+            ('"poisson"', "a family payload must be a JSON object, got 'poisson'"),
+            ('{"kind":"poisson","mean_domain":5}', "mean_domain must be null or an array of two numbers, got 5"),
+            ('{"kind":"gaussian_location","sigma2":null}', "sigma2 must be a number, got None"),
+        ],
+        ids=["list", "string", "domain-number", "null-parameter"],
+    )
+    def test_malformed_family_payload_exits_2(self, capsys, payload, message):
+        """These died with a traceback and exit code 1, the code of a contradicted --expect."""
+        code, out, err = run(capsys, "kl", "--family-json", payload, "--mu0", "1", "--mu1", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_missing_family_exits_2(self, capsys):
         code, _, err = run(capsys, "kl", "--mu0", "0", "--mu1", "1")
         assert code == 2
@@ -653,6 +683,43 @@ class TestUsage:
         assert cli.main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "kl" in out and "sample-tweedie" in out
+
+
+# each subcommand with two --format values, and its arguments
+_TWO_FORMATS = {
+    "kl": ("kl", "--family", "gamma", "--shape", "2", "--mu0", "1", "--mu1", "3"),
+    "predict": ("predict", "--family", "tweedie32", "--history", "1.0", "--points", "0,0.5,2"),
+    "joint": ("joint", "--family", "bernoulli", "--seq", "1,1,0"),
+    "regret": ("regret", "--family", "gaussian", "--seq", "0.5,1,2", "--m", "1"),
+    "check-constancy": ("check-constancy", "--family", "gamma", "--n", "2", "--grid", "0.5,1,2"),
+    "check-exchangeability": ("check-exchangeability", "--family", "gamma", "--m", "1", "--n", "3", "--count", "2"),
+    "check-ode": ("check-ode", "--variance", "mu**3+1", "--domain", "0.5,4", "--mu-grid", "1,2,3"),
+    "laplace": ("laplace", "--family", "poisson", "--mu0", "2", "--n-list", "2,5"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TWO_FORMATS))
+def test_the_two_formats_of_a_subcommand_agree(capsys, command):
+    """The plain or CSV text carries the JSON payload's numbers, digit for digit."""
+    argv = _TWO_FORMATS[command]
+    other = "plain" if command in ("kl", "joint", "regret") else "csv"
+    code, text, _ = run(capsys, *argv, "--format", other)
+    json_code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == json_code == 0
+    payload = json.loads(out)
+    if other == "plain":
+        field = {"kl": "kl", "joint": "value", "regret": "regret"}[command]
+        assert text == _fmt(payload[field]) + "\n"
+    elif command == "predict":
+        lines = text.splitlines()
+        assert lines[0] == "point,density,log_density"
+        rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+        assert rows == list(zip(payload["points"], payload["density"], payload["log_density"]))
+    else:
+        grid, values, deviations = parse_report_csv(text)
+        assert grid == tuple(tuple(p) if isinstance(p, list) else p for p in payload["grid"])
+        assert values == tuple(payload["values"])
+        assert deviations == tuple(abs(v - payload["reference_value"]) for v in payload["values"])
 
 
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:

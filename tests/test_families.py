@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 
 import mpmath
@@ -493,6 +494,22 @@ class TestTransforms:
         assert TRANSFORMED["levy"].convex_core().bounds() == (0.0, math.inf)
         assert TRANSFORMED["reflected-gamma2"].convex_core().bounds() == (-math.inf, 0.0)
 
+    @pytest.mark.parametrize(
+        "maps,message",
+        [
+            # GammaShape's probe grid holds x = 1.0
+            ((lambda x: 1 / (x - 1), lambda y: 1 + 1 / y, lambda y: -1 / y**2), "forward map raises at the probe point x=1.0"),
+            ((lambda x: math.log(x - 0.5), lambda y: math.exp(y) + 0.5, math.exp), "forward map raises at the probe point x="),
+            ((lambda x: x - 1, lambda y: y * y / y + 1, lambda y: 1.0), "inverse raises at the probe point y=0.0"),
+            ((lambda x: x + 2, lambda y: y - 2, lambda y: math.sqrt(y - 3)), "inverse derivative raises at the probe point y="),
+        ],
+        ids=["forward-zero-division", "forward-log", "inverse", "inverse-derivative"],
+    )
+    def test_map_raising_at_a_probe_is_rejected(self, maps, message):
+        """A map that raised ZeroDivisionError or ValueError at a probe escaped as that bare error."""
+        with pytest.raises(NonMonotone, match=re.escape(message)):
+            sk.transform_family(sk.GammaShape(1.0), *maps)
+
     def test_non_monotone_map_rejected(self):
         with pytest.raises(NonMonotone):
             sk.transform_family(
@@ -536,6 +553,26 @@ def test_json_round_trip(fam):
 def test_from_json_rejects_unknown_kind():
     with pytest.raises(DomainError):
         sk.from_json('{"kind": "cauchy"}')
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        ("[1, 2]", "a family payload must be a JSON object, got [1, 2]"),
+        ('"poisson"', "a family payload must be a JSON object, got 'poisson'"),
+        ('{"kind": [1]}', "unknown family kind [1]"),
+        ('{"kind": "poisson", "mean_domain": 5}', "mean_domain must be null or an array of two numbers, got 5"),
+        ({"kind": "poisson", "mean_domain": [0, 1, 2]}, "mean_domain must be null or an array of two numbers, got [0, 1, 2]"),
+        ({"kind": "poisson", "mean_domain": ["a", 1]}, "mean_domain must be null or an array of two numbers, got ['a', 1]"),
+        ('{"kind": "gaussian_location", "sigma2": null}', "sigma2 must be a number, got None"),
+        ({"kind": "gamma_shape", "shape": "x"}, "shape must be a number, got 'x'"),
+    ],
+    ids=["list", "string", "kind-list", "domain-number", "domain-three", "domain-text", "null-parameter", "text-parameter"],
+)
+def test_from_json_names_a_malformed_payload(payload, message):
+    """These escaped as bare AttributeError, TypeError or ValueError."""
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        sk.from_json(payload)
 
 
 # ---- value semantics --------------------------------------------------------
